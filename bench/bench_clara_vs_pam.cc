@@ -1,12 +1,11 @@
-// Ablation (DESIGN.md §5): PAM vs CLARA vs k-means on the map's clustering
-// stage. Shows the latency crossover that justifies the paper's "when the
-// data is too large, Blaeu creates the maps with CLARA", and the accuracy
-// each algorithm pays (ARI vs planted clusters, reported as counters).
+// Ablation (DESIGN.md §5): PAM vs CLARA on the map's clustering stage.
+// Shows the latency crossover that justifies the paper's "when the data is
+// too large, Blaeu creates the maps with CLARA", and the accuracy each
+// algorithm pays (ARI vs planted clusters, reported as counters).
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/clara.h"
-#include "cluster/kmeans.h"
 #include "cluster/pam.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -96,28 +95,12 @@ void BM_Clara(benchmark::State& state) {
   state.counters["ari"] = ari;
 }
 
-void BM_KMeans(benchmark::State& state) {
-  const Fixture& f = MixtureCached(static_cast<size_t>(state.range(0)));
-  double ari = 0;
-  cluster::KMeansOptions opt;
-  for (auto _ : state) {
-    opt.seed++;
-    auto result = cluster::KMeans(f.features, 4, opt);
-    if (!result.ok()) state.SkipWithError("kmeans failed");
-    ari = stats::AdjustedRandIndex(result->assignment.labels, f.truth);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["ari"] = ari;
-}
-
-// PAM is O(n^2) memory/time: cap its sweep; CLARA and k-means go further.
+// PAM is O(n^2) memory/time: cap its sweep; CLARA goes further.
 BENCHMARK(BM_Pam)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_PamNaiveSwap)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_Clara)->Arg(500)->Arg(1000)->Arg(2000)->Arg(8000)->Arg(32000)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK(BM_KMeans)->Arg(500)->Arg(1000)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "core/preprocess.h"
 #include "stats/distance.h"
 #include "tree/cart.h"
-#include "tree/rules.h"
 #include "workloads/gaussian.h"
 #include "workloads/hollywood.h"
 
@@ -33,8 +32,7 @@ void Sweep(const char* name, const monet::Table& table, size_t sample_rows) {
 
   std::printf("== C5 on %s (%zu rows, %zu features) ==\n", name,
               pre->features.rows(), pre->features.cols());
-  std::printf("%6s %8s %12s %10s %10s\n", "k", "depth", "fidelity",
-              "leaves", "rules");
+  std::printf("%6s %8s %12s %10s\n", "k", "depth", "fidelity", "leaves");
   for (size_t k : {2, 3, 4, 6}) {
     auto clustering = cluster::Pam(dist, k);
     if (!clustering.ok()) continue;
@@ -47,8 +45,8 @@ void Sweep(const char* name, const monet::Table& table, size_t sample_rows) {
       if (!model.ok()) continue;
       double fidelity = model->Fidelity(table, pre->rows,
                                         clustering->labels);
-      std::printf("%6zu %8zu %12.3f %10zu %10zu\n", k, depth, fidelity,
-                  model->NumLeaves(), tree::ExtractRules(*model).size());
+      std::printf("%6zu %8zu %12.3f %10zu\n", k, depth, fidelity,
+                  model->NumLeaves());
     }
   }
   std::printf("\n");

@@ -14,8 +14,7 @@ using RowDistanceFn = std::function<double(size_t, size_t)>;
 struct ClusteringResult {
   /// Cluster id per point, in [0, k).
   std::vector<int> labels;
-  /// Representative point per cluster (medoid index for PAM/CLARA; the
-  /// nearest point to the centroid for k-means).
+  /// Representative point per cluster (its medoid index).
   std::vector<size_t> medoids;
   /// Objective value: sum over points of distance to their representative.
   double total_cost = 0.0;

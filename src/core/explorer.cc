@@ -105,7 +105,6 @@ std::string Explorer::StatsReport() const {
     w.KV("rollbacks", s.rollbacks);
     w.KV("cache_hits", s.cache_hits);
     w.KV("cache_misses", s.cache_misses);
-    w.KV("plan_reuses", s.plan_reuses);
     w.EndObject();
   }
   w.EndArray();

@@ -2,20 +2,14 @@
 
 #include <algorithm>
 
-#include "cluster/agglomerative.h"
 #include "cluster/clara.h"
 #include "cluster/clustering.h"
-#include "cluster/dbscan.h"
-#include "cluster/kmeans.h"
 #include "cluster/kselect.h"
 #include "cluster/pam.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/timer.h"
 #include "monet/sampling.h"
 #include "stats/distance.h"
-#include "stats/metrics.h"
-#include "tree/rules.h"
 
 namespace blaeu::core {
 
@@ -146,29 +140,9 @@ Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
     return out;
   }
 
-  if (algo == MapAlgorithm::kKMeans) {
-    out.algorithm = "kmeans";
-    cluster::KMeansOptions km;
-    km.seed = options.seed;
-    const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
-    const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
-    BLAEU_RETURN_NOT_OK(SweepK(
-        lo, hi, options.num_threads,
-        [&](size_t k) -> Result<cluster::ClusteringResult> {
-          BLAEU_ASSIGN_OR_RETURN(auto result,
-                                 cluster::KMeans(features, k, km));
-          return std::move(result.assignment);
-        },
-        [&](const cluster::ClusteringResult& r) {
-          return score(r.labels, nullptr);
-        },
-        &out));
-    return out;
-  }
-
-  // PAM / agglomerative / DBSCAN: need the full distance matrix. Rows are
-  // independent, so it is built row-blocked on the pool; every (i, j) entry
-  // is computed exactly once regardless of the thread count.
+  // PAM needs the full distance matrix. Rows are independent, so it is
+  // built row-blocked on the pool; every (i, j) entry is computed exactly
+  // once regardless of the thread count.
   stats::DistanceMatrix dist(n);
   obs::ScratchCharge dist_bytes(scratch, n * (n - 1) / 2 * sizeof(double));
   {
@@ -186,50 +160,6 @@ Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
     dist_span.SetAttr("threads", EffectiveNumThreads(options.num_threads));
   }
   span->SetAttr("distance_matrix_points", n);
-  if (algo == MapAlgorithm::kDbscan) {
-    out.algorithm = "dbscan";
-    // eps heuristic: 1.5x the median distance to the 5th nearest neighbor.
-    const size_t kNeighbor = std::min<size_t>(5, n - 1);
-    std::vector<double> knn(n);
-    ParallelFor(
-        0, n, 16,
-        [&](size_t row_lo, size_t row_hi) {
-          std::vector<double> row(n);
-          for (size_t i = row_lo; i < row_hi; ++i) {
-            for (size_t j = 0; j < n; ++j) row[j] = dist.At(i, j);
-            std::nth_element(row.begin(), row.begin() + kNeighbor, row.end());
-            knn[i] = row[kNeighbor];
-          }
-        },
-        options.num_threads);
-    std::nth_element(knn.begin(), knn.begin() + n / 2, knn.end());
-    cluster::DbscanOptions db;
-    db.eps = std::max(1e-9, 1.5 * knn[n / 2]);
-    db.min_points = 5;
-    BLAEU_ASSIGN_OR_RETURN(auto raw, cluster::Dbscan(dist, db));
-    out.result = cluster::DbscanToClustering(raw, dist);
-    out.silhouette = out.result.num_clusters() > 1
-                         ? score(out.result.labels, &dist)
-                         : 0.0;
-    return out;
-  }
-  if (algo == MapAlgorithm::kAgglomerative) {
-    out.algorithm = "agglomerative";
-    const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
-    const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
-    BLAEU_RETURN_NOT_OK(SweepK(
-        lo, hi, options.num_threads,
-        [&](size_t k) {
-          return cluster::AgglomerativeToK(dist, cluster::Linkage::kAverage,
-                                           k);
-        },
-        [&](const cluster::ClusteringResult& r) {
-          return score(r.labels, &dist);
-        },
-        &out));
-    return out;
-  }
-
   out.algorithm = "pam";
   if (options.fixed_k > 0) {
     BLAEU_ASSIGN_OR_RETURN(out.result, cluster::Pam(dist, options.fixed_k));
@@ -294,7 +224,6 @@ void BuildRegions(const tree::CartModel& model, const tree::CartNode& node,
 Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
                              const std::vector<std::string>& columns,
                              const MapOptions& options) {
-  Timer timer;
   if (columns.empty()) return Status::Invalid("no active columns");
   if (sel.empty()) return Status::Invalid("empty selection");
 
@@ -309,7 +238,6 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   const size_t threads = EffectiveNumThreads(options.num_threads);
   build_span.SetAttr("threads", threads);
   metrics->counter("core.map.builds")->Increment();
-  ScopedTimer build_latency(metrics->histogram("core.map.build_seconds"));
 
   // Resource accounting for this one build (obs/resource.h): the profile
   // travels with the map and aggregates into the registry at the end.
@@ -320,8 +248,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     res.distance_evaluations = dist_evals.load(std::memory_order_relaxed);
     res.cart_nodes = static_cast<int64_t>(m->regions.size());
     res.peak_scratch_bytes = scratch.peak();
-    m->build_seconds = timer.ElapsedSeconds();
-    res.total_seconds = m->build_seconds;
+    m->build_seconds = res.total_seconds = build_span.ElapsedSeconds();
     m->resources = res;
     res.ReportTo(metrics);
   };
@@ -339,11 +266,10 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   SelectionVector sample = sel;
   {
     obs::Span span(tracer, "core.map.sample");
-    Timer stage;
     if (options.sample_size > 0 && sel.size() > options.sample_size) {
       sample = monet::SampleFromSelection(sel, options.sample_size, &rng);
     }
-    res.stages.push_back({"sample", stage.ElapsedSeconds()});
+    res.stages.push_back({"sample", span.ElapsedSeconds()});
     span.SetAttr("rows_in", sel.size());
     span.SetAttr("rows_sampled", sample.size());
   }
@@ -356,9 +282,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   Result<PreprocessedData> pre_or = [&]() -> Result<PreprocessedData> {
     obs::Span span(tracer, "core.map.preprocess");
     span.SetAttr("threads", threads);
-    Timer stage;
     auto result = Preprocess(*view, sample, pre_options);
-    res.stages.push_back({"preprocess", stage.ElapsedSeconds()});
+    res.stages.push_back({"preprocess", span.ElapsedSeconds()});
     if (result.ok()) {
       span.SetAttr("feature_rows", result.ValueOrDie().features.rows());
       span.SetAttr("feature_cols", result.ValueOrDie().features.cols());
@@ -419,11 +344,10 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   {
     obs::Span span(tracer, "core.map.cluster");
     span.SetAttr("threads", threads);
-    Timer stage;
     BLAEU_ASSIGN_OR_RETURN(
         outcome, RunClustering(pre.features, metric, options, tracer, &span,
                                &scratch));
-    res.stages.push_back({"cluster", stage.ElapsedSeconds()});
+    res.stages.push_back({"cluster", span.ElapsedSeconds()});
     span.SetAttr("algorithm", outcome.algorithm);
     span.SetAttr("k", outcome.result.num_clusters());
     span.SetAttr("silhouette", outcome.silhouette);
@@ -437,14 +361,13 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   Result<tree::CartModel> model_or = [&]() -> Result<tree::CartModel> {
     obs::Span span(tracer, "core.map.describe");
     span.SetAttr("threads", threads);
-    Timer stage;
     BLAEU_ASSIGN_OR_RETURN(
         tree::CartModel model,
         tree::CartModel::Train(*view, pre.rows, outcome.result.labels,
                                tree_options));
     map.tree_fidelity =
         model.Fidelity(*view, pre.rows, outcome.result.labels);
-    res.stages.push_back({"describe", stage.ElapsedSeconds()});
+    res.stages.push_back({"describe", span.ElapsedSeconds()});
     span.SetAttr("fidelity", map.tree_fidelity);
     return model;
   }();
@@ -454,9 +377,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   // 5. Assemble the region hierarchy from the tree.
   {
     obs::Span span(tracer, "core.map.assemble");
-    Timer stage;
     BuildRegions(model, model.root(), -1, monet::Conjunction(), &map);
-    res.stages.push_back({"assemble", stage.ElapsedSeconds()});
+    res.stages.push_back({"assemble", span.ElapsedSeconds()});
     span.SetAttr("regions", map.regions.size());
   }
 
@@ -469,7 +391,6 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   {
     obs::Span span(tracer, "core.map.count");
     span.SetAttr("threads", threads);
-    Timer stage;
     size_t counted_bytes = 0;
     const size_t num_regions = map.regions.size();
     std::vector<int> region_depth(num_regions, 0);
@@ -518,7 +439,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
       counted_bytes += level_bytes;
     }
     scratch.Release(counted_bytes);  // region_rows dies with this block
-    res.stages.push_back({"count", stage.ElapsedSeconds()});
+    res.stages.push_back({"count", span.ElapsedSeconds()});
     span.SetAttr("rows_counted", sel.size());
   }
 

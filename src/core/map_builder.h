@@ -21,12 +21,9 @@ namespace blaeu::core {
 
 /// Cluster-detection algorithm for the map.
 enum class MapAlgorithm {
-  kAuto,           ///< PAM on small samples, CLARA beyond clara_threshold
+  kAuto,  ///< PAM on small samples, CLARA beyond clara_threshold
   kPam,
   kClara,
-  kKMeans,         ///< baseline (requires dummy encoding)
-  kAgglomerative,  ///< baseline (average linkage)
-  kDbscan,         ///< density-based: arbitrary shapes, finds its own k
 };
 
 /// Map-construction options.

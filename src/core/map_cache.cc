@@ -158,16 +158,13 @@ std::shared_ptr<const DataMap> MapCache::Lookup(const MapCacheKey& key,
 }
 
 void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
-                      std::shared_ptr<const DataMap> map,
-                      std::shared_ptr<const PreprocessPlan> plan) {
+                      std::shared_ptr<const DataMap> map) {
   if (map == nullptr || budget_bytes_ == 0) return;
   Entry entry;
   entry.key = key;
   entry.session_id = session_id;
-  entry.bytes = EstimateMapBytes(*map) +
-                (plan != nullptr ? plan->ApproxBytes() : 0) + sizeof(Entry);
+  entry.bytes = EstimateMapBytes(*map) + sizeof(Entry);
   entry.map = std::move(map);
-  entry.plan = std::move(plan);
   if (entry.bytes > budget_bytes_) return;  // would evict everything else
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -184,14 +181,6 @@ void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
     PublishGaugesLocked();
   }
   metrics_->counter("core.cache.inserts")->Increment();
-}
-
-std::shared_ptr<const PreprocessPlan> MapCache::LookupPlan(
-    const MapCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key.Hash());
-  if (it == index_.end() || !(it->second->key == key)) return nullptr;
-  return it->second->plan;
 }
 
 std::shared_ptr<const std::vector<size_t>> MapCache::LookupPrimaryKeys(

@@ -1,6 +1,6 @@
-// Navigation-aware map cache: reuses preprocessing and whole maps across
-// Zoom / Project / rollback so re-visiting a navigation state is O(1) and a
-// serving layer does not redo identical work per interaction.
+// Navigation-aware map cache: reuses whole maps and detected primary keys
+// across Zoom / Project / rollback so re-visiting a navigation state is O(1)
+// and a serving layer does not redo identical work per interaction.
 //
 // ## Cache key contract
 //
@@ -21,29 +21,21 @@
 //     selection_fp, columns_fp), so rebuilding the same navigation state
 //     cold produces the same seed, sample and map as a cache hit.
 //
-// ## Bit-identical vs. re-normalized reuse
+// ## Reuse tiers
 //
-// Three reuse tiers, two correctness classes:
-//   1. Whole-map memoization (Lookup/Insert): hit returns the exact map that
-//      a cold build of the same key would produce — bit-identical by
-//      construction.
+// Both tiers are bit-identical to a cold build:
+//   1. Whole-map memoization (Lookup/Insert): a hit returns the exact map
+//      that a cold build of the same key would produce.
 //   2. Primary-key reuse (LookupPrimaryKeys/InsertPrimaryKeys): key
 //      detection reads only the table, never the selection, so reusing it
-//      per (table_version, columns_fp) is bit-identical. On by default.
-//   3. Parent-plan reuse (LookupPlan via the entry of the parent state):
-//      normalizers, category tables and type decisions were fit on the
-//      PARENT's sample; filling a child selection with them yields features
-//      normalized by the parent's statistics. The resulting map is valid
-//      but NOT bit-identical to a cold build, so this tier is opt-in
-//      (SessionOptions::reuse_parent_plans) and off by default.
+//      per (table_version, columns_fp) cannot change the output.
 //
 // ## Observability (ROADMAP naming convention)
 //
 // Counters: core.cache.hits, core.cache.misses, core.cache.inserts,
 // core.cache.evictions, core.cache.invalidations, core.cache.pk_hits,
-// core.cache.pk_misses, core.cache.plan_reuses. Gauges: core.cache.bytes,
-// core.cache.entries. Spans: core.cache.lookup (attr hit=0|1),
-// core.cache.invalidate.
+// core.cache.pk_misses. Gauges: core.cache.bytes, core.cache.entries.
+// Spans: core.cache.lookup (attr hit=0|1), core.cache.invalidate.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +54,6 @@
 namespace blaeu::core {
 
 struct MapOptions;
-struct PreprocessPlan;
 
 /// Order-sensitive FNV-1a mix step, the hashing primitive behind every
 /// cache fingerprint.
@@ -127,7 +118,7 @@ struct MapCacheStats {
 /// Rough heap footprint of a map, for budgeting.
 size_t EstimateMapBytes(const DataMap& map);
 
-/// \brief Thread-safe LRU cache of built maps and preprocessing artifacts.
+/// \brief Thread-safe LRU cache of built maps and detected primary keys.
 ///
 /// Shared by every session of an Explorer (and injectable into standalone
 /// sessions via SessionOptions::cache); concurrent sessions may hit each
@@ -155,15 +146,10 @@ class MapCache {
   std::shared_ptr<const DataMap> Lookup(const MapCacheKey& key,
                                         uint64_t session_id);
 
-  /// Memoizes `map` (and optionally the preprocessing `plan` that produced
-  /// it) under `key`, evicting least-recently-used entries over budget.
+  /// Memoizes `map` under `key`, evicting least-recently-used entries over
+  /// budget.
   void Insert(const MapCacheKey& key, uint64_t session_id,
-              std::shared_ptr<const DataMap> map,
-              std::shared_ptr<const PreprocessPlan> plan = nullptr);
-
-  /// The preprocessing plan cached with `key`'s entry, or null. Used for
-  /// re-normalized parent-plan reuse (tier 3 above).
-  std::shared_ptr<const PreprocessPlan> LookupPlan(const MapCacheKey& key);
+              std::shared_ptr<const DataMap> map);
 
   /// Detected primary keys for (table_version, columns_fp) of `table_name`;
   /// bit-identical reuse (tier 2 above).
@@ -196,7 +182,6 @@ class MapCache {
     uint64_t session_id = 0;
     size_t bytes = 0;
     std::shared_ptr<const DataMap> map;
-    std::shared_ptr<const PreprocessPlan> plan;
   };
   struct PkEntry {
     std::string table_name;

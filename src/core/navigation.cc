@@ -88,8 +88,7 @@ Result<Session> Session::Start(TablePtr table, std::string table_name,
 }
 
 Result<DataMap> Session::MakeMap(const SelectionVector& sel,
-                                 const std::vector<std::string>& columns,
-                                 MapCacheKey* out_key) {
+                                 const std::vector<std::string>& columns) {
   Timer build_timer;
   MapOptions map_options = options_.map;
   const uint64_t sel_fp = sel.Fingerprint();
@@ -108,7 +107,6 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
   key.columns_fp = cols_fp;
   key.options_fp = options_fp_;
   key.seed = map_options.seed;
-  if (out_key != nullptr) *out_key = key;
 
   auto finish = [&](size_t* build_counter) {
     (*build_counter)++;
@@ -141,21 +139,6 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
         table_name_, options_.table_version, table_fp_, cols_fp);
     if (known_keys != nullptr) {
       map_options.preprocess.known_primary_keys = known_keys.get();
-    }
-  }
-  // Tier-3 reuse (re-normalized, opt-in): fill the child's features with
-  // the parent state's plan instead of re-planning on the child sample.
-  if (options_.reuse_parent_plans && cache_ != nullptr && !history_.empty() &&
-      FingerprintStrings(history_.back().columns) == cols_fp) {
-    std::shared_ptr<const PreprocessPlan> parent_plan =
-        cache_->LookupPlan(history_.back().cache_key);
-    if (parent_plan != nullptr) {
-      map_options.preprocess.reuse_plan = std::move(parent_plan);
-      stats_.plan_reuses++;
-      obs::MetricsRegistry* metrics = map_options.metrics != nullptr
-                                          ? map_options.metrics
-                                          : &obs::MetricsRegistry::Global();
-      metrics->counter("core.cache.plan_reuses")->Increment();
     }
   }
   std::shared_ptr<const PreprocessPlan> used_plan;
@@ -194,8 +177,7 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
           table_name_, options_.table_version, table_fp_, cols_fp,
           std::make_shared<const std::vector<size_t>>(used_plan->dropped_keys));
     }
-    cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map),
-                   std::move(used_plan));
+    cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map));
   }
   finish(&stats_.maps_built);
   return map;
@@ -213,15 +195,13 @@ Status Session::SelectTheme(size_t theme_idx) {
                             : history_.back().selection;
   monet::Conjunction where =
       history_.empty() ? monet::Conjunction() : history_.back().where;
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sel, theme.names, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sel, theme.names));
   NavState state;
   state.selection = std::move(sel);
   state.theme_id = static_cast<int>(theme_idx);
   state.columns = theme.names;
   state.where = std::move(where);
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "select_theme(" + std::to_string(theme_idx) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.select_theme",
@@ -247,15 +227,13 @@ Status Session::Zoom(int region_id) {
     return Status::Invalid("region " + std::to_string(region_id) +
                            " covers no tuples");
   }
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sub, cur.columns, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(sub, cur.columns));
   NavState state;
   state.selection = std::move(sub);
   state.theme_id = cur.theme_id;
   state.columns = cur.columns;
   state.where = cur.where.And(region.predicate);
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "zoom(" + std::to_string(region_id) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.zoom",
@@ -274,16 +252,13 @@ Status Session::Project(size_t theme_idx) {
   }
   const NavState& cur = current();
   const Theme& theme = themes_.theme(theme_idx);
-  MapCacheKey key;
-  BLAEU_ASSIGN_OR_RETURN(DataMap map,
-                         MakeMap(cur.selection, theme.names, &key));
+  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(cur.selection, theme.names));
   NavState state;
   state.selection = cur.selection;
   state.theme_id = static_cast<int>(theme_idx);
   state.columns = theme.names;
   state.where = cur.where;
   state.map = std::move(map);
-  state.cache_key = std::move(key);
   state.action = "project(" + std::to_string(theme_idx) + ")";
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.project",

@@ -45,12 +45,6 @@ struct SessionOptions {
   /// Version of the table this session explores, bumped by the Explorer on
   /// every (re-)load; part of every cache key.
   uint64_t table_version = 0;
-  /// Opt-in re-normalized reuse (tier 3 in core/map_cache.h): on a cache
-  /// miss after Zoom, fill the child's features with the parent state's
-  /// preprocessing plan instead of re-planning. Faster, but the child map
-  /// is normalized by the parent's statistics and therefore NOT
-  /// bit-identical to a cold build — off by default.
-  bool reuse_parent_plans = false;
 };
 
 /// \brief One navigation state: a selection, an active theme, and its map.
@@ -60,9 +54,6 @@ struct NavState {
   std::vector<std::string> columns;   ///< active columns
   monet::Conjunction where;           ///< accumulated predicate from the root
   DataMap map;
-  /// Cache identity of this state's map (cache bookkeeping; also the key
-  /// whose entry carries the state's preprocessing plan for reuse).
-  MapCacheKey cache_key;
   std::string action;                 ///< what produced this state
   /// User notes attached to regions of this state's map ("the maps ...
   /// provide facilities to inspect their content and annotate them", §1).
@@ -119,7 +110,6 @@ struct SessionStats {
   size_t rollbacks = 0;
   size_t cache_hits = 0;          ///< maps served from the cache
   size_t cache_misses = 0;        ///< maps actually built (cache enabled)
-  size_t plan_reuses = 0;         ///< builds that reused a parent's plan
 };
 
 /// \brief An interactive exploration session over one table.
@@ -226,10 +216,9 @@ class Session {
           SessionOptions options, ThemeSet themes);
 
   /// Builds (or fetches from the cache) a map for `sel` on `columns` using
-  /// the session sampler. `out_key` receives the map's cache identity.
+  /// the session sampler.
   Result<DataMap> MakeMap(const monet::SelectionVector& sel,
-                          const std::vector<std::string>& columns,
-                          MapCacheKey* out_key);
+                          const std::vector<std::string>& columns);
 
   monet::TablePtr table_;
   std::string table_name_;

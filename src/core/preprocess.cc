@@ -28,27 +28,6 @@ std::vector<bool> PreprocessedData::categorical_mask() const {
   return mask;
 }
 
-size_t PreprocessPlan::ApproxBytes() const {
-  size_t bytes = sizeof(PreprocessPlan);
-  for (const ColumnPlan& plan : columns) {
-    bytes += sizeof(ColumnPlan);
-    for (const std::string& c : plan.categories) bytes += c.capacity() + 1;
-    for (const auto& [key, value] : plan.code) {
-      (void)value;
-      bytes += key.capacity() + sizeof(int) + 32;  // node overhead estimate
-    }
-    // The dictionary itself is owned by the table, not the plan; only the
-    // rank vector is plan-private.
-    bytes += plan.dict_ranks.capacity() * sizeof(int32_t);
-  }
-  for (const FeatureInfo& f : feature_info) {
-    bytes += sizeof(FeatureInfo) + f.source_name.capacity() +
-             f.category.capacity();
-  }
-  bytes += (used_columns.size() + dropped_keys.size()) * sizeof(size_t);
-  return bytes;
-}
-
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -382,12 +361,9 @@ Result<PreprocessedData> FillFeatures(const Table& table,
 Result<PreprocessedData> Preprocess(const Table& table,
                                     const SelectionVector& sel,
                                     const PreprocessOptions& options) {
-  std::shared_ptr<const PreprocessPlan> plan = options.reuse_plan;
-  if (plan == nullptr) {
-    BLAEU_ASSIGN_OR_RETURN(PreprocessPlan fresh,
-                           PlanPreprocess(table, sel, options));
-    plan = std::make_shared<const PreprocessPlan>(std::move(fresh));
-  }
+  BLAEU_ASSIGN_OR_RETURN(PreprocessPlan fresh,
+                         PlanPreprocess(table, sel, options));
+  auto plan = std::make_shared<const PreprocessPlan>(std::move(fresh));
   if (options.plan_out != nullptr) *options.plan_out = plan;
   return FillFeatures(table, sel, *plan, options.num_threads);
 }

@@ -60,16 +60,8 @@ struct PreprocessOptions {
   /// output by passing it back in. Not owned; must outlive the call.
   const std::vector<size_t>* known_primary_keys = nullptr;
 
-  /// Re-normalized reuse: when set, Preprocess() skips planning entirely
-  /// and fills features with this plan. The plan's normalizers, category
-  /// tables and type decisions were fit on the selection it was planned on,
-  /// so the output is bit-identical to a cold run ONLY when that selection
-  /// (and table) is the same; for a child selection (zoom) the features
-  /// come out normalized by the parent's statistics instead.
-  std::shared_ptr<const PreprocessPlan> reuse_plan;
-
-  /// When non-null, receives the plan the run used (freshly planned or
-  /// `reuse_plan`), so callers can cache it for future reuse.
+  /// When non-null, receives the plan the run used, so callers can cache
+  /// what it detected (e.g. its dropped primary keys) for future runs.
   std::shared_ptr<const PreprocessPlan>* plan_out = nullptr;
 };
 
@@ -128,8 +120,6 @@ struct PreprocessPlan {
   CategoricalEncoding encoding = CategoricalEncoding::kDummy;
 
   size_t num_features() const { return feature_info.size(); }
-  /// Rough heap footprint, for cache budgeting.
-  size_t ApproxBytes() const;
 };
 
 /// Phase 1: fits per-column plans (type decision, category ranking,
@@ -146,7 +136,7 @@ Result<PreprocessedData> FillFeatures(const monet::Table& table,
                                       size_t num_threads = 0);
 
 /// Runs the preprocessing pipeline over the rows in `sel` (= PlanPreprocess
-/// followed by FillFeatures, honouring the reuse hooks in `options`).
+/// followed by FillFeatures, honouring the hooks in `options`).
 ///
 /// Missing values: with kDummy encoding, numeric NaNs are imputed at the
 /// (normalized) mean and missing categoricals get all-zero dummies; with

@@ -134,11 +134,4 @@ std::string MetricsRegistry::ToJson() const {
   return w.str();
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace blaeu::obs

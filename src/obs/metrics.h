@@ -119,9 +119,6 @@ class MetricsRegistry {
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,...}}}
   std::string ToJson() const;
 
-  /// Drops every metric (tests and long-lived sessions between reports).
-  void Reset();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -31,6 +31,7 @@ void ResourceProfile::ReportTo(MetricsRegistry* registry) const {
   registry->counter("core.map.distance_evaluations")
       ->Add(distance_evaluations);
   registry->counter("core.map.cart_nodes")->Add(cart_nodes);
+  registry->histogram("core.map.build_seconds")->Observe(total_seconds);
   registry->histogram("core.map.scratch_peak_bytes")
       ->Observe(static_cast<double>(peak_scratch_bytes));
   for (const StageCost& stage : stages) {

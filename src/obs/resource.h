@@ -82,8 +82,7 @@ struct ResourceProfile {
   /// Cells of the preprocessed feature matrix (rows x features).
   int64_t cells_materialized = 0;
   /// Metric-space distance evaluations (distance matrix, CLARA assignment,
-  /// Monte-Carlo silhouette). Zero for algorithms that never call the
-  /// pairwise metric (k-means works on the feature matrix directly).
+  /// Monte-Carlo silhouette). Zero for a trivial map, which never clusters.
   int64_t distance_evaluations = 0;
   /// Nodes of the trained CART description tree (= map regions).
   int64_t cart_nodes = 0;
@@ -102,8 +101,8 @@ struct ResourceProfile {
 
   /// Aggregates this profile into `registry`: counters
   /// core.map.{rows_scanned,rows_counted,cells_materialized,
-  /// distance_evaluations,cart_nodes}, histogram
-  /// core.map.scratch_peak_bytes, and one histogram
+  /// distance_evaluations,cart_nodes}, histograms core.map.build_seconds
+  /// (total_seconds) and core.map.scratch_peak_bytes, and one histogram
   /// core.map.stage.<name>_seconds per stage.
   void ReportTo(MetricsRegistry* registry) const;
 };

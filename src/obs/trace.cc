@@ -142,7 +142,7 @@ std::string Tracer::ToChromeTrace() const {
   return w.str();
 }
 
-Span::Span(Tracer* tracer, std::string name) {
+Span::Span(Tracer* tracer, std::string name) : start_(Clock::now()) {
   if (tracer == nullptr || !tracer->enabled()) return;
   tracer_ = tracer;
   // Parent: innermost open span of the same tracer on this thread.

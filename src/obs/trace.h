@@ -96,8 +96,8 @@ class Tracer {
 
 /// \brief RAII handle for one timed region.
 ///
-/// Construction with a null or disabled tracer makes every member a no-op,
-/// so call sites do not need their own `if (tracing)` guards.
+/// A null or disabled tracer makes every member but ElapsedSeconds() a
+/// no-op, so call sites do not need their own `if (tracing)` guards.
 class Span {
  public:
   /// Opens a span on `tracer` (no-op when null or disabled).
@@ -127,7 +127,14 @@ class Span {
   /// True when this span is actually recording.
   bool active() const { return tracer_ != nullptr; }
 
+  /// Seconds since the span opened, whether or not it records.
+  double ElapsedSeconds() const {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
+
  private:
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start_;
   Tracer* tracer_ = nullptr;  ///< null when inactive
   int id_ = -1;
   std::vector<std::pair<std::string, std::string>> attrs_;

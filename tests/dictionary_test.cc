@@ -1,7 +1,6 @@
 // Dictionary-encoded string columns: interning, gather, null handling, CSV
-// load equivalence, collision-free group-by keys, and the property that the
-// dictionary fast paths through preprocessing are byte-identical to the
-// generic string paths.
+// load equivalence, and the property that the dictionary fast paths through
+// preprocessing are byte-identical to the generic string paths.
 #include "monet/dictionary.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include "core/map_builder.h"
 #include "core/preprocess.h"
 #include "core/render.h"
-#include "monet/aggregate.h"
 #include "monet/csv.h"
 #include "monet/predicate.h"
 #include "monet/table.h"
@@ -127,48 +125,6 @@ TEST(DictionaryColumnTest, PredicateOnAbsentLiteral) {
   auto in = Conjunction({Condition::InSet("s", {"missing", "b"})}).Evaluate(*t);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(in->rows(), (std::vector<uint32_t>{2}));
-}
-
-TEST(GroupByKeyTest, SeparatorBytesInValuesDoNotCollide) {
-  // Regression: the old group key joined renderings with '\x02', so the
-  // tuples ("a\x02", "b") and ("a", "\x02b") hashed identically and their
-  // rows were merged into one group.
-  TableBuilder b(Schema({{"k1", DataType::kString},
-                         {"k2", DataType::kString},
-                         {"v", DataType::kInt64}}));
-  ASSERT_TRUE(b.AppendRow({Value::Str("a\x02"), Value::Str("b"),
-                           Value::Int(1)}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Str("a"), Value::Str("\x02b"),
-                           Value::Int(10)}).ok());
-  TablePtr t = *b.Finish();
-  auto grouped = GroupBy(*t, {"k1", "k2"}, {{AggFn::kCount, "", "n"}});
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_EQ((*grouped)->num_rows(), 2u);
-}
-
-TEST(GroupByKeyTest, NullSentinelStringDoesNotCollideWithNull) {
-  // Regression: a cell whose VALUE is the old "\x01NULL" sentinel used to
-  // merge with an actual NULL key.
-  TableBuilder b(Schema({{"k", DataType::kString}, {"v", DataType::kInt64}}));
-  ASSERT_TRUE(b.AppendRow({Value::Str("\x01NULL"), Value::Int(1)}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Null(), Value::Int(2)}).ok());
-  TablePtr t = *b.Finish();
-  auto grouped = GroupBy(*t, {"k"}, {{AggFn::kCount, "", "n"}});
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_EQ((*grouped)->num_rows(), 2u);
-}
-
-TEST(GroupByKeyTest, CountDistinctOnStringsUsesCodes) {
-  TableBuilder b(Schema({{"k", DataType::kString}, {"s", DataType::kString}}));
-  ASSERT_TRUE(b.AppendRow({Value::Str("g"), Value::Str("x")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Str("g"), Value::Str("y")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Str("g"), Value::Str("x")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Str("g"), Value::Null()}).ok());
-  TablePtr t = *b.Finish();
-  auto grouped = GroupBy(*t, {"k"}, {{AggFn::kCountDistinct, "s", "d"}});
-  ASSERT_TRUE(grouped.ok());
-  ASSERT_EQ((*grouped)->num_rows(), 1u);
-  EXPECT_EQ((*grouped)->column(1)->GetValue(0).AsInt(), 2);
 }
 
 // -- Dictionary-path vs string-path equivalence ---------------------------

@@ -57,7 +57,9 @@ TEST(MapBuilderTest, RegionsFormATree) {
       EXPECT_EQ(map.region(child).parent, r.id);
     }
     // Internal nodes have exactly two children (binary CART splits).
-    if (!r.is_leaf()) EXPECT_EQ(r.children.size(), 2u);
+    if (!r.is_leaf()) {
+      EXPECT_EQ(r.children.size(), 2u);
+    }
   }
 }
 
@@ -129,7 +131,9 @@ TEST(MapBuilderTest, MedoidsAttachedToLeaves) {
     const MapRegion& r = map.region(leaf);
     EXPECT_GE(r.cluster_label, 0);
     leaf_clusters.insert(r.cluster_label);
-    if (r.has_medoid) EXPECT_LT(r.medoid_row, 300u);
+    if (r.has_medoid) {
+      EXPECT_LT(r.medoid_row, 300u);
+    }
   }
   EXPECT_EQ(leaf_clusters.size(), 3u);
 }
@@ -155,9 +159,7 @@ TEST(MapBuilderTest, AlgorithmSelectionAuto) {
 
 TEST(MapBuilderTest, ExplicitAlgorithms) {
   auto data = Mixture(250, 3, 11);
-  for (MapAlgorithm algo : {MapAlgorithm::kPam, MapAlgorithm::kClara,
-                            MapAlgorithm::kKMeans,
-                            MapAlgorithm::kAgglomerative}) {
+  for (MapAlgorithm algo : {MapAlgorithm::kPam, MapAlgorithm::kClara}) {
     MapOptions opt;
     opt.algorithm = algo;
     opt.fixed_k = 3;
@@ -324,9 +326,7 @@ TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnLofar) {
 
 TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapAcrossAlgorithms) {
   auto data = Mixture(400, 3, 22);
-  for (MapAlgorithm algo :
-       {MapAlgorithm::kPam, MapAlgorithm::kClara, MapAlgorithm::kKMeans,
-        MapAlgorithm::kAgglomerative, MapAlgorithm::kDbscan}) {
+  for (MapAlgorithm algo : {MapAlgorithm::kPam, MapAlgorithm::kClara}) {
     MapOptions serial;
     serial.algorithm = algo;
     serial.num_threads = 1;

@@ -1,6 +1,6 @@
 // Unit tests for the navigation-aware map cache (core/map_cache.h): LRU
-// byte budget, table-reload invalidation, session-lifecycle release, env
-// override, and the parent-plan reuse opt-in.
+// byte budget, table-reload invalidation, session-lifecycle release and the
+// env override.
 #include "core/map_cache.h"
 
 #include <gtest/gtest.h>
@@ -233,30 +233,6 @@ TEST(MapCacheTest, MovedFromSessionReleasesNothing) {
     EXPECT_EQ(cache->stats().entries, 0u);  // inner released them
   }
   EXPECT_EQ(cache->stats().entries, 0u);  // outer's death was a no-op
-}
-
-TEST(MapCacheTest, ParentPlanReuseIsOptInAndCounted) {
-  auto table = MixtureTable(1200);
-  SessionOptions opt = FastOptions();
-  opt.reuse_parent_plans = true;
-  auto session = Session::Start(table, "mixture", opt);
-  ASSERT_TRUE(session.ok());
-  Session s = std::move(session).ValueOrDie();
-  std::vector<int> leaves = s.current().map.LeafIds();
-  ASSERT_FALSE(leaves.empty());
-  // Zoom keeps the parent's columns, so the parent's plan applies.
-  ASSERT_TRUE(s.Zoom(leaves[0]).ok());
-  EXPECT_GE(s.stats().plan_reuses, 1u);
-  EXPECT_FALSE(s.current().map.regions.empty());
-
-  // Default options never reuse a parent plan.
-  auto cold = Session::Start(table, "mixture", FastOptions());
-  ASSERT_TRUE(cold.ok());
-  Session c = std::move(cold).ValueOrDie();
-  std::vector<int> cold_leaves = c.current().map.LeafIds();
-  ASSERT_FALSE(cold_leaves.empty());
-  ASSERT_TRUE(c.Zoom(cold_leaves[0]).ok());
-  EXPECT_EQ(c.stats().plan_reuses, 0u);
 }
 
 TEST(MapCacheTest, StatsJsonListsAllFields) {

@@ -1,17 +1,12 @@
-// Parameterized property sweeps over the storage layer: group-by
-// consistency, sort invariants, predicate/selection algebra, and the
-// mixed-distance and MI estimators.
+// Parameterized property sweeps over the storage layer: predicate/selection
+// algebra, and the mixed-distance and MI estimators.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 #include <tuple>
 
 #include "common/rng.h"
-#include "monet/aggregate.h"
 #include "monet/predicate.h"
-#include "monet/sort.h"
 #include "stats/distance.h"
 #include "stats/entropy.h"
 #include "workloads/gaussian.h"
@@ -19,11 +14,9 @@
 namespace blaeu {
 namespace {
 
-using monet::AggFn;
 using monet::DataType;
 using monet::Schema;
 using monet::SelectionVector;
-using monet::SortKey;
 using monet::TableBuilder;
 using monet::TablePtr;
 using monet::Value;
@@ -46,116 +39,6 @@ TablePtr RandomTable(size_t rows, size_t groups, double null_rate,
   }
   return *b.Finish();
 }
-
-// ---------------------------------------------------------------------------
-// GroupBy totals must agree with direct scans.
-// ---------------------------------------------------------------------------
-
-class GroupByPropertyTest
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, double>> {};
-
-TEST_P(GroupByPropertyTest, AggregatesMatchDirectScan) {
-  auto [rows, groups, null_rate] = GetParam();
-  TablePtr t = RandomTable(rows, groups, null_rate,
-                           rows * 31 + groups * 7);
-  auto result = *monet::GroupBy(*t, {"g"},
-                                {{AggFn::kCount, "x", "cnt"},
-                                 {AggFn::kSum, "x", "sum"},
-                                 {AggFn::kMin, "n", "mn"},
-                                 {AggFn::kMax, "n", "mx"}});
-  // Direct computation.
-  std::map<std::string, std::tuple<size_t, double, int64_t, int64_t>> direct;
-  for (size_t r = 0; r < rows; ++r) {
-    std::string g = t->GetValue(r, 0).AsString();
-    auto [it, inserted] = direct.try_emplace(
-        g, std::make_tuple(0u, 0.0, INT64_MAX, INT64_MIN));
-    auto& [cnt, sum, mn, mx] = it->second;
-    if (!t->GetValue(r, 1).is_null()) {
-      ++cnt;
-      sum += t->GetValue(r, 1).AsDouble();
-    }
-    int64_t n = t->GetValue(r, 2).AsInt();
-    mn = std::min(mn, n);
-    mx = std::max(mx, n);
-  }
-  ASSERT_EQ(result->num_rows(), direct.size());
-  for (size_t r = 0; r < result->num_rows(); ++r) {
-    const auto& [cnt, sum, mn, mx] =
-        direct.at(result->GetValue(r, 0).AsString());
-    EXPECT_EQ(result->GetValue(r, 1).AsInt(), static_cast<int64_t>(cnt));
-    if (cnt > 0) {
-      EXPECT_NEAR(result->GetValue(r, 2).AsDouble(), sum, 1e-9);
-    }
-    EXPECT_DOUBLE_EQ(result->GetValue(r, 3).AsDouble(),
-                     static_cast<double>(mn));
-    EXPECT_DOUBLE_EQ(result->GetValue(r, 4).AsDouble(),
-                     static_cast<double>(mx));
-  }
-  // Group counts sum to the row count.
-  auto counts = *monet::GroupBy(*t, {"g"}, {{AggFn::kCount, "", "all"}});
-  int64_t total = 0;
-  for (size_t r = 0; r < counts->num_rows(); ++r) {
-    total += counts->GetValue(r, 1).AsInt();
-  }
-  EXPECT_EQ(total, static_cast<int64_t>(rows));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, GroupByPropertyTest,
-    ::testing::Values(std::make_tuple(50, 3, 0.0),
-                      std::make_tuple(200, 5, 0.1),
-                      std::make_tuple(500, 2, 0.3),
-                      std::make_tuple(1000, 17, 0.05)));
-
-// ---------------------------------------------------------------------------
-// Sorting invariants.
-// ---------------------------------------------------------------------------
-
-class SortPropertyTest
-    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
-
-TEST_P(SortPropertyTest, OrderedPermutationWithNullsLast) {
-  auto [rows, ascending] = GetParam();
-  TablePtr t = RandomTable(rows, 4, 0.15, rows * 13);
-  auto order = *monet::SortIndices(*t, SelectionVector::All(rows),
-                                   {{"x", ascending}});
-  // Permutation of the input.
-  std::vector<uint32_t> check = order.rows();
-  std::sort(check.begin(), check.end());
-  EXPECT_EQ(check, SelectionVector::All(rows).rows());
-  // Non-null prefix is monotone, nulls form the suffix.
-  const auto& col = *t->column(1);
-  bool seen_null = false;
-  double prev = ascending ? -1e300 : 1e300;
-  for (uint32_t r : order.rows()) {
-    if (col.IsNull(r)) {
-      seen_null = true;
-      continue;
-    }
-    EXPECT_FALSE(seen_null) << "non-null after null";
-    double v = col.doubles()[r];
-    if (ascending) {
-      EXPECT_GE(v, prev);
-    } else {
-      EXPECT_LE(v, prev);
-    }
-    prev = v;
-  }
-  // TopK prefix matches the sort for several k.
-  for (size_t k : {1ul, 5ul, rows / 2}) {
-    if (k == 0 || k > rows) continue;
-    auto top = *monet::TopKIndices(*t, SelectionVector::All(rows),
-                                   {{"x", ascending}}, k);
-    ASSERT_EQ(top.size(), k);
-    for (size_t i = 0; i < k; ++i) EXPECT_EQ(top[i], order[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SortPropertyTest,
-                         ::testing::Values(std::make_tuple(20, true),
-                                           std::make_tuple(100, false),
-                                           std::make_tuple(333, true),
-                                           std::make_tuple(333, false)));
 
 // ---------------------------------------------------------------------------
 // Gower distance stays in [0, 1], is symmetric, zero on the diagonal.

@@ -148,13 +148,6 @@ TEST(MetricsRegistryTest, ToJsonShape) {
   EXPECT_NE(json.find("\"p99\":"), std::string::npos) << json;
 }
 
-TEST(MetricsRegistryTest, ResetDropsEverything) {
-  MetricsRegistry reg;
-  reg.counter("gone")->Add(3);
-  reg.Reset();
-  EXPECT_EQ(reg.counter("gone")->value(), 0);
-}
-
 TEST(ScopedTimerTest, ReportsIntoHistogramOnDestruction) {
   MetricsRegistry reg;
   {

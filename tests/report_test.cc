@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "monet/csv.h"
-#include "monet/sql_parser.h"
 #include "workloads/gaussian.h"
 
 namespace blaeu::core {
@@ -74,16 +73,14 @@ TEST_F(ReportTest, WritesAllArtifacts) {
   }
 }
 
-TEST_F(ReportTest, ExportedSqlParsesBack) {
+TEST_F(ReportTest, ExportedSqlIsTheCurrentQuery) {
   Session s = MakeSession();
   std::vector<int> leaves = s.current().map.LeafIds();
   ASSERT_TRUE(s.Zoom(leaves[0]).ok());
   ASSERT_TRUE(ExportSessionReport(s, dir_.string()).ok());
-  std::string sql = ReadAll(dir_ / "state_1_query.sql");
-  auto query = monet::ParseSql(sql);
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  EXPECT_EQ(query->table_name, "mixture");
-  EXPECT_FALSE(query->where.empty());
+  EXPECT_FALSE(s.CurrentQuery().where.empty());
+  EXPECT_EQ(ReadAll(dir_ / "state_1_query.sql"),
+            s.CurrentQuery().ToSql() + "\n");
 }
 
 TEST_F(ReportTest, RegionCsvsReload) {

@@ -61,6 +61,12 @@ TEST(ResourceProfileTest, ColdBuildAccountsItsWork) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing stage " << expected;
   }
+  // Stage spans time themselves even with tracing off (the global tracer is
+  // disabled here), and they split the build without overlapping.
+  double stage_seconds = 0.0;
+  for (const obs::StageCost& s : res.stages) stage_seconds += s.seconds;
+  EXPECT_GT(stage_seconds, 0.0);
+  EXPECT_LE(stage_seconds, res.total_seconds);
 
   // The profile also lands in the injected registry.
   obs::MetricsSnapshot snap = metrics.Snapshot();
@@ -68,6 +74,7 @@ TEST(ResourceProfileTest, ColdBuildAccountsItsWork) {
   EXPECT_EQ(snap.counters.at("core.map.distance_evaluations"),
             res.distance_evaluations);
   EXPECT_EQ(snap.counters.at("core.map.cart_nodes"), res.cart_nodes);
+  EXPECT_EQ(snap.histograms.at("core.map.build_seconds").count, 1u);
   EXPECT_EQ(snap.histograms.at("core.map.scratch_peak_bytes").count, 1u);
   EXPECT_GT(snap.histograms.at("core.map.stage.preprocess_seconds").count, 0u);
 }

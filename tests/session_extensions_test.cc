@@ -1,11 +1,9 @@
 // Unit tests for the session extensions: annotations, detailed highlights,
-// scatter views, JSON export, projection suggestions and DBSCAN maps.
+// scatter views, JSON export and projection suggestions.
 #include <gtest/gtest.h>
 
-#include "core/map_builder.h"
 #include "core/navigation.h"
 #include "core/suggest.h"
-#include "stats/metrics.h"
 #include "workloads/gaussian.h"
 #include "workloads/hollywood.h"
 
@@ -134,54 +132,6 @@ TEST(SuggestTest, SkipsSingletonThemes) {
   for (const ProjectionSuggestion& s : suggestions) {
     EXPECT_GE(session.themes().theme(s.theme_id).columns.size(), 2u);
   }
-}
-
-TEST(DbscanMapTest, BuildsValidMap) {
-  workloads::MixtureSpec spec;
-  spec.rows = 400;
-  spec.num_clusters = 3;
-  spec.dims = 3;
-  spec.separation = 10.0;
-  auto data = workloads::MakeGaussianMixture(spec);
-  MapOptions opt;
-  opt.algorithm = MapAlgorithm::kDbscan;
-  opt.sample_size = 0;
-  auto map = *BuildMap(*data.table, opt);
-  EXPECT_EQ(map.algorithm, "dbscan");
-  EXPECT_GE(map.num_clusters, 2u);
-  // Region tree invariants still hold.
-  for (const MapRegion& r : map.regions) {
-    if (r.is_leaf()) continue;
-    size_t child_sum = 0;
-    for (int c : r.children) child_sum += map.region(c).tuple_count;
-    EXPECT_EQ(child_sum, r.tuple_count);
-  }
-}
-
-TEST(DbscanMapTest, RecoversWellSeparatedClusters) {
-  workloads::MixtureSpec spec;
-  spec.rows = 300;
-  spec.num_clusters = 3;
-  spec.dims = 2;
-  spec.separation = 12.0;
-  auto data = workloads::MakeGaussianMixture(spec);
-  MapOptions opt;
-  opt.algorithm = MapAlgorithm::kDbscan;
-  opt.sample_size = 0;
-  auto map = *BuildMap(*data.table, opt);
-  // The eps heuristic may carve a dense fringe into its own group, so allow
-  // a small surplus; the partition must still match the planted clusters.
-  EXPECT_GE(map.num_clusters, 3u);
-  EXPECT_LE(map.num_clusters, 5u);
-  std::vector<int> partition(300, -1);
-  for (int leaf : map.LeafIds()) {
-    auto rows = *map.region(leaf).predicate.Evaluate(*data.table);
-    for (uint32_t r : rows.rows()) {
-      partition[r] = map.region(leaf).cluster_label;
-    }
-  }
-  EXPECT_GT(stats::AdjustedRandIndex(partition, data.truth.row_clusters),
-            0.8);
 }
 
 }  // namespace
