@@ -61,19 +61,6 @@ void BM_Pam(benchmark::State& state) {
   state.counters["ari"] = ari;
 }
 
-void BM_PamNaiveSwap(benchmark::State& state) {
-  const Fixture& f = MixtureCached(static_cast<size_t>(state.range(0)));
-  double ari = 0;
-  for (auto _ : state) {
-    auto dist = stats::DistanceMatrix::Euclidean(f.features);
-    auto result = cluster::PamNaive(dist, 4);
-    if (!result.ok()) state.SkipWithError("pam failed");
-    ari = stats::AdjustedRandIndex(result->labels, f.truth);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["ari"] = ari;
-}
-
 void BM_Clara(benchmark::State& state) {
   const Fixture& f = MixtureCached(static_cast<size_t>(state.range(0)));
   const size_t n = f.features.rows();
@@ -97,8 +84,6 @@ void BM_Clara(benchmark::State& state) {
 
 // PAM is O(n^2) memory/time: cap its sweep; CLARA goes further.
 BENCHMARK(BM_Pam)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK(BM_PamNaiveSwap)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);
 BENCHMARK(BM_Clara)->Arg(500)->Arg(1000)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond)->Iterations(2);

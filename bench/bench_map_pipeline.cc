@@ -21,6 +21,8 @@
 //   BENCH_map_pipeline_categorical.json— the same regression block for the
 //                                        categorical-heavy Hollywood point
 //                                        (string-path wins show up here)
+//   BENCH_map_pipeline_pam.json        — the same block for a default
+//                                        (PAM k sweep) build on 1,199 rows
 //   BENCH_map_pipeline_report.html     — self-contained HTML perf report
 //   BENCH_map_pipeline_openmetrics.txt — Prometheus/OpenMetrics exposition
 // so the dominant pipeline stage is known before optimizing anything and
@@ -407,24 +409,25 @@ void EmitNavigationBench() {
 }
 
 /// The CI perf-regression point: core.map.build_seconds at an operating
-/// point (32k rows, sample 2000, fixed k=4, 1 thread), kReps repetitions
-/// after one warm-up. p50/p95 are exact nearest-rank order statistics over
-/// the raw wall-clock samples — the log-scale metrics histogram quantizes
+/// point (32k rows, sample 2000, fixed k=4, 1 thread; `fixed_k` 0 runs the
+/// default kAuto k sweep instead), kReps repetitions after one warm-up.
+/// p50/p95 are exact nearest-rank order statistics over the raw
+/// wall-clock samples — the log-scale metrics histogram quantizes
 /// to power-of-two buckets (~2x relative error), far too coarse for a 25%
 /// gate. Each rep also runs under its own tracer so the per-stage
 /// breakdown (preprocess/cluster/describe/count/...) gets the same exact
 /// quantile treatment; tools/check_bench_regression gates both the total
-/// p50 and the preprocess-stage p50 against the committed bench/baselines/
-/// snapshot.
+/// p50 and one stage's p50 (preprocess; cluster at the PAM point) against
+/// the committed bench/baselines/ snapshot.
 void EmitRegressionPointFor(const char* workload, const monet::Table& table,
                             const std::vector<std::string>& columns,
-                            const char* out_path) {
+                            size_t fixed_k, const char* out_path) {
   constexpr int kReps = 15;
   auto sel = monet::SelectionVector::All(table.num_rows());
 
   core::MapOptions opt;
   opt.sample_size = 2000;
-  opt.fixed_k = 4;
+  opt.fixed_k = fixed_k;
   opt.seed = 7;
   opt.num_threads = 1;
 
@@ -506,17 +509,26 @@ void EmitRegressionPointFor(const char* workload, const monet::Table& table,
 
 void EmitRegressionPoint() {
   const auto& data = LofarCached(32000);
-  EmitRegressionPointFor("lofar", *data.table, FluxColumns(*data.table),
+  EmitRegressionPointFor("lofar", *data.table, FluxColumns(*data.table), 4,
                          "BENCH_map_pipeline_regression.json");
 }
 
 /// The categorical-heavy twin of the regression point: Hollywood 32k rows,
-/// same sample size / k / thread budget. Not a CI gate (no committed
-/// baseline yet) but the artifact makes string-path wins visible.
+/// same sample size / k / thread budget.
 void EmitCategoricalPoint() {
   const auto& data = HollywoodCached(32000);
-  EmitRegressionPointFor("hollywood", *data.table, AllColumns(*data.table),
+  EmitRegressionPointFor("hollywood", *data.table, AllColumns(*data.table), 4,
                          "BENCH_map_pipeline_categorical.json");
+}
+
+/// The PAM-range point: 1,199 LOFAR rows, just under clara_threshold, so
+/// the default kAuto build runs the full PAM k sweep on the distance
+/// matrix (what every small zoom and every paper-scale Hollywood map
+/// costs); "k": 0 in the JSON marks the sweep.
+void EmitPamPoint() {
+  const auto& data = LofarCached(1199);
+  EmitRegressionPointFor("lofar", *data.table, AllColumns(*data.table), 0,
+                         "BENCH_map_pipeline_pam.json");
 }
 
 /// The process-global metrics accumulated across every bench above, as a
@@ -545,6 +557,7 @@ int main(int argc, char** argv) {
   EmitNavigationBench();
   EmitRegressionPoint();
   EmitCategoricalPoint();
+  EmitPamPoint();
   EmitPerfReport();
   return 0;
 }

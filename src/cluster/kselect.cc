@@ -87,8 +87,18 @@ Result<KSelectResult> SelectK(const DistanceMatrix& dist,
 
 Result<KSelectResult> SelectKWithPam(const DistanceMatrix& dist,
                                      const KSelectOptions& options) {
+  // BUILD is greedy, so BUILD(k) is the first k medoids of BUILD(k_max):
+  // one BUILD before the k tasks seeds them all, shared read-only.
+  const size_t n = dist.size();
+  const std::vector<size_t> build =
+      PamBuild(dist, n < 2 ? 0 : std::min(options.k_max, n - 1));
   return SelectK(
-      dist, [&](size_t k) { return Pam(dist, k); }, options);
+      dist,
+      [&](size_t k) -> Result<ClusteringResult> {
+        return PamSwap(dist,
+                       std::vector<size_t>(build.begin(), build.begin() + k));
+      },
+      options);
 }
 
 }  // namespace blaeu::cluster

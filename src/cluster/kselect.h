@@ -46,7 +46,9 @@ Result<KSelectResult> SelectK(const stats::DistanceMatrix& dist,
                               const ClusterFn& cluster_fn,
                               const KSelectOptions& options = {});
 
-/// Convenience: SelectK with PAM as the clusterer.
+/// SelectK with PAM as the clusterer: the same result as passing
+/// `[&](size_t k) { return Pam(dist, k); }`, with one PamBuild for the
+/// whole sweep instead of one per k.
 Result<KSelectResult> SelectKWithPam(const stats::DistanceMatrix& dist,
                                      const KSelectOptions& options = {});
 

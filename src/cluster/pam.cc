@@ -1,6 +1,7 @@
 #include "cluster/pam.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -37,20 +38,43 @@ ClusteringResult AssignFromMatrix(const DistanceMatrix& dist,
   return out;
 }
 
-/// BUILD phase: greedy seeding of k medoids.
+/// sums[c] = term(0, At(0, c)) + term(1, At(1, c)) + … + term(n-1,
+/// At(n-1, c)) for every point c, added in that order, from one
+/// front-to-back pass over the triangle (see PamBuild in pam.h).
+template <typename Term>
+std::vector<double> StreamedSums(const DistanceMatrix& dist,
+                                 const Term& term) {
+  const size_t n = dist.size();
+  std::vector<double> sums(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = dist.RowPtr(i);
+    const size_t len = n - 1 - i;
+    double* later = sums.data() + i + 1;
+    for (size_t t = 0; t < len; ++t) later[t] += term(i, row[t]);
+    double sum = sums[i] + term(i, 0.0);
+    for (size_t t = 0; t < len; ++t) sum += term(i + 1 + t, row[t]);
+    sums[i] = sum;
+  }
+  return sums;
+}
+
+}  // namespace
+
 std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
   const size_t n = dist.size();
+  k = std::min(k, n);
   std::vector<size_t> medoids;
+  if (k == 0) return medoids;
   std::vector<bool> is_medoid(n, false);
 
   // First medoid: minimal total distance to all points.
+  std::vector<double> total =
+      StreamedSums(dist, [](size_t, double d) { return d; });
   size_t best_first = 0;
   double best_total = kInf;
   for (size_t c = 0; c < n; ++c) {
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) total += dist.At(c, i);
-    if (total < best_total) {
-      best_total = total;
+    if (total[c] < best_total) {
+      best_total = total[c];
       best_first = c;
     }
   }
@@ -62,17 +86,17 @@ std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
   for (size_t i = 0; i < n; ++i) nearest[i] = dist.At(i, best_first);
 
   while (medoids.size() < k) {
+    // A point that would not improve adds +0.0, which leaves the
+    // (never negative) sum's bits as skipping it would.
+    std::vector<double> gain = StreamedSums(dist, [&](size_t o, double d) {
+      const double improvement = nearest[o] - d;
+      return improvement > 0 ? improvement : 0.0;
+    });
     size_t best_c = 0;
     double best_gain = -kInf;
     for (size_t c = 0; c < n; ++c) {
-      if (is_medoid[c]) continue;
-      double gain = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        double improvement = nearest[i] - dist.At(c, i);
-        if (improvement > 0) gain += improvement;
-      }
-      if (gain > best_gain) {
-        best_gain = gain;
+      if (!is_medoid[c] && gain[c] > best_gain) {
+        best_gain = gain[c];
         best_c = c;
       }
     }
@@ -84,8 +108,6 @@ std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
   }
   return medoids;
 }
-
-}  // namespace
 
 ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
                                  const RowDistanceFn& dist_fn) {
@@ -109,32 +131,25 @@ ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
   return out;
 }
 
-namespace {
-
-/// Shared driver for the SWAP phase. `find_best_swap` must fill
-/// (best_delta, best_m, best_c) given the neighbor caches; the two
-/// implementations differ only in how they scan candidates.
-template <typename FindBestSwap>
-Result<ClusteringResult> PamImpl(const DistanceMatrix& dist, size_t k,
-                                 const PamOptions& options,
-                                 FindBestSwap&& find_best_swap) {
+ClusteringResult PamSwap(const DistanceMatrix& dist,
+                         std::vector<size_t> medoids,
+                         const PamOptions& options) {
   const size_t n = dist.size();
-  if (k == 0) return Status::Invalid("k must be >= 1");
-  if (k > n) {
-    return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
-                           std::to_string(n));
-  }
-  std::vector<size_t> medoids = PamBuild(dist, k);
+  const size_t k = medoids.size();
+  assert(k >= 1 && k <= n);
   std::vector<bool> is_medoid(n, false);
   for (size_t m : medoids) is_medoid[m] = true;
 
+  // nearest/second: distances from each point to its closest and
+  // second-closest medoid; nearest_idx: the closest one's index into
+  // medoids.
   std::vector<double> nearest(n), second(n);
   std::vector<size_t> nearest_idx(n);
   auto recompute_neighbors = [&]() {
     for (size_t i = 0; i < n; ++i) {
       double d1 = kInf, d2 = kInf;
       size_t m1 = 0;
-      for (size_t m = 0; m < medoids.size(); ++m) {
+      for (size_t m = 0; m < k; ++m) {
         double d = dist.At(i, medoids[m]);
         if (d < d1) {
           d2 = d1;
@@ -149,131 +164,56 @@ Result<ClusteringResult> PamImpl(const DistanceMatrix& dist, size_t k,
       nearest_idx[i] = m1;
     }
   };
-  recompute_neighbors();
+  // FastPAM1 terms of point o for a candidate at distance d. Removing a
+  // medoid other than o's: o moves to the candidate only if it is closer
+  // (gain g). Removing o's own medoid: o goes to the candidate or to its
+  // second choice, so the correction replaces g with that exact change.
+  auto gain = [&](size_t o, double d) {
+    return d < nearest[o] ? d - nearest[o] : 0.0;
+  };
+  auto correction = [&](size_t o, double d, double g) {
+    return (std::min(d, second[o]) - nearest[o]) - g;
+  };
+  // Per candidate c: shared[c] sums every point's gain, and
+  // removal[m * n + c] the corrections of the points whose medoid is m;
+  // swapping medoid m for c changes the cost by shared[c] + that sum.
+  std::vector<double> shared(n), removal(k * n), own(k);
 
   size_t swaps = 0;
   for (size_t iter = 0; iter < options.max_swap_iterations; ++iter) {
-    double best_delta = -1e-12;
-    size_t best_m = 0, best_c = 0;
-    find_best_swap(medoids, is_medoid, nearest, second, nearest_idx,
-                   &best_delta, &best_m, &best_c);
-    if (best_delta >= -1e-12) break;
-    is_medoid[medoids[best_m]] = false;
-    medoids[best_m] = best_c;
-    is_medoid[best_c] = true;
     recompute_neighbors();
-    ++swaps;
-  }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.counter("cluster.pam.runs")->Increment();
-  registry.counter("cluster.pam.swap_iterations")
-      ->Add(static_cast<int64_t>(swaps));
-  std::sort(medoids.begin(), medoids.end());
-  return AssignFromMatrix(dist, medoids);
-}
-
-}  // namespace
-
-Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k,
-                             const PamOptions& options) {
-  const size_t n = dist.size();
-  // FastPAM1: for each candidate c, one O(n) pass yields the swap delta
-  // for every medoid simultaneously.
-  return PamImpl(
-      dist, k, options,
-      [&](const std::vector<size_t>& medoids,
-          const std::vector<bool>& is_medoid,
-          const std::vector<double>& nearest,
-          const std::vector<double>& second,
-          const std::vector<size_t>& nearest_idx, double* best_delta,
-          size_t* best_m, size_t* best_c) {
-        std::vector<double> delta(medoids.size());
-        for (size_t c = 0; c < n; ++c) {
-          if (is_medoid[c]) continue;
-          double shared = 0.0;  // gain applying to every medoid removal
-          std::fill(delta.begin(), delta.end(), 0.0);
-          for (size_t o = 0; o < n; ++o) {
-            double d_oc = dist.At(o, c);
-            // Removal of a medoid other than o's: o moves to c only if
-            // closer than its current medoid.
-            double g = d_oc < nearest[o] ? d_oc - nearest[o] : 0.0;
-            shared += g;
-            // Removal of o's own medoid: o goes to min(c, second choice);
-            // replace the shared term with the exact one.
-            delta[nearest_idx[o]] +=
-                (std::min(d_oc, second[o]) - nearest[o]) - g;
-          }
-          for (size_t m = 0; m < medoids.size(); ++m) {
-            double total = shared + delta[m];
-            if (total < *best_delta) {
-              *best_delta = total;
-              *best_m = m;
-              *best_c = c;
-            }
-          }
-        }
-      });
-}
-
-Result<ClusteringResult> PamNaive(const DistanceMatrix& dist, size_t k,
-                                  const PamOptions& options) {
-  const size_t n = dist.size();
-  if (k == 0) return Status::Invalid("k must be >= 1");
-  if (k > n) {
-    return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
-                           std::to_string(n));
-  }
-  std::vector<size_t> medoids = PamBuild(dist, k);
-  std::vector<bool> is_medoid(n, false);
-  for (size_t m : medoids) is_medoid[m] = true;
-
-  // SWAP phase. nearest/second: distances from each point to its closest
-  // and second-closest medoid, so swap deltas evaluate in O(1) per point.
-  std::vector<double> nearest(n), second(n);
-  std::vector<size_t> nearest_idx(n);  // index into medoids
-  auto recompute_neighbors = [&]() {
-    for (size_t i = 0; i < n; ++i) {
-      double d1 = kInf, d2 = kInf;
-      size_t m1 = 0;
-      for (size_t m = 0; m < medoids.size(); ++m) {
-        double d = dist.At(i, medoids[m]);
-        if (d < d1) {
-          d2 = d1;
-          d1 = d;
-          m1 = m;
-        } else if (d < d2) {
-          d2 = d;
-        }
-      }
-      nearest[i] = d1;
-      second[i] = d2;
-      nearest_idx[i] = m1;
-    }
-  };
-  recompute_neighbors();
-
-  size_t swaps = 0;
-  for (size_t iter = 0; iter < options.max_swap_iterations; ++iter) {
+    std::fill(shared.begin(), shared.end(), 0.0);
+    std::fill(removal.begin(), removal.end(), 0.0);
     double best_delta = -1e-12;  // strictly improving swaps only
     size_t best_m = 0, best_c = 0;
-    for (size_t m = 0; m < medoids.size(); ++m) {
-      for (size_t c = 0; c < n; ++c) {
-        if (is_medoid[c]) continue;
-        // Cost change of replacing medoids[m] by c.
-        double delta = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          double d_ic = dist.At(i, c);
-          if (nearest_idx[i] == m) {
-            // Point loses its medoid: moves to c or to its second choice.
-            delta += std::min(d_ic, second[i]) - nearest[i];
-          } else if (d_ic < nearest[i]) {
-            delta += d_ic - nearest[i];
-          }
-        }
-        if (delta < best_delta) {
-          best_delta = delta;
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = dist.RowPtr(i);
+      const size_t len = n - 1 - i;
+      // Candidates j > i take point i's terms.
+      double* shared_later = shared.data() + i + 1;
+      double* removal_later = removal.data() + nearest_idx[i] * n + i + 1;
+      for (size_t t = 0; t < len; ++t) {
+        const double g = gain(i, row[t]);
+        shared_later[t] += g;
+        removal_later[t] += correction(i, row[t], g);
+      }
+      if (is_medoid[i]) continue;
+      // Candidate i takes its diagonal term, then points j > i. Its sums
+      // are then complete, and candidates complete in ascending order.
+      double sum = shared[i];
+      for (size_t m = 0; m < k; ++m) own[m] = removal[m * n + i];
+      auto add = [&](size_t o, double d) {
+        const double g = gain(o, d);
+        sum += g;
+        own[nearest_idx[o]] += correction(o, d, g);
+      };
+      add(i, 0.0);
+      for (size_t t = 0; t < len; ++t) add(i + 1 + t, row[t]);
+      for (size_t m = 0; m < k; ++m) {
+        if (sum + own[m] < best_delta) {
+          best_delta = sum + own[m];
           best_m = m;
-          best_c = c;
+          best_c = i;
         }
       }
     }
@@ -281,7 +221,6 @@ Result<ClusteringResult> PamNaive(const DistanceMatrix& dist, size_t k,
     is_medoid[medoids[best_m]] = false;
     medoids[best_m] = best_c;
     is_medoid[best_c] = true;
-    recompute_neighbors();
     ++swaps;
   }
   auto& registry = obs::MetricsRegistry::Global();
@@ -292,6 +231,17 @@ Result<ClusteringResult> PamNaive(const DistanceMatrix& dist, size_t k,
   // Canonical order: medoids sorted by index so labels are deterministic.
   std::sort(medoids.begin(), medoids.end());
   return AssignFromMatrix(dist, medoids);
+}
+
+Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k,
+                             const PamOptions& options) {
+  const size_t n = dist.size();
+  if (k == 0) return Status::Invalid("k must be >= 1");
+  if (k > n) {
+    return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
+                           std::to_string(n));
+  }
+  return PamSwap(dist, PamBuild(dist, k), options);
 }
 
 }  // namespace blaeu::cluster

@@ -16,25 +16,44 @@ struct PamOptions {
   size_t max_swap_iterations = 50;
 };
 
-/// \brief Exact PAM on a precomputed distance matrix.
-///
-/// BUILD greedily seeds k medoids (first: the point with minimal total
-/// distance; then: maximal aggregate cost reduction). SWAP repeatedly
-/// applies the single best (medoid, candidate) exchange until no exchange
-/// lowers the objective, using the FastPAM1 delta computation (Schubert &
-/// Rousseeuw 2019): the swap deltas for all k medoids against one
-/// candidate come out of a single O(n) pass, so a SWAP pass costs O(n^2)
-/// instead of O(k n^2) while choosing exactly the same swaps.
+/// \brief Exact PAM on a precomputed distance matrix: PamSwap from the
+/// medoids of PamBuild.
 ///
 /// Invalid when k == 0 or k > n.
 Result<ClusteringResult> Pam(const stats::DistanceMatrix& dist, size_t k,
                              const PamOptions& options = {});
 
-/// Reference implementation with the textbook O(k(n-k)^2) SWAP pass.
-/// Chooses the same swap sequence as Pam(); kept for equivalence testing
-/// and as documentation of the classic algorithm.
-Result<ClusteringResult> PamNaive(const stats::DistanceMatrix& dist, size_t k,
-                                  const PamOptions& options = {});
+/// \brief PAM's BUILD phase: greedily seeds min(k, n) medoids, in the
+/// order chosen (first: the point with minimal total distance; then: the
+/// one with maximal aggregate cost reduction).
+///
+/// BUILD is greedy, so BUILD(k) is exactly the first k medoids of
+/// BUILD(k_max): a k sweep (SelectKWithPam) runs it once and seeds every
+/// candidate k from a prefix.
+///
+/// Each step is one front-to-back pass over the distance triangle
+/// (DistanceMatrix::RowPtr) that fills every candidate's sum at once:
+/// pair (i, j) adds point i's term to candidate j and point j's term to
+/// candidate i. Candidate c thus receives points 0 … c-1 from the rows
+/// before its own, then its zero-distance diagonal term, then points
+/// c+1 … n-1 from its row: ascending point order, the order in which a
+/// column scan adds them, so every sum is the same double.
+std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
+
+/// \brief PAM's SWAP phase from `medoids` (1 ≤ size ≤ n distinct points,
+/// e.g. a prefix of PamBuild).
+///
+/// Repeatedly applies the single best (medoid, candidate) exchange until
+/// none lowers the objective, using the FastPAM1 delta computation
+/// (Schubert & Rousseeuw 2019): each candidate's swap deltas for all k
+/// medoids come from one shared gain plus one correction per medoid, so a
+/// SWAP pass costs O(n^2) instead of O(k n^2) while choosing exactly the
+/// same swaps. A pass reads the triangle once, like a BUILD step, with
+/// the same ascending point order per candidate sum; the accumulators
+/// hold n × (k+1) doubles.
+ClusteringResult PamSwap(const stats::DistanceMatrix& dist,
+                         std::vector<size_t> medoids,
+                         const PamOptions& options = {});
 
 /// Assigns each of `n` points to its nearest medoid under `dist_fn`;
 /// returns labels (index into `medoids`) and the summed cost.

@@ -23,20 +23,29 @@ namespace {
 /// encoding, Gower for mixed/Gower encoding. Every evaluation — distance
 /// matrix, CLARA assignment, Monte-Carlo silhouette — tallies into `evals`
 /// (relaxed atomic: calls come from pool threads) for the map's
-/// ResourceProfile.
+/// ResourceProfile: one by one through operator(), or in bulk through
+/// Count() for loops that call the uncounted Distance().
 struct FeatureMetric {
   const stats::Matrix* features;
   bool use_gower;
   stats::GowerDistance gower;
   std::atomic<int64_t>* evals = nullptr;
 
-  double operator()(size_t i, size_t j) const {
-    if (evals != nullptr) evals->fetch_add(1, std::memory_order_relaxed);
+  double Distance(size_t i, size_t j) const {
     if (use_gower) {
       return gower(features->RowPtr(i), features->RowPtr(j));
     }
     return stats::EuclideanDistance(features->RowPtr(i), features->RowPtr(j),
                                     features->cols());
+  }
+  void Count(int64_t evaluations) const {
+    if (evals != nullptr) {
+      evals->fetch_add(evaluations, std::memory_order_relaxed);
+    }
+  }
+  double operator()(size_t i, size_t j) const {
+    Count(1);
+    return Distance(i, j);
   }
 };
 
@@ -150,9 +159,14 @@ Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
     ParallelFor(
         0, n, 16,
         [&](size_t row_lo, size_t row_hi) {
+          int64_t pairs = 0;
           for (size_t i = row_lo; i < row_hi; ++i) {
-            for (size_t j = i + 1; j < n; ++j) dist.Set(i, j, metric(i, j));
+            for (size_t j = i + 1; j < n; ++j) {
+              dist.Set(i, j, metric.Distance(i, j));
+            }
+            pairs += static_cast<int64_t>(n - 1 - i);
           }
+          metric.Count(pairs);
         },
         options.num_threads);
     dist_span.SetAttr("points", n);

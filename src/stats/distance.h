@@ -46,7 +46,7 @@ class GowerDistance {
   std::vector<double> ranges_;
 };
 
-/// \brief Condensed symmetric distance matrix (lower triangle, no diagonal).
+/// \brief Condensed symmetric distance matrix (upper triangle, no diagonal).
 class DistanceMatrix {
  public:
   /// Pairwise Euclidean distances between rows of `data`.
@@ -64,6 +64,13 @@ class DistanceMatrix {
     return d_[Index(i, j)];
   }
   void Set(size_t i, size_t j, double v) { d_[Index(i, j)] = v; }
+
+  /// Read-only view of row i of the triangle: the n-1-i distances
+  /// At(i, i+1), …, At(i, n-1), contiguous. Rows are stored one after the
+  /// other for i = 0 … n-1, so reading RowPtr(0), RowPtr(1), … front to
+  /// back walks the whole triangle once in storage order, meeting pair
+  /// (i, j) before every pair (i', j') with i < i', or i == i' and j < j'.
+  const double* RowPtr(size_t i) const { return d_.data() + Index(i, i + 1); }
 
  private:
   size_t Index(size_t i, size_t j) const {

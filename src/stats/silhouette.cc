@@ -17,29 +17,28 @@ std::vector<double> SilhouetteValues(const DistanceMatrix& dist,
   std::vector<size_t> cluster_size(k, 0);
   for (int l : labels) ++cluster_size[l];
 
+  // sums[c * n + i]: distance from i to the members of cluster c, from one
+  // front-to-back pass over the triangle. Pair (i, j) adds to j's sum for
+  // i's cluster and to i's sum for j's, so each sum adds its terms in
+  // ascending order of the other point, as a scan of row i would.
   std::vector<double> out(n, 0.0);
-  std::vector<double> sums(k, 0.0);
+  std::vector<double> sums(static_cast<size_t>(k) * n, 0.0), own(k);
   for (size_t i = 0; i < n; ++i) {
+    const double* row = dist.RowPtr(i);
+    const size_t len = n - 1 - i;
     const int li = labels[i];
-    if (cluster_size[li] <= 1) {
-      out[i] = 0.0;  // singleton convention
-      continue;
-    }
-    std::fill(sums.begin(), sums.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sums[labels[j]] += dist.At(i, j);
-    }
-    double a = sums[li] / static_cast<double>(cluster_size[li] - 1);
+    double* later = sums.data() + li * n + i + 1;
+    for (size_t t = 0; t < len; ++t) later[t] += row[t];
+    if (cluster_size[li] <= 1) continue;  // singleton convention: s = 0
+    for (int c = 0; c < k; ++c) own[c] = sums[c * n + i];
+    for (size_t t = 0; t < len; ++t) own[labels[i + 1 + t]] += row[t];
+    double a = own[li] / static_cast<double>(cluster_size[li] - 1);
     double b = std::numeric_limits<double>::infinity();
     for (int c = 0; c < k; ++c) {
       if (c == li || cluster_size[c] == 0) continue;
-      b = std::min(b, sums[c] / static_cast<double>(cluster_size[c]));
+      b = std::min(b, own[c] / static_cast<double>(cluster_size[c]));
     }
-    if (!std::isfinite(b)) {
-      out[i] = 0.0;  // only one non-empty cluster
-      continue;
-    }
+    if (!std::isfinite(b)) continue;  // only one non-empty cluster: s = 0
     double denom = std::max(a, b);
     out[i] = denom > 0 ? (b - a) / denom : 0.0;
   }

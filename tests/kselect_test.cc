@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "stats/distance.h"
 
@@ -26,6 +28,12 @@ Matrix PlantedBlobs(size_t k, size_t per, uint64_t seed) {
     }
   }
   return data;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
 }
 
 TEST(KSelectTest, RecoversPlantedKThree) {
@@ -111,6 +119,45 @@ TEST(KSelectTest, CustomClusterFn) {
   auto result = *SelectK(dist, fn, opt);
   EXPECT_EQ(calls, 3u);
   EXPECT_EQ(result.best_k, 2u);
+}
+
+TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
+  // SelectKWithPam seeds every k from one BUILD shared by the k tasks. It
+  // must pick exactly what one Pam per k picks, with exact and Monte-Carlo
+  // scoring, at any thread count: same k, labels and medoids, bit-equal
+  // scores.
+  Rng rng(12);
+  Matrix noise(260, 3);
+  for (size_t i = 0; i < noise.rows(); ++i) {
+    for (size_t f = 0; f < 3; ++f) noise.At(i, f) = rng.NextGaussian();
+  }
+  for (const Matrix& data : {PlantedBlobs(4, 60, 9), noise}) {
+    DistanceMatrix dist = DistanceMatrix::Euclidean(data);
+    for (bool monte_carlo : {false, true}) {
+      for (size_t threads : {1, 4}) {
+        SCOPED_TRACE("mc " + std::to_string(monte_carlo) + " threads " +
+                     std::to_string(threads));
+        KSelectOptions opt;
+        opt.k_min = 2;
+        opt.k_max = 6;
+        opt.monte_carlo = monte_carlo;
+        opt.mc_options.subsample_size = 120;
+        opt.num_threads = threads;
+        auto shared = *SelectKWithPam(dist, opt);
+        auto per_k = *SelectK(
+            dist, [&](size_t k) { return Pam(dist, k); }, opt);
+        EXPECT_EQ(shared.best_k, per_k.best_k);
+        EXPECT_EQ(shared.best.labels, per_k.best.labels);
+        EXPECT_EQ(shared.best.medoids, per_k.best.medoids);
+        EXPECT_EQ(Bits(shared.best_score), Bits(per_k.best_score));
+        ASSERT_EQ(shared.scores.size(), per_k.scores.size());
+        for (size_t i = 0; i < shared.scores.size(); ++i) {
+          EXPECT_EQ(Bits(shared.scores[i]), Bits(per_k.scores[i]))
+              << "k " << opt.k_min + i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

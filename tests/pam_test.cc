@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "common/rng.h"
 #include "stats/metrics.h"
 
@@ -27,6 +32,105 @@ Matrix Blobs(size_t k, size_t per, double gap, uint64_t seed,
     }
   }
   return data;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Textbook PAM, the oracle for Pam(): every distance comes from At(), the
+/// BUILD reruns for each k, and each SWAP pass scores every (candidate,
+/// medoid) pair with its own O(n) scan, O(k (n-k)^2) per pass. Pairs are
+/// tried candidate-major like Pam(), so exact ties resolve alike.
+ClusteringResult NaivePam(const DistanceMatrix& dist, size_t k) {
+  const size_t n = dist.size();
+  std::vector<size_t> medoids;
+  std::vector<bool> is_medoid(n, false);
+  // BUILD: the point with minimal total distance, then the maximal gains.
+  std::vector<double> nearest(n, kInf);
+  while (medoids.size() < k) {
+    size_t best_c = 0;
+    double best = medoids.empty() ? kInf : -kInf;
+    for (size_t c = 0; c < n; ++c) {
+      if (is_medoid[c]) continue;
+      double score = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        if (medoids.empty()) {
+          score += dist.At(c, i);
+        } else if (nearest[i] - dist.At(c, i) > 0) {
+          score += nearest[i] - dist.At(c, i);
+        }
+      }
+      if (medoids.empty() ? score < best : score > best) {
+        best = score;
+        best_c = c;
+      }
+    }
+    medoids.push_back(best_c);
+    is_medoid[best_c] = true;
+    for (size_t i = 0; i < n; ++i) {
+      nearest[i] = std::min(nearest[i], dist.At(i, best_c));
+    }
+  }
+
+  // SWAP: apply the best strictly improving exchange until none is left.
+  std::vector<double> second(n);
+  std::vector<size_t> nearest_idx(n);
+  for (size_t iter = 0; iter < PamOptions().max_swap_iterations; ++iter) {
+    for (size_t i = 0; i < n; ++i) {
+      nearest[i] = second[i] = kInf;
+      for (size_t m = 0; m < k; ++m) {
+        double d = dist.At(i, medoids[m]);
+        if (d < nearest[i]) {
+          second[i] = nearest[i];
+          nearest[i] = d;
+          nearest_idx[i] = m;
+        } else if (d < second[i]) {
+          second[i] = d;
+        }
+      }
+    }
+    double best_delta = -1e-12;
+    size_t best_m = 0, best_c = 0;
+    for (size_t c = 0; c < n; ++c) {
+      if (is_medoid[c]) continue;
+      for (size_t m = 0; m < k; ++m) {
+        // Cost change of replacing medoids[m] by c.
+        double delta = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          double d_ic = dist.At(i, c);
+          if (nearest_idx[i] == m) {
+            delta += std::min(d_ic, second[i]) - nearest[i];
+          } else if (d_ic < nearest[i]) {
+            delta += d_ic - nearest[i];
+          }
+        }
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_m = m;
+          best_c = c;
+        }
+      }
+    }
+    if (best_delta >= -1e-12) break;
+    is_medoid[medoids[best_m]] = false;
+    medoids[best_m] = best_c;
+    is_medoid[best_c] = true;
+  }
+  std::sort(medoids.begin(), medoids.end());
+  return AssignToMedoids(n, medoids,
+                         [&](size_t i, size_t j) { return dist.At(i, j); });
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+void ExpectSameClustering(const ClusteringResult& got,
+                          const ClusteringResult& want) {
+  EXPECT_EQ(got.medoids, want.medoids);
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(Bits(got.total_cost), Bits(want.total_cost));
 }
 
 TEST(PamTest, RecoversPlantedClusters) {
@@ -124,22 +228,40 @@ TEST(PamTest, DeterministicOnSameInput) {
 }
 
 TEST(PamTest, FastSwapMatchesNaiveSwap) {
-  // FastPAM1 must choose the same swaps as the textbook scan: identical
-  // medoids and cost on a sweep of random inputs.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed);
-    size_t n = 40 + seed * 15;
-    size_t k = 2 + seed % 4;
+  // Pam streams the triangle and computes FastPAM1 deltas; the textbook
+  // oracle does neither. They must agree exactly: medoids, labels and the
+  // bits of the cost.
+  for (size_t n : {5, 40, 301}) {
+    Rng rng(n);
     Matrix data(n, 3);
     for (size_t i = 0; i < n; ++i) {
       for (size_t f = 0; f < 3; ++f) data.At(i, f) = rng.NextGaussian();
     }
     DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-    auto fast = *Pam(dist, k);
-    auto naive = *PamNaive(dist, k);
-    EXPECT_NEAR(fast.total_cost, naive.total_cost, 1e-9)
-        << "seed " << seed << " n " << n << " k " << k;
-    EXPECT_EQ(fast.medoids, naive.medoids) << "seed " << seed;
+    for (size_t k = 1; k <= 6; ++k) {
+      SCOPED_TRACE("n " + std::to_string(n) + " k " + std::to_string(k));
+      if (k > n) {
+        EXPECT_FALSE(Pam(dist, k).ok());
+        continue;
+      }
+      ExpectSameClustering(*Pam(dist, k), NaivePam(dist, k));
+    }
+  }
+}
+
+TEST(PamTest, FastSwapMatchesNaiveSwapOnDuplicateRows) {
+  // Four distinct values among 40 points: zero distances everywhere, and
+  // for k > 4 duplicate medoids, so nearest and second-nearest medoids
+  // tie. Integer coordinates on one axis keep every distance and every
+  // sum exact, so exact ties stay ties in both implementations.
+  Rng rng(11);
+  const double values[] = {0.0, 3.0, 7.0, 20.0};
+  Matrix data(40, 1);
+  for (size_t i = 0; i < 40; ++i) data.At(i, 0) = values[rng.NextBounded(4)];
+  DistanceMatrix dist = DistanceMatrix::Euclidean(data);
+  for (size_t k = 1; k <= 6; ++k) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    ExpectSameClustering(*Pam(dist, k), NaivePam(dist, k));
   }
 }
 

@@ -79,6 +79,25 @@ TEST(ResourceProfileTest, ColdBuildAccountsItsWork) {
   EXPECT_GT(snap.histograms.at("core.map.stage.preprocess_seconds").count, 0u);
 }
 
+// A default-options build on at most 600 rows clusters with PAM and
+// scores k with the exact silhouette, so every distance it evaluates is a
+// pair of the matrix: the profile counts each of the n(n-1)/2 pairs once,
+// at any thread count.
+TEST(ResourceProfileTest, PamBuildCountsEachMatrixPairOnce) {
+  auto data = MakeMixture(600);
+  for (size_t threads : {1, 4}) {
+    MapOptions opt;
+    opt.num_threads = threads;
+    obs::MetricsRegistry metrics;
+    opt.metrics = &metrics;
+    auto map = BuildMap(*data.table, opt);
+    ASSERT_TRUE(map.ok());
+    const int64_t n = static_cast<int64_t>(map->sample_size);
+    EXPECT_EQ(n, 600);
+    EXPECT_EQ(map->resources.distance_evaluations, n * (n - 1) / 2);
+  }
+}
+
 TEST(ResourceProfileTest, SmallSampleScansEveryRow) {
   auto data = MakeMixture(300);
   MapOptions opt;
