@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   options.themes.dependency.sample_rows = 3000;
   options.map.sample_size = 2000;        // "a few thousand samples"
   options.map.clara_threshold = 1200;    // CLARA beyond this
-  options.multiscale_base = 2000;
 
   timer.Reset();
   auto session_or = core::Session::Start(data.table, "lofar", options);

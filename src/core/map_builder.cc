@@ -237,7 +237,8 @@ void BuildRegions(const tree::CartModel& model, const tree::CartNode& node,
 /// this with the flight-recorder events (success and error alike).
 Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
                              const std::vector<std::string>& columns,
-                             const MapOptions& options) {
+                             const MapOptions& options,
+                             const monet::MultiScaleSampler* sampler) {
   if (columns.empty()) return Status::Invalid("no active columns");
   if (sel.empty()) return Status::Invalid("empty selection");
 
@@ -275,13 +276,21 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
   BLAEU_ASSIGN_OR_RETURN(TablePtr view, table.ProjectNames(columns));
 
-  // 1. Sample the selection (paper: a few thousand tuples per map).
+  // 1. Sample the selection (paper: a few thousand tuples per map). A
+  // session's sampler first narrows a large selection to 4 x sample_size
+  // rows of its shared permutation.
   Rng rng(options.seed);
-  SelectionVector sample = sel;
+  SelectionVector sample;
   {
     obs::Span span(tracer, "core.map.sample");
-    if (options.sample_size > 0 && sel.size() > options.sample_size) {
-      sample = monet::SampleFromSelection(sel, options.sample_size, &rng);
+    const size_t k = options.sample_size;
+    if (sampler != nullptr && k > 0 && sel.size() > 4 * k) {
+      sample = monet::SampleFromSelection(sampler->SampleAtMost(sel, 4 * k),
+                                          k, &rng);
+    } else if (k > 0 && sel.size() > k) {
+      sample = monet::SampleFromSelection(sel, k, &rng);
+    } else {
+      sample = sel;
     }
     res.stages.push_back({"sample", span.ElapsedSeconds()});
     span.SetAttr("rows_in", sel.size());
@@ -396,63 +405,24 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     span.SetAttr("regions", map.regions.size());
   }
 
-  // 6. Tuple counts over the FULL selection, computed incrementally: a
-  // region's predicate is its parent's predicate AND its edge, so each
-  // region only applies its edge conjunction to the parent's row set —
-  // O(rows) per tree level instead of O(depth * rows) per region — and the
-  // regions of one level are counted in parallel (they read only their
-  // parents' row sets and write disjoint slots).
+  // 6. Tuple counts over the FULL selection (RegionRows).
   {
     obs::Span span(tracer, "core.map.count");
     span.SetAttr("threads", threads);
+    BLAEU_ASSIGN_OR_RETURN(std::vector<SelectionVector> region_rows,
+                           RegionRows(*view, map, sel, options.num_threads));
     size_t counted_bytes = 0;
-    const size_t num_regions = map.regions.size();
-    std::vector<int> region_depth(num_regions, 0);
-    std::vector<std::vector<int>> levels;
-    for (const MapRegion& region : map.regions) {  // pre-order: parents first
-      int d = region.parent < 0 ? 0 : region_depth[region.parent] + 1;
-      region_depth[region.id] = d;
-      if (levels.size() <= static_cast<size_t>(d)) levels.resize(d + 1);
-      levels[static_cast<size_t>(d)].push_back(region.id);
-    }
-    std::vector<SelectionVector> region_rows(num_regions);
-    std::vector<Status> region_status(num_regions);
-    for (int id : levels[0]) {  // the root summarizes the whole selection
-      region_rows[id] = sel;
-      map.regions[id].tuple_count = sel.size();
-      counted_bytes += sel.size() * sizeof(uint32_t);
-    }
-    scratch.Charge(counted_bytes);
-    for (size_t d = 1; d < levels.size(); ++d) {
-      const std::vector<int>& level = levels[d];
-      ParallelFor(
-          0, level.size(), 1,
-          [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-              MapRegion& region = map.regions[level[i]];
-              auto rows =
-                  region.edge.EvaluateOn(*view, region_rows[region.parent]);
-              if (!rows.ok()) {
-                region_status[region.id] = rows.status();
-                continue;
-              }
-              region_rows[region.id] = std::move(rows).ValueOrDie();
-              region.tuple_count = region_rows[region.id].size();
-            }
-          },
-          options.num_threads);
-      size_t level_bytes = 0;
-      for (int id : level) {
-        BLAEU_RETURN_NOT_OK(region_status[id]);
-        // Each region evaluated its edge over its parent's row set.
-        res.rows_counted += static_cast<int64_t>(
-            region_rows[map.regions[id].parent].size());
-        level_bytes += region_rows[id].size() * sizeof(uint32_t);
+    for (MapRegion& region : map.regions) {
+      region.tuple_count = region_rows[region.id].size();
+      counted_bytes += region.tuple_count * sizeof(uint32_t);
+      // Each non-root region evaluated its edge over its parent's row set.
+      if (region.parent >= 0) {
+        res.rows_counted +=
+            static_cast<int64_t>(region_rows[region.parent].size());
       }
-      scratch.Charge(level_bytes);
-      counted_bytes += level_bytes;
     }
-    scratch.Release(counted_bytes);  // region_rows dies with this block
+    // Charged until region_rows dies at the end of this block.
+    obs::ScratchCharge counted(&scratch, counted_bytes);
     res.stages.push_back({"count", span.ElapsedSeconds()});
     span.SetAttr("rows_counted", sel.size());
   }
@@ -472,10 +442,52 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
 }  // namespace
 
+Result<std::vector<SelectionVector>> RegionRows(const Table& table,
+                                                const DataMap& map,
+                                                const SelectionVector& sel,
+                                                size_t num_threads) {
+  std::vector<SelectionVector> rows(map.regions.size());
+  std::vector<Status> status(map.regions.size());
+  std::vector<int> level;  // the region ids of one tree level
+  for (const MapRegion& region : map.regions) {
+    if (region.parent < 0) {
+      rows[region.id] = sel;
+      level.push_back(region.id);
+    }
+  }
+  while (!level.empty()) {
+    std::vector<int> next;
+    for (int id : level) {
+      const std::vector<int>& children = map.regions[id].children;
+      next.insert(next.end(), children.begin(), children.end());
+    }
+    // The regions of one level read only their parents' rows and write
+    // disjoint slots.
+    ParallelFor(
+        0, next.size(), 1,
+        [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            const MapRegion& region = map.regions[next[i]];
+            auto edge_rows = region.edge.EvaluateOn(table, rows[region.parent]);
+            if (!edge_rows.ok()) {
+              status[region.id] = edge_rows.status();
+              continue;
+            }
+            rows[region.id] = std::move(edge_rows).ValueOrDie();
+          }
+        },
+        num_threads);
+    for (int id : next) BLAEU_RETURN_NOT_OK(status[id]);
+    level = std::move(next);
+  }
+  return rows;
+}
+
 Result<DataMap> BuildMap(const Table& table, const SelectionVector& sel,
                          const std::vector<std::string>& columns,
-                         const MapOptions& options) {
-  Result<DataMap> result = BuildMapImpl(table, sel, columns, options);
+                         const MapOptions& options,
+                         const monet::MultiScaleSampler* sampler) {
+  Result<DataMap> result = BuildMapImpl(table, sel, columns, options, sampler);
   obs::FlightRecorder* flight = options.flight != nullptr
                                     ? options.flight
                                     : &obs::FlightRecorder::Global();

@@ -1,6 +1,6 @@
 // The mapping engine (paper §3, Figure 3): sample -> preprocess -> cluster
 // (PAM / CLARA, k chosen by silhouette) -> describe with CART -> assemble
-// the region hierarchy.
+// the region hierarchy -> count each region's rows over the selection.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "core/map.h"
 #include "core/preprocess.h"
+#include "monet/sampling.h"
 #include "monet/selection.h"
 #include "monet/table.h"
 #include "obs/flight_recorder.h"
@@ -74,13 +75,28 @@ struct MapOptions {
 /// Builds the data map of `sel` over the `columns` of `table` (the active
 /// theme). `columns` must be non-empty and name existing columns.
 ///
-/// The clustering runs on a sample; region tuple counts are then computed
-/// over the *whole* selection by evaluating the region predicates, so the
-/// map summarizes everything the user selected.
+/// The clustering runs on a sample of at most `options.sample_size` rows.
+/// With a `sampler` (a session's shared permutation of `table`), a
+/// selection of more than 4 x sample_size rows is first narrowed to the
+/// sampler's 4 x sample_size rows of it, and the sample is drawn from
+/// those; without one it is drawn from the whole selection. Region tuple
+/// counts always cover the *whole* selection (RegionRows below), so the map
+/// summarizes everything the user selected.
 Result<DataMap> BuildMap(const monet::Table& table,
                          const monet::SelectionVector& sel,
                          const std::vector<std::string>& columns,
-                         const MapOptions& options = {});
+                         const MapOptions& options = {},
+                         const monet::MultiScaleSampler* sampler = nullptr);
+
+/// The rows of `sel` inside each region of `map`, indexed by region id: the
+/// root holds `sel` and every other region the rows of its parent that
+/// satisfy its edge, so each tree level costs one pass over its parents'
+/// rows. The regions of one level run in parallel on the pool
+/// (`num_threads` as in MapOptions); the result is the same at any value.
+/// `table` must contain the columns the edges name.
+Result<std::vector<monet::SelectionVector>> RegionRows(
+    const monet::Table& table, const DataMap& map,
+    const monet::SelectionVector& sel, size_t num_threads = 0);
 
 /// Convenience: map over all rows and all columns.
 Result<DataMap> BuildMap(const monet::Table& table,

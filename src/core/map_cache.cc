@@ -6,7 +6,6 @@
 
 #include "common/json_writer.h"
 #include "core/map_builder.h"
-#include "core/preprocess.h"
 
 namespace blaeu::core {
 
@@ -183,47 +182,6 @@ void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
   metrics_->counter("core.cache.inserts")->Increment();
 }
 
-std::shared_ptr<const std::vector<size_t>> MapCache::LookupPrimaryKeys(
-    const std::string& table_name, uint64_t table_version, uint64_t table_fp,
-    uint64_t columns_fp) {
-  std::shared_ptr<const std::vector<size_t>> found;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const PkEntry& e : pk_entries_) {
-      if (e.table_version == table_version && e.table_fp == table_fp &&
-          e.columns_fp == columns_fp && e.table_name == table_name) {
-        found = e.keys;
-        break;
-      }
-    }
-    if (found != nullptr) {
-      counters_.pk_hits++;
-    } else {
-      counters_.pk_misses++;
-    }
-  }
-  metrics_->counter(found != nullptr ? "core.cache.pk_hits"
-                                     : "core.cache.pk_misses")
-      ->Increment();
-  return found;
-}
-
-void MapCache::InsertPrimaryKeys(
-    const std::string& table_name, uint64_t table_version, uint64_t table_fp,
-    uint64_t columns_fp, std::shared_ptr<const std::vector<size_t>> keys) {
-  if (keys == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (PkEntry& e : pk_entries_) {
-    if (e.table_version == table_version && e.table_fp == table_fp &&
-        e.columns_fp == columns_fp && e.table_name == table_name) {
-      e.keys = std::move(keys);
-      return;
-    }
-  }
-  pk_entries_.push_back(
-      {table_name, table_version, table_fp, columns_fp, std::move(keys)});
-}
-
 void MapCache::EvictSession(uint64_t session_id) {
   int64_t dropped = 0;
   {
@@ -260,15 +218,6 @@ void MapCache::EvictTable(const std::string& table_name) {
       }
       it = next;
     }
-    for (auto it = pk_entries_.begin(); it != pk_entries_.end();) {
-      if (it->table_name == table_name) {
-        it = pk_entries_.erase(it);
-        counters_.invalidations++;
-        dropped++;
-      } else {
-        ++it;
-      }
-    }
     PublishGaugesLocked();
   }
   span.SetAttr("entries_dropped", dropped);
@@ -284,7 +233,6 @@ void MapCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   index_.clear();
-  pk_entries_.clear();
   bytes_ = 0;
   PublishGaugesLocked();
 }
@@ -316,7 +264,6 @@ MapCacheStats MapCache::stats() const {
   out.entries = entries_.size();
   out.bytes = bytes_;
   out.budget_bytes = budget_bytes_;
-  out.pk_entries = pk_entries_.size();
   return out;
 }
 
@@ -329,12 +276,9 @@ std::string MapCache::StatsJson() const {
       .KV("inserts", s.inserts)
       .KV("evictions", s.evictions)
       .KV("invalidations", s.invalidations)
-      .KV("pk_hits", s.pk_hits)
-      .KV("pk_misses", s.pk_misses)
       .KV("entries", s.entries)
       .KV("bytes", s.bytes)
-      .KV("budget_bytes", s.budget_bytes)
-      .KV("pk_entries", s.pk_entries);
+      .KV("budget_bytes", s.budget_bytes);
   w.EndObject();
   return w.str();
 }

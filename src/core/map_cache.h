@@ -1,6 +1,6 @@
-// Navigation-aware map cache: reuses whole maps and detected primary keys
-// across Zoom / Project / rollback so re-visiting a navigation state is O(1)
-// and a serving layer does not redo identical work per interaction.
+// Navigation-aware map cache: memoizes whole maps across Zoom / Project /
+// rollback so re-visiting a navigation state is O(1) and a serving layer
+// does not redo identical work per interaction.
 //
 // ## Cache key contract
 //
@@ -21,21 +21,15 @@
 //     selection_fp, columns_fp), so rebuilding the same navigation state
 //     cold produces the same seed, sample and map as a cache hit.
 //
-// ## Reuse tiers
-//
-// Both tiers are bit-identical to a cold build:
-//   1. Whole-map memoization (Lookup/Insert): a hit returns the exact map
-//      that a cold build of the same key would produce.
-//   2. Primary-key reuse (LookupPrimaryKeys/InsertPrimaryKeys): key
-//      detection reads only the table, never the selection, so reusing it
-//      per (table_version, columns_fp) cannot change the output.
+// A hit (Lookup) returns the map Insert stored under the key, which is the
+// exact map a cold build of the same key produces.
 //
 // ## Observability (ROADMAP naming convention)
 //
 // Counters: core.cache.hits, core.cache.misses, core.cache.inserts,
-// core.cache.evictions, core.cache.invalidations, core.cache.pk_hits,
-// core.cache.pk_misses. Gauges: core.cache.bytes, core.cache.entries.
-// Spans: core.cache.lookup (attr hit=0|1), core.cache.invalidate.
+// core.cache.evictions, core.cache.invalidations. Gauges: core.cache.bytes,
+// core.cache.entries. Spans: core.cache.lookup (attr hit=0|1),
+// core.cache.invalidate.
 #pragma once
 
 #include <cstdint>
@@ -107,18 +101,15 @@ struct MapCacheStats {
   int64_t inserts = 0;
   int64_t evictions = 0;      ///< entries dropped to respect the budget
   int64_t invalidations = 0;  ///< entries dropped by EvictTable/EvictSession
-  int64_t pk_hits = 0;
-  int64_t pk_misses = 0;
   size_t entries = 0;
   size_t bytes = 0;
   size_t budget_bytes = 0;
-  size_t pk_entries = 0;
 };
 
 /// Rough heap footprint of a map, for budgeting.
 size_t EstimateMapBytes(const DataMap& map);
 
-/// \brief Thread-safe LRU cache of built maps and detected primary keys.
+/// \brief Thread-safe LRU cache of built maps.
 ///
 /// Shared by every session of an Explorer (and injectable into standalone
 /// sessions via SessionOptions::cache); concurrent sessions may hit each
@@ -151,21 +142,11 @@ class MapCache {
   void Insert(const MapCacheKey& key, uint64_t session_id,
               std::shared_ptr<const DataMap> map);
 
-  /// Detected primary keys for (table_version, columns_fp) of `table_name`;
-  /// bit-identical reuse (tier 2 above).
-  std::shared_ptr<const std::vector<size_t>> LookupPrimaryKeys(
-      const std::string& table_name, uint64_t table_version,
-      uint64_t table_fp, uint64_t columns_fp);
-  void InsertPrimaryKeys(const std::string& table_name,
-                         uint64_t table_version, uint64_t table_fp,
-                         uint64_t columns_fp,
-                         std::shared_ptr<const std::vector<size_t>> keys);
-
   /// Drops every entry owned by `session_id` (session close/destruction).
   void EvictSession(uint64_t session_id);
 
-  /// Drops every entry (maps and primary keys) for `table_name` — called
-  /// when a table is re-loaded under the same name.
+  /// Drops every entry for `table_name` — called when a table is re-loaded
+  /// under the same name.
   void EvictTable(const std::string& table_name);
 
   /// Drops everything.
@@ -183,13 +164,6 @@ class MapCache {
     size_t bytes = 0;
     std::shared_ptr<const DataMap> map;
   };
-  struct PkEntry {
-    std::string table_name;
-    uint64_t table_version = 0;
-    uint64_t table_fp = 0;
-    uint64_t columns_fp = 0;
-    std::shared_ptr<const std::vector<size_t>> keys;
-  };
 
   /// Drops LRU entries until bytes_ <= budget_bytes_ (lock held).
   void EnforceBudgetLocked();
@@ -204,7 +178,6 @@ class MapCache {
   mutable std::mutex mu_;
   std::list<Entry> entries_;  ///< most-recently-used first
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-  std::vector<PkEntry> pk_entries_;
   size_t bytes_ = 0;
   MapCacheStats counters_;  ///< hit/miss/... tallies (sizes derived live)
 };

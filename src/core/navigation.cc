@@ -1,7 +1,6 @@
 #include "core/navigation.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/json_writer.h"
 #include "common/timer.h"
@@ -26,17 +25,10 @@ obs::FlightRecorder* ResolveFlight(const SessionOptions& options) {
 }
 
 /// Fingerprint of every session option that can change a built map (the
-/// map options plus the multi-scale sampler parameters and session seed).
+/// map options plus the session seed, which also seeds the sampler).
 uint64_t FingerprintSessionOptions(const SessionOptions& options) {
-  uint64_t h = HashMix(kFnvOffset, FingerprintMapOptions(options.map));
-  h = HashMix(h, options.multiscale_base);
-  uint64_t growth_bits = 0;
-  static_assert(sizeof(growth_bits) == sizeof(options.multiscale_growth),
-                "double must be 64-bit");
-  std::memcpy(&growth_bits, &options.multiscale_growth, sizeof(growth_bits));
-  h = HashMix(h, growth_bits);
-  h = HashMix(h, options.seed);
-  return h;
+  return HashMix(HashMix(kFnvOffset, FingerprintMapOptions(options.map)),
+                 options.seed);
 }
 
 }  // namespace
@@ -47,15 +39,10 @@ Session::Session(TablePtr table, std::string table_name,
       table_name_(std::move(table_name)),
       options_(std::move(options)),
       themes_(std::move(themes)),
-      sampler_(
-          [&] {
-            Rng rng = MakeSamplerRng(options_.seed);
-            return monet::MultiScaleSampler(
-                table_->num_rows(),
-                std::min(options_.multiscale_base,
-                         std::max<size_t>(1, table_->num_rows())),
-                options_.multiscale_growth, &rng);
-          }()),
+      sampler_([&] {
+        Rng rng = MakeSamplerRng(options_.seed);
+        return monet::MultiScaleSampler(table_->num_rows(), &rng);
+      }()),
       session_id_(MapCache::NextSessionId()),
       table_fp_(FingerprintTable(*table_)),
       options_fp_(FingerprintSessionOptions(options_)) {
@@ -131,52 +118,10 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
     stats_.cache_misses++;
   }
 
-  // Tier-2 reuse (bit-identical): primary-key detection depends only on
-  // (table, columns), so any prior build of this theme already knows it.
-  std::shared_ptr<const std::vector<size_t>> known_keys;
-  if (cache_ != nullptr && map_options.preprocess.remove_primary_keys) {
-    known_keys = cache_->LookupPrimaryKeys(
-        table_name_, options_.table_version, table_fp_, cols_fp);
-    if (known_keys != nullptr) {
-      map_options.preprocess.known_primary_keys = known_keys.get();
-    }
-  }
-  std::shared_ptr<const PreprocessPlan> used_plan;
-  map_options.preprocess.plan_out = &used_plan;
-
-  // Multi-scale sampling: pre-shrink very large selections through the
-  // shared permutation, then let BuildMap take its per-map sample.
-  SelectionVector working = sel;
-  if (map_options.sample_size > 0 &&
-      sel.size() > 4 * map_options.sample_size) {
-    working = sampler_.SampleAtMost(sel, 4 * map_options.sample_size);
-  }
-  BLAEU_ASSIGN_OR_RETURN(DataMap map,
-                         BuildMap(*table_, working, columns, map_options));
-  if (cache_ != nullptr) map.resources.cache_misses = 1;
-  // Counts must reflect the full selection, not the working sample: rescale
-  // by evaluating predicates on the true selection when we pre-shrank.
-  if (working.size() != sel.size()) {
-    BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(columns));
-    for (MapRegion& region : map.regions) {
-      if (region.parent < 0) {
-        region.tuple_count = sel.size();
-        continue;
-      }
-      BLAEU_ASSIGN_OR_RETURN(SelectionVector rows,
-                             region.predicate.EvaluateOn(*view, sel));
-      region.tuple_count = rows.size();
-    }
-    map.total_tuples = sel.size();
-  }
-
+  BLAEU_ASSIGN_OR_RETURN(
+      DataMap map, BuildMap(*table_, sel, columns, map_options, &sampler_));
   if (cache_ != nullptr) {
-    if (known_keys == nullptr && used_plan != nullptr &&
-        map_options.preprocess.remove_primary_keys) {
-      cache_->InsertPrimaryKeys(
-          table_name_, options_.table_version, table_fp_, cols_fp,
-          std::make_shared<const std::vector<size_t>>(used_plan->dropped_keys));
-    }
+    map.resources.cache_misses = 1;
     cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map));
   }
   finish(&stats_.maps_built);
@@ -219,10 +164,8 @@ Status Session::Zoom(int region_id) {
   if (region.parent < 0) {
     return Status::Invalid("cannot zoom into the root region");
   }
-  BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(cur.columns));
-  BLAEU_ASSIGN_OR_RETURN(
-      SelectionVector sub,
-      region.predicate.EvaluateOn(*view, cur.selection));
+  BLAEU_ASSIGN_OR_RETURN(SelectionVector sub,
+                         region.predicate.EvaluateOn(*table_, cur.selection));
   if (sub.empty()) {
     return Status::Invalid("region " + std::to_string(region_id) +
                            " covers no tuples");
@@ -273,14 +216,13 @@ Result<HighlightResult> Session::Highlight(const std::string& column) const {
   const NavState& cur = current();
   BLAEU_ASSIGN_OR_RETURN(size_t col_idx,
                          table_->schema().RequireFieldIndex(column));
-  BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(cur.columns));
+  BLAEU_ASSIGN_OR_RETURN(
+      std::vector<SelectionVector> region_rows,
+      RegionRows(*table_, cur.map, cur.selection, options_.map.num_threads));
   HighlightResult out;
   out.column = column;
   for (int leaf_id : cur.map.LeafIds()) {
-    const MapRegion& region = cur.map.region(leaf_id);
-    BLAEU_ASSIGN_OR_RETURN(
-        SelectionVector rows,
-        region.predicate.EvaluateOn(*view, cur.selection));
+    const SelectionVector& rows = region_rows[leaf_id];
     RegionHighlight h;
     h.region_id = leaf_id;
     h.tuple_count = rows.size();
@@ -299,15 +241,14 @@ Result<HighlightDetailResult> Session::HighlightDetail(
   BLAEU_ASSIGN_OR_RETURN(size_t col_idx,
                          table_->schema().RequireFieldIndex(column));
   const monet::Column& col = *table_->column(col_idx);
-  BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(cur.columns));
+  BLAEU_ASSIGN_OR_RETURN(
+      std::vector<SelectionVector> region_rows,
+      RegionRows(*table_, cur.map, cur.selection, options_.map.num_threads));
   HighlightDetailResult out;
   out.column = column;
   out.numeric = col.type() != monet::DataType::kString;
   for (int leaf_id : cur.map.LeafIds()) {
-    const MapRegion& region = cur.map.region(leaf_id);
-    BLAEU_ASSIGN_OR_RETURN(
-        SelectionVector rows,
-        region.predicate.EvaluateOn(*view, cur.selection));
+    const SelectionVector& rows = region_rows[leaf_id];
     RegionDetail detail;
     detail.region_id = leaf_id;
     detail.tuple_count = rows.size();
@@ -330,15 +271,14 @@ Result<ScatterDetailResult> Session::ScatterDetail(
                          table_->schema().RequireFieldIndex(x_column));
   BLAEU_ASSIGN_OR_RETURN(size_t y_idx,
                          table_->schema().RequireFieldIndex(y_column));
-  BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(cur.columns));
+  BLAEU_ASSIGN_OR_RETURN(
+      std::vector<SelectionVector> region_rows,
+      RegionRows(*table_, cur.map, cur.selection, options_.map.num_threads));
   ScatterDetailResult out;
   out.x_column = x_column;
   out.y_column = y_column;
   for (int leaf_id : cur.map.LeafIds()) {
-    const MapRegion& region = cur.map.region(leaf_id);
-    BLAEU_ASSIGN_OR_RETURN(
-        SelectionVector rows,
-        region.predicate.EvaluateOn(*view, cur.selection));
+    const SelectionVector& rows = region_rows[leaf_id];
     BLAEU_ASSIGN_OR_RETURN(
         stats::BinnedScatter scatter,
         stats::BivariateScatter(*table_->column(x_idx),
@@ -441,10 +381,9 @@ Result<monet::SelectProjectQuery> Session::RegionQuery(int region_id) const {
 Result<TablePtr> Session::Inspect(int region_id, size_t max_rows) const {
   const NavState& cur = current();
   BLAEU_RETURN_NOT_OK(cur.map.ValidateRegionId(region_id));
-  BLAEU_ASSIGN_OR_RETURN(TablePtr view, table_->ProjectNames(cur.columns));
   BLAEU_ASSIGN_OR_RETURN(
       SelectionVector rows,
-      cur.map.region(region_id).predicate.EvaluateOn(*view, cur.selection));
+      cur.map.region(region_id).predicate.EvaluateOn(*table_, cur.selection));
   std::vector<uint32_t> head(rows.rows().begin(),
                              rows.rows().begin() +
                                  std::min(max_rows, rows.size()));

@@ -25,9 +25,6 @@ namespace blaeu::core {
 struct SessionOptions {
   ThemeOptions themes;
   MapOptions map;
-  /// Multi-scale sampler ladder base (paper: a few thousand per zoom).
-  size_t multiscale_base = 2000;
-  double multiscale_growth = 4.0;
   uint64_t seed = 42;
 
   /// Navigation-aware map cache (core/map_cache.h). When enabled, every map
@@ -215,8 +212,8 @@ class Session {
   Session(monet::TablePtr table, std::string table_name,
           SessionOptions options, ThemeSet themes);
 
-  /// Builds (or fetches from the cache) a map for `sel` on `columns` using
-  /// the session sampler.
+  /// Fetches the map for `sel` on `columns` from the cache, or builds it
+  /// with the session sampler and caches it.
   Result<DataMap> MakeMap(const monet::SelectionVector& sel,
                           const std::vector<std::string>& columns);
 

@@ -129,12 +129,7 @@ Result<PreprocessPlan> PlanPreprocess(const Table& table,
 
   std::vector<size_t> keys;
   if (options.remove_primary_keys) {
-    // Key detection scans the whole table (not the selection), so a caller
-    // that already knows the answer for this (table, columns) pair can pass
-    // it back in without changing the output.
-    keys = options.known_primary_keys != nullptr
-               ? *options.known_primary_keys
-               : monet::DetectPrimaryKeyColumns(table);
+    keys = monet::DetectPrimaryKeyColumns(table);
   }
   out.dropped_keys = keys;
   auto is_key = [&](size_t c) {
@@ -361,11 +356,9 @@ Result<PreprocessedData> FillFeatures(const Table& table,
 Result<PreprocessedData> Preprocess(const Table& table,
                                     const SelectionVector& sel,
                                     const PreprocessOptions& options) {
-  BLAEU_ASSIGN_OR_RETURN(PreprocessPlan fresh,
+  BLAEU_ASSIGN_OR_RETURN(PreprocessPlan plan,
                          PlanPreprocess(table, sel, options));
-  auto plan = std::make_shared<const PreprocessPlan>(std::move(fresh));
-  if (options.plan_out != nullptr) *options.plan_out = plan;
-  return FillFeatures(table, sel, *plan, options.num_threads);
+  return FillFeatures(table, sel, plan, options.num_threads);
 }
 
 }  // namespace blaeu::core

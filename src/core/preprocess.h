@@ -6,7 +6,6 @@
 // in the database."
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,8 +17,6 @@
 #include "stats/normalize.h"
 
 namespace blaeu::core {
-
-struct PreprocessPlan;
 
 /// How categorical columns enter the feature space.
 enum class CategoricalEncoding {
@@ -50,19 +47,6 @@ struct PreprocessOptions {
   /// assert exactly that. Not part of the map-options fingerprint
   /// (core/map_cache.cc FingerprintMapOptions): it cannot change any output.
   bool use_dictionary = true;
-
-  // -- Reuse hooks (see core/map_cache.h for the correctness contract) --
-
-  /// Bit-identical reuse: when non-null, planning trusts this list of
-  /// primary-key column indices instead of re-running detection. Detection
-  /// depends only on the table (never the selection), so a caller that
-  /// computed it once for the same (table, columns) pair cannot change the
-  /// output by passing it back in. Not owned; must outlive the call.
-  const std::vector<size_t>* known_primary_keys = nullptr;
-
-  /// When non-null, receives the plan the run used, so callers can cache
-  /// what it detected (e.g. its dropped primary keys) for future runs.
-  std::shared_ptr<const PreprocessPlan>* plan_out = nullptr;
 };
 
 /// \brief Description of one feature of the preprocessed matrix.
@@ -108,10 +92,10 @@ struct ColumnPlan {
   std::vector<int32_t> dict_ranks;
 };
 
-/// \brief The reusable product of the planning phase: everything Preprocess
-/// derives from (table, selection, options) before touching the feature
-/// matrix. Filling a matrix from a plan is a pure function of the plan and
-/// the rows being filled.
+/// \brief The product of the planning phase: everything Preprocess derives
+/// from (table, selection, options) before touching the feature matrix.
+/// Filling a matrix from a plan is a pure function of the plan and the rows
+/// being filled.
 struct PreprocessPlan {
   std::vector<ColumnPlan> columns;        ///< in schema order
   std::vector<FeatureInfo> feature_info;  ///< resulting feature layout
@@ -136,7 +120,7 @@ Result<PreprocessedData> FillFeatures(const monet::Table& table,
                                       size_t num_threads = 0);
 
 /// Runs the preprocessing pipeline over the rows in `sel` (= PlanPreprocess
-/// followed by FillFeatures, honouring the hooks in `options`).
+/// followed by FillFeatures).
 ///
 /// Missing values: with kDummy encoding, numeric NaNs are imputed at the
 /// (normalized) mean and missing categoricals get all-zero dummies; with

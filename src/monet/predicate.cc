@@ -296,15 +296,6 @@ Result<SelectionVector> Conjunction::EvaluateOn(
   return out;
 }
 
-Result<bool> Conjunction::MatchesRow(const Table& table, size_t row) const {
-  for (const auto& c : conditions_) {
-    BLAEU_ASSIGN_OR_RETURN(size_t idx,
-                           table.schema().RequireFieldIndex(c.column));
-    if (!c.Matches(*table.column(idx), row)) return false;
-  }
-  return true;
-}
-
 std::string Conjunction::ToSql() const {
   if (conditions_.empty()) return "TRUE";
   std::vector<std::string> parts;

@@ -71,10 +71,6 @@ class Conjunction {
   Result<SelectionVector> EvaluateOn(const Table& table,
                                      const SelectionVector& base) const;
 
-  /// True if row `row` satisfies all conditions; columns resolved once via
-  /// `table`. Returns TypeError/KeyError through the Result.
-  Result<bool> MatchesRow(const Table& table, size_t row) const;
-
   /// SQL WHERE clause body ("TRUE" when empty).
   std::string ToSql() const;
 

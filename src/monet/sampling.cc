@@ -1,10 +1,7 @@
 #include "monet/sampling.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 
@@ -43,91 +40,20 @@ SelectionVector SampleFromSelection(const SelectionVector& base, size_t k,
   return SelectionVector(std::move(rows));
 }
 
-SelectionVector ReservoirSampleIndices(size_t n, size_t k, Rng* rng) {
-  if (k == 0) return SelectionVector();
-  std::vector<uint32_t> reservoir;
-  reservoir.reserve(std::min(n, k));
-  for (size_t i = 0; i < n; ++i) {
-    if (i < k) {
-      reservoir.push_back(static_cast<uint32_t>(i));
-    } else {
-      size_t j = rng->NextBounded(i + 1);
-      if (j < k) reservoir[j] = static_cast<uint32_t>(i);
-    }
-  }
-  std::sort(reservoir.begin(), reservoir.end());
-  CountSampled("reservoir", reservoir.size());
-  return SelectionVector(std::move(reservoir));
-}
-
-SelectionVector BernoulliSampleIndices(size_t n, double p, Rng* rng) {
-  std::vector<uint32_t> rows;
-  for (size_t i = 0; i < n; ++i) {
-    if (rng->NextBernoulli(p)) rows.push_back(static_cast<uint32_t>(i));
-  }
-  return SelectionVector(std::move(rows));
-}
-
-SelectionVector StratifiedSampleIndices(const std::vector<int>& labels,
-                                        size_t k, Rng* rng) {
-  // Group rows by stratum.
-  std::unordered_map<int, std::vector<uint32_t>> strata;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    strata[labels[i]].push_back(static_cast<uint32_t>(i));
-  }
-  const size_t n = labels.size();
-  std::vector<uint32_t> out;
-  if (n == 0) return SelectionVector();
-  for (auto& [label, rows] : strata) {
-    // Proportional quota, at least 1 when the budget allows one per stratum.
-    size_t quota = static_cast<size_t>(
-        static_cast<double>(k) * static_cast<double>(rows.size()) /
-        static_cast<double>(n));
-    if (quota == 0 && k >= strata.size()) quota = 1;
-    quota = std::min(quota, rows.size());
-    std::vector<size_t> picks = rng->SampleWithoutReplacement(rows.size(), quota);
-    for (size_t p : picks) out.push_back(rows[p]);
-  }
-  std::sort(out.begin(), out.end());
-  return SelectionVector(std::move(out));
-}
-
-TablePtr SampleTable(const Table& table, size_t k, Rng* rng) {
-  SelectionVector sel = UniformSampleIndices(table.num_rows(), k, rng);
-  return table.Take(sel.rows());
-}
-
-MultiScaleSampler::MultiScaleSampler(size_t n, size_t base_size,
-                                     double growth, Rng* rng) {
-  assert(base_size > 0 && growth > 1.0);
-  permutation_.resize(n);
+MultiScaleSampler::MultiScaleSampler(size_t n, Rng* rng) : permutation_(n) {
   std::iota(permutation_.begin(), permutation_.end(), 0);
   rng->Shuffle(&permutation_);
-  double size = static_cast<double>(base_size);
-  while (static_cast<size_t>(size) < n) {
-    scale_sizes_.push_back(static_cast<size_t>(size));
-    size *= growth;
-  }
-  scale_sizes_.push_back(n);
-}
-
-SelectionVector MultiScaleSampler::SampleAtScale(size_t s) const {
-  assert(s < scale_sizes_.size());
-  std::vector<uint32_t> rows(permutation_.begin(),
-                             permutation_.begin() + scale_sizes_[s]);
-  std::sort(rows.begin(), rows.end());
-  return SelectionVector(std::move(rows));
 }
 
 SelectionVector MultiScaleSampler::SampleAtMost(
     const SelectionVector& selection, size_t k) const {
   if (selection.size() <= k) return selection;
-  std::unordered_set<uint32_t> member(selection.rows().begin(),
-                                      selection.rows().end());
+  std::vector<bool> member(permutation_.size(), false);
+  for (uint32_t row : selection.rows()) member[row] = true;
   std::vector<uint32_t> rows;
   rows.reserve(k);
   for (uint32_t row : permutation_) {
-    if (member.count(row)) {
+    if (member[row]) {
       rows.push_back(row);
       if (rows.size() == k) break;
     }

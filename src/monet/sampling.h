@@ -1,16 +1,14 @@
 // Row sampling: the mechanism behind Blaeu's interaction-time latency.
 // "After each zoom, Blaeu only takes a few thousand samples from the
-// database" (paper §3); the multi-scale sampler maintains a ladder of nested
-// samples so successive zooms re-sample cheaply.
+// database" (paper §3); the multi-scale sampler keeps one random permutation
+// of the table whose prefixes nest, so successive zooms re-sample cheaply.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "monet/selection.h"
-#include "monet/table.h"
 
 namespace blaeu::monet {
 
@@ -23,54 +21,26 @@ SelectionVector UniformSampleIndices(size_t n, size_t k, Rng* rng);
 SelectionVector SampleFromSelection(const SelectionVector& base, size_t k,
                                     Rng* rng);
 
-/// One-pass reservoir sample of k distinct ids from [0, n) (Vitter's R),
-/// sorted. Behaviourally identical to UniformSampleIndices but exercises the
-/// streaming code path used for external tables.
-SelectionVector ReservoirSampleIndices(size_t n, size_t k, Rng* rng);
-
-/// Bernoulli sample: each row kept independently with probability p.
-SelectionVector BernoulliSampleIndices(size_t n, double p, Rng* rng);
-
-/// Stratified sample: draws ~k rows total, allocating per-stratum quotas
-/// proportionally to stratum sizes (at least 1 per non-empty stratum when
-/// k >= #strata). `labels[i]` is the stratum of row i.
-SelectionVector StratifiedSampleIndices(const std::vector<int>& labels,
-                                        size_t k, Rng* rng);
-
-/// Materializes a uniform sample of `table` with k rows.
-TablePtr SampleTable(const Table& table, size_t k, Rng* rng);
-
-/// \brief Nested multi-scale samples over one table.
+/// \brief Nested samples of any selection of one table.
 ///
-/// Maintains a single random permutation of the base table's rows; the
-/// sample at scale s is the first `base_size * growth^s` elements, so
-/// smaller scales are strict subsets of larger ones (nested). For a given
-/// selection (after zooms), SampleAtMost() intersects lazily: it walks the
-/// permutation and keeps the first k rows that fall inside the selection,
-/// which costs O(prefix) instead of O(selection).
+/// Holds a single random permutation of the table's rows. SampleAtMost()
+/// walks it and keeps the first k rows that fall inside the selection, so
+/// for one selection the sample of k rows is a subset of the sample of any
+/// larger k (the prefixes nest), and a zoom's sample is drawn from the same
+/// order as its parent's.
 class MultiScaleSampler {
  public:
-  /// \param n           number of rows of the underlying table
-  /// \param base_size   size of the smallest scale (paper: "a few thousand")
-  /// \param growth      scale multiplier between levels
-  MultiScaleSampler(size_t n, size_t base_size, double growth, Rng* rng);
+  /// \param n  number of rows of the underlying table
+  MultiScaleSampler(size_t n, Rng* rng);
 
-  /// Number of scales (>= 1; the last scale is the full permutation).
-  size_t num_scales() const { return scale_sizes_.size(); }
-  /// Sample size at scale `s`.
-  size_t scale_size(size_t s) const { return scale_sizes_[s]; }
-
-  /// The sorted sample at scale `s` over the full table.
-  SelectionVector SampleAtScale(size_t s) const;
-
-  /// Up to `k` rows of `selection`, drawn uniformly, using the shared
-  /// permutation; nested across calls with growing k.
+  /// Up to `k` rows of `selection` (row ids below n), drawn uniformly from
+  /// the shared permutation and returned sorted; `selection` itself when it
+  /// has at most k rows.
   SelectionVector SampleAtMost(const SelectionVector& selection,
                                size_t k) const;
 
  private:
   std::vector<uint32_t> permutation_;
-  std::vector<size_t> scale_sizes_;
 };
 
 }  // namespace blaeu::monet

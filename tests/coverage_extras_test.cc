@@ -135,15 +135,15 @@ TEST(ImportanceTest, MapSplitsTrackImportantColumns) {
   }
 }
 
-TEST(SessionOptionsTest, MultiscaleGrowthConfigurable) {
+TEST(SessionOptionsTest, SmallSampleStillCountsWholeTable) {
+  // 10,000 rows > 4 x sample_size: the sampler narrows the selection before
+  // sampling, and the counts still cover every row.
   workloads::MixtureSpec spec;
   spec.rows = 10000;
   spec.num_clusters = 2;
   spec.dims = 3;
   auto data = workloads::MakeGaussianMixture(spec);
   core::SessionOptions opt;
-  opt.multiscale_base = 500;
-  opt.multiscale_growth = 2.0;
   opt.map.sample_size = 500;
   auto session = *core::Session::Start(data.table, "ms", opt);
   EXPECT_EQ(session.current().map.total_tuples, 10000u);

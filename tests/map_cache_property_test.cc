@@ -36,6 +36,34 @@ monet::TablePtr MixtureTable(size_t rows, uint64_t seed) {
   return workloads::MakeGaussianMixture(spec).table;
 }
 
+/// The count invariants of the current state: the root counts the whole
+/// selection, every other region counts exactly the selected rows its full
+/// root-to-region predicate accepts, children never outnumber their parent,
+/// and the state's SQL selects exactly the selection.
+void ExpectCountsMatchSelection(const Session& s) {
+  const NavState& cur = s.current();
+  for (const MapRegion& region : cur.map.regions) {
+    if (region.parent < 0) {
+      EXPECT_EQ(region.tuple_count, cur.selection.size())
+          << cur.action << " root " << region.id;
+    } else {
+      auto rows = region.predicate.EvaluateOn(s.table(), cur.selection);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(region.tuple_count, rows->size())
+          << cur.action << " region " << region.id;
+    }
+    size_t children = 0;
+    for (int child : region.children) {
+      children += cur.map.region(child).tuple_count;
+    }
+    EXPECT_LE(children, region.tuple_count)
+        << cur.action << " region " << region.id;
+  }
+  auto result = s.CurrentQuery().ExecuteOn(s.table());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ((*result)->num_rows(), cur.selection.size()) << cur.action;
+}
+
 /// Applies one pseudo-random navigation action to both sessions. Decisions
 /// are driven by `a`'s state; the test then asserts `b` stayed in lockstep.
 void RandomStep(Rng* rng, Session* a, Session* b) {
@@ -71,38 +99,46 @@ void RandomStep(Rng* rng, Session* a, Session* b) {
 }
 
 TEST(MapCachePropertyTest, CachedSessionIsByteIdenticalToUncached) {
-  auto table = MixtureTable(1500, /*seed=*/42);
-  for (uint64_t trial = 0; trial < 3; ++trial) {
-    SessionOptions cached_opt = FastOptions(100 + trial);
-    cached_opt.cache_enabled = true;
-    SessionOptions uncached_opt = cached_opt;
-    uncached_opt.cache_enabled = false;
+  // 5,000 rows exceed 4 x sample_size (1,600), so those maps sample from the
+  // session sampler's narrowed selection; 1,500 rows sample directly.
+  for (size_t table_rows : {1500, 5000}) {
+    SCOPED_TRACE("rows " + std::to_string(table_rows));
+    auto table = MixtureTable(table_rows, /*seed=*/42);
+    for (uint64_t trial = 0; trial < 3; ++trial) {
+      SessionOptions cached_opt = FastOptions(100 + trial);
+      cached_opt.cache_enabled = true;
+      SessionOptions uncached_opt = cached_opt;
+      uncached_opt.cache_enabled = false;
 
-    auto cached = Session::Start(table, "mixture", cached_opt);
-    auto uncached = Session::Start(table, "mixture", uncached_opt);
-    ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(uncached.ok());
-    Session a = std::move(cached).ValueOrDie();
-    Session b = std::move(uncached).ValueOrDie();
+      auto cached = Session::Start(table, "mixture", cached_opt);
+      auto uncached = Session::Start(table, "mixture", uncached_opt);
+      ASSERT_TRUE(cached.ok());
+      ASSERT_TRUE(uncached.ok());
+      Session a = std::move(cached).ValueOrDie();
+      Session b = std::move(uncached).ValueOrDie();
+      ExpectCountsMatchSelection(a);
 
-    Rng rng(777 + trial);
-    for (int step = 0; step < 12; ++step) {
-      RandomStep(&rng, &a, &b);
-      if (HasFatalFailure()) return;
-      ASSERT_EQ(a.history_size(), b.history_size()) << "step " << step;
-      ASSERT_EQ(a.current().selection.size(), b.current().selection.size())
-          << "step " << step;
-      // The load-bearing assertion: every byte of the canonical map JSON
-      // (regions, predicates, counts, silhouettes, medoids) matches, so a
-      // cache hit is indistinguishable from the build it replaced.
-      ASSERT_EQ(CanonicalMapJson(a.current().map),
-                CanonicalMapJson(b.current().map))
-          << "step " << step << " action " << a.current().action;
+      Rng rng(777 + trial);
+      for (int step = 0; step < 12; ++step) {
+        RandomStep(&rng, &a, &b);
+        if (HasFatalFailure()) return;
+        ASSERT_EQ(a.history_size(), b.history_size()) << "step " << step;
+        ASSERT_EQ(a.current().selection.size(), b.current().selection.size())
+            << "step " << step;
+        // The load-bearing assertion: every byte of the canonical map JSON
+        // (regions, predicates, counts, silhouettes, medoids) matches, so a
+        // cache hit is indistinguishable from the build it replaced.
+        ASSERT_EQ(CanonicalMapJson(a.current().map),
+                  CanonicalMapJson(b.current().map))
+            << "step " << step << " action " << a.current().action;
+        ExpectCountsMatchSelection(a);
+        if (HasFailure()) return;
+      }
+      // The exercise must actually have exercised the cache: rollback +
+      // revisit sequences produce hits with overwhelming probability here.
+      EXPECT_GT(a.stats().cache_hits + a.stats().cache_misses, 0u);
+      EXPECT_EQ(b.stats().cache_hits, 0u);
     }
-    // The exercise must actually have exercised the cache: rollback +
-    // revisit sequences produce hits with overwhelming probability here.
-    EXPECT_GT(a.stats().cache_hits + a.stats().cache_misses, 0u);
-    EXPECT_EQ(b.stats().cache_hits, 0u);
   }
 }
 

@@ -175,7 +175,6 @@ TEST(MapCacheTest, ReloadingTableInvalidatesItsEntries) {
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(600, /*seed=*/7), "mixture").ok());
   MapCacheStats s = explorer.cache()->stats();
   EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.pk_entries, 0u);
   EXPECT_GT(s.invalidations, 0);
   // The old session pointer is stale by contract; a fresh session works.
   auto reopened = explorer.OpenSession("mixture");
@@ -187,7 +186,6 @@ TEST(MapCacheTest, OpenCloseCyclesDoNotLeakCacheEntries) {
   Explorer explorer(FastOptions());
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(), "mixture").ok());
   ASSERT_NE(explorer.cache(), nullptr);
-  size_t pk_entries_after_first = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
     auto session = explorer.OpenSession("mixture");
     ASSERT_TRUE(session.ok());
@@ -202,13 +200,6 @@ TEST(MapCacheTest, OpenCloseCyclesDoNotLeakCacheEntries) {
     MapCacheStats stats = explorer.cache()->stats();
     EXPECT_EQ(stats.entries, 0u) << "cycle " << cycle;
     EXPECT_EQ(stats.bytes, 0u) << "cycle " << cycle;
-    // Primary-key entries persist by design (they are per-table, tiny, and
-    // replaced in place) — but they must not multiply across cycles.
-    if (cycle == 0) {
-      pk_entries_after_first = stats.pk_entries;
-    } else {
-      EXPECT_EQ(stats.pk_entries, pk_entries_after_first) << "cycle " << cycle;
-    }
   }
 }
 
@@ -239,8 +230,8 @@ TEST(MapCacheTest, StatsJsonListsAllFields) {
   MapCache cache;
   std::string json = cache.StatsJson();
   for (const char* field :
-       {"hits", "misses", "inserts", "evictions", "invalidations", "pk_hits",
-        "pk_misses", "entries", "bytes", "budget_bytes", "pk_entries"}) {
+       {"hits", "misses", "inserts", "evictions", "invalidations", "entries",
+        "bytes", "budget_bytes"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
 }

@@ -108,6 +108,8 @@ TEST(SessionTest, HighlightSummarizesEachLeaf) {
   size_t total = 0;
   for (const RegionHighlight& r : highlight.regions) {
     total += r.tuple_count;
+    EXPECT_EQ(r.tuple_count, s.current().map.region(r.region_id).tuple_count)
+        << "leaf " << r.region_id;
     EXPECT_FALSE(r.examples.empty());
   }
   EXPECT_EQ(total, s.current().selection.size());

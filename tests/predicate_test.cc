@@ -129,14 +129,6 @@ TEST(ConjunctionTest, AndConcatenates) {
   EXPECT_EQ(c.ToSql(), "\"x\" < 1 AND \"g\" IS NULL");
 }
 
-TEST(ConjunctionTest, MatchesRow) {
-  auto t = TestTable();
-  Conjunction conj;
-  conj.Add(Condition::Compare("x", CompareOp::kLe, Value::Double(1.0)));
-  EXPECT_TRUE(*conj.MatchesRow(*t, 0));
-  EXPECT_FALSE(*conj.MatchesRow(*t, 1));
-}
-
 TEST(CompareOpTest, Symbols) {
   EXPECT_STREQ(CompareOpSymbol(CompareOp::kLe), "<=");
   EXPECT_STREQ(CompareOpSymbol(CompareOp::kNe), "<>");

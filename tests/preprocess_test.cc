@@ -30,7 +30,7 @@ TablePtr MixedTable() {
   return *b.Finish();
 }
 
-TEST(PreprocessTest, DropsPrimaryKeys) {
+TEST(PreprocessTest, DropsKeyColumns) {
   auto t = MixedTable();
   auto pre = *Preprocess(*t, SelectionVector::All(6));
   EXPECT_EQ(pre.dropped_keys, (std::vector<size_t>{0}));

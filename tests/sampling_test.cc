@@ -36,78 +36,15 @@ TEST(SamplingTest, SampleFromSelectionSubsets) {
   EXPECT_EQ(SampleFromSelection(base, 10, &rng), base);
 }
 
-TEST(SamplingTest, ReservoirMatchesSizeAndIsUniformish) {
-  Rng rng(4);
-  // Mean of a uniform sample of [0,1000) should be near 500.
-  double mean_sum = 0;
-  for (int rep = 0; rep < 30; ++rep) {
-    SelectionVector s = ReservoirSampleIndices(1000, 50, &rng);
-    EXPECT_EQ(s.size(), 50u);
-    double m = 0;
-    for (uint32_t r : s.rows()) m += r;
-    mean_sum += m / 50.0;
-  }
-  EXPECT_NEAR(mean_sum / 30.0, 500.0, 60.0);
-}
-
-TEST(SamplingTest, ReservoirZeroK) {
-  Rng rng(5);
-  EXPECT_EQ(ReservoirSampleIndices(100, 0, &rng).size(), 0u);
-}
-
-TEST(SamplingTest, BernoulliRate) {
-  Rng rng(6);
-  SelectionVector s = BernoulliSampleIndices(10000, 0.3, &rng);
-  EXPECT_NEAR(static_cast<double>(s.size()), 3000.0, 200.0);
-}
-
-TEST(SamplingTest, StratifiedKeepsProportions) {
-  Rng rng(7);
-  // Three strata with sizes 600 / 300 / 100.
-  std::vector<int> labels;
-  for (int i = 0; i < 600; ++i) labels.push_back(0);
-  for (int i = 0; i < 300; ++i) labels.push_back(1);
-  for (int i = 0; i < 100; ++i) labels.push_back(2);
-  SelectionVector s = StratifiedSampleIndices(labels, 100, &rng);
-  size_t counts[3] = {0, 0, 0};
-  for (uint32_t r : s.rows()) ++counts[labels[r]];
-  EXPECT_NEAR(static_cast<double>(counts[0]), 60.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(counts[1]), 30.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(counts[2]), 10.0, 2.0);
-}
-
-TEST(SamplingTest, StratifiedSmallBudgetCoversStrata) {
-  Rng rng(8);
-  std::vector<int> labels = {0, 0, 0, 0, 1, 1, 2, 2};
-  SelectionVector s = StratifiedSampleIndices(labels, 3, &rng);
-  std::set<int> seen;
-  for (uint32_t r : s.rows()) seen.insert(labels[r]);
-  EXPECT_GE(seen.size(), 3u);  // every stratum represented
-}
-
 TEST(SamplingTest, DeterministicGivenSeed) {
   Rng a(99), b(99);
   EXPECT_EQ(UniformSampleIndices(500, 50, &a).rows(),
             UniformSampleIndices(500, 50, &b).rows());
 }
 
-TEST(MultiScaleSamplerTest, ScalesGrowAndNest) {
-  Rng rng(10);
-  MultiScaleSampler sampler(10000, 100, 4.0, &rng);
-  ASSERT_GE(sampler.num_scales(), 3u);
-  EXPECT_EQ(sampler.scale_size(0), 100u);
-  EXPECT_EQ(sampler.scale_size(sampler.num_scales() - 1), 10000u);
-  // Nesting: every row of scale s appears in scale s+1.
-  for (size_t s = 0; s + 1 < sampler.num_scales(); ++s) {
-    SelectionVector small = sampler.SampleAtScale(s);
-    SelectionVector big = sampler.SampleAtScale(s + 1);
-    EXPECT_EQ(small.Intersect(big).size(), small.size());
-  }
-}
-
 TEST(MultiScaleSamplerTest, SampleAtMostRespectsSelection) {
   Rng rng(11);
-  MultiScaleSampler sampler(1000, 50, 4.0, &rng);
+  MultiScaleSampler sampler(1000, &rng);
   // Selection: even rows only.
   std::vector<uint32_t> even;
   for (uint32_t i = 0; i < 1000; i += 2) even.push_back(i);
@@ -122,22 +59,11 @@ TEST(MultiScaleSamplerTest, SampleAtMostRespectsSelection) {
 
 TEST(MultiScaleSamplerTest, NestedAcrossBudgets) {
   Rng rng(12);
-  MultiScaleSampler sampler(5000, 100, 4.0, &rng);
+  MultiScaleSampler sampler(5000, &rng);
   SelectionVector sel = SelectionVector::All(5000);
   SelectionVector small = sampler.SampleAtMost(sel, 200);
   SelectionVector big = sampler.SampleAtMost(sel, 800);
   EXPECT_EQ(small.Intersect(big).size(), small.size());
-}
-
-TEST(SamplingTest, SampleTableMaterializes) {
-  TableBuilder b(Schema({{"x", DataType::kInt64}}));
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(b.AppendRow({Value::Int(i)}).ok());
-  }
-  auto table = *b.Finish();
-  Rng rng(13);
-  TablePtr sample = SampleTable(*table, 10, &rng);
-  EXPECT_EQ(sample->num_rows(), 10u);
 }
 
 }  // namespace

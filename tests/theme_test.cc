@@ -56,7 +56,7 @@ TEST(ThemeTest, MedoidColumnBelongsToTheme) {
   }
 }
 
-TEST(ThemeTest, PrimaryKeysExcluded) {
+TEST(ThemeTest, KeyColumnsExcluded) {
   workloads::MixtureSpec spec;
   spec.rows = 300;
   spec.dims = 4;
