@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §5): PAM vs CLARA on the map's clustering stage.
+// PAM vs CLARA on the map's clustering stage.
 // Shows the latency crossover that justifies the paper's "when the data is
 // too large, Blaeu creates the maps with CLARA", and the accuracy each
 // algorithm pays (ARI vs planted clusters, reported as counters).

@@ -1,12 +1,9 @@
-// Experiment F1a / F2 / ablation: theme detection.
+// Experiment F1a / F2: theme detection.
 //
 // (1) Latency of the dependency matrix + graph partitioning as the column
 //     count grows (the OECD table has 378 columns; "Blaeu must cluster
 //     millions of tuples on hundreds of columns at interaction time").
-// (2) Ablation (DESIGN.md §5): mutual information vs |Pearson| as the
-//     dependency measure, on linear and non-linear column groups — the
-//     paper chose MI because it "is sensitive to non-linear relationships".
-// (3) Emits the Figure 2 dependency graph (DOT) for the OECD subset.
+// (2) Emits the Figure 2 dependency graph (DOT) for the OECD subset.
 
 #include <cstdio>
 #include <fstream>
@@ -66,42 +63,6 @@ void LatencySweep() {
   std::printf("\n");
 }
 
-void MeasureAblation() {
-  std::printf("== Ablation: dependency measure (paper chose MI for mixed "
-              "data + non-linear relationships) ==\n");
-  std::printf("%12s %22s %14s %14s\n", "indicators", "measure",
-              "recovery_nmi", "latency_ms");
-  struct Case {
-    const char* name;
-    stats::DependencyMeasure measure;
-  } cases[] = {
-      {"mutual_information", stats::DependencyMeasure::kMutualInformation},
-      {"abs_pearson", stats::DependencyMeasure::kAbsPearson},
-      {"abs_spearman", stats::DependencyMeasure::kAbsSpearman},
-  };
-  for (double nonlinear : {0.0, 0.6}) {
-    workloads::OecdSpec spec;
-    spec.rows = 4000;
-    spec.indicator_columns = 80;
-    spec.nonlinear_fraction = nonlinear;
-    auto data = workloads::MakeOecd(spec);
-    for (const Case& c : cases) {
-      core::ThemeOptions opt;
-      opt.dependency.measure = c.measure;
-      opt.dependency.sample_rows = 2000;
-      opt.max_themes = 12;
-      Timer timer;
-      auto themes = core::DetectThemes(*data.table, opt);
-      double ms = timer.ElapsedMillis();
-      if (!themes.ok()) continue;
-      std::printf("%12s %22s %14.3f %14.1f\n",
-                  nonlinear == 0.0 ? "linear" : "60% nonlin", c.name,
-                  ThemeRecovery(*themes, data), ms);
-    }
-  }
-  std::printf("\n");
-}
-
 void EmitFigure2() {
   workloads::OecdSpec spec;
   spec.rows = 3000;
@@ -129,9 +90,8 @@ void EmitFigure2() {
 }  // namespace
 
 int main() {
-  std::printf("Blaeu bench: theme detection (F1a, F2, measure ablation)\n\n");
+  std::printf("Blaeu bench: theme detection (F1a, F2)\n\n");
   LatencySweep();
-  MeasureAblation();
   EmitFigure2();
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "cluster/graph.h"
 
 #include <cassert>
-#include <deque>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -35,29 +34,6 @@ size_t Graph::CountEdges(double threshold) const {
     }
   }
   return count;
-}
-
-std::vector<int> Graph::ConnectedComponents(double threshold) const {
-  const size_t n = num_vertices();
-  std::vector<int> comp(n, -1);
-  int next = 0;
-  for (size_t s = 0; s < n; ++s) {
-    if (comp[s] >= 0) continue;
-    comp[s] = next;
-    std::deque<size_t> frontier{s};
-    while (!frontier.empty()) {
-      size_t u = frontier.front();
-      frontier.pop_front();
-      for (size_t v = 0; v < n; ++v) {
-        if (comp[v] < 0 && Weight(u, v) > threshold) {
-          comp[v] = next;
-          frontier.push_back(v);
-        }
-      }
-    }
-    ++next;
-  }
-  return comp;
 }
 
 std::string Graph::ToDot(double min_weight,

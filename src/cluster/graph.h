@@ -30,13 +30,9 @@ class Graph {
   /// Number of edges with weight > threshold.
   size_t CountEdges(double threshold = 0.0) const;
 
-  /// Connected components over edges with weight > `threshold`; returns a
-  /// component id per vertex (0-based, ordered by first occurrence).
-  std::vector<int> ConnectedComponents(double threshold) const;
-
   /// Graphviz DOT rendering; edges below `min_weight` are omitted, edge
-  /// thickness scales with weight. `groups` (optional, component/theme id
-  /// per vertex) colors vertices by group.
+  /// thickness scales with weight. `groups` (optional, theme id per
+  /// vertex) colors vertices by group.
   std::string ToDot(double min_weight = 0.0,
                     const std::vector<int>* groups = nullptr) const;
 

@@ -11,65 +11,43 @@ namespace blaeu::cluster {
 
 using stats::DistanceMatrix;
 
-Result<KSelectResult> SelectK(const DistanceMatrix& dist,
-                              const ClusterFn& cluster_fn,
-                              const KSelectOptions& options) {
-  const size_t n = dist.size();
-  if (n < 2) return Status::Invalid("need at least 2 points to select k");
-  size_t k_min = std::max<size_t>(2, options.k_min);
-  size_t k_max = std::min(options.k_max, n - 1);
+Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
+                             const ClusterFn& cluster_fn,
+                             const ScoreFn& score_fn, size_t num_threads) {
   if (k_min > k_max) {
-    return Status::Invalid("empty k range after clamping");
+    return Status::Invalid("empty k range: k_min " + std::to_string(k_min) +
+                           " > k_max " + std::to_string(k_max));
   }
+  const size_t count = k_max - k_min + 1;
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("cluster.kselect.sweeps")->Increment();
   registry.counter("cluster.kselect.candidates")
-      ->Add(static_cast<int64_t>(k_max - k_min + 1));
+      ->Add(static_cast<int64_t>(count));
   ScopedTimer latency(registry.histogram("cluster.kselect.sweep_seconds"));
 
   // One task per candidate k (clustering + scoring are independent across
   // k), then a serial ascending-k pick that reproduces the sequential
-  // loop exactly: first error propagates, lowest k with a strictly better
-  // score than every smaller k wins.
+  // loop exactly.
   struct Candidate {
     Status status = Status::OK();
     ClusteringResult result;
     double score = -1.0;
   };
-  const size_t count = k_max - k_min + 1;
   std::vector<Candidate> candidates(count);
   ParallelFor(
       0, count, 1,
       [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-          const size_t k = k_min + i;
-          auto r = cluster_fn(k);
+          auto r = cluster_fn(k_min + i);
           if (!r.ok()) {
             candidates[i].status = r.status();
             continue;
           }
-          ClusteringResult result = std::move(r).ValueOrDie();
-          std::vector<size_t> sizes = ClusterSizes(result.labels);
-          bool degenerate =
-              sizes.size() != k ||
-              std::any_of(sizes.begin(), sizes.end(),
-                          [](size_t s) { return s == 0; });
-          double score;
-          if (degenerate) {
-            score = -1.0;
-          } else if (options.monte_carlo) {
-            score = stats::MonteCarloSilhouette(
-                n, result.labels,
-                [&](size_t i2, size_t j2) { return dist.At(i2, j2); },
-                options.mc_options);
-          } else {
-            score = stats::MeanSilhouette(dist, result.labels);
-          }
-          candidates[i].result = std::move(result);
-          candidates[i].score = score;
+          candidates[i].result = std::move(r).ValueOrDie();
+          candidates[i].score = score_fn(k_min + i, candidates[i].result);
         }
       },
-      options.num_threads);
+      num_threads);
 
   KSelectResult out;
   out.best_score = -2.0;  // silhouettes live in [-1, 1]
@@ -83,6 +61,32 @@ Result<KSelectResult> SelectK(const DistanceMatrix& dist,
     }
   }
   return out;
+}
+
+Result<KSelectResult> SelectK(const DistanceMatrix& dist,
+                              const ClusterFn& cluster_fn,
+                              const KSelectOptions& options) {
+  const size_t n = dist.size();
+  if (n < 2) return Status::Invalid("need at least 2 points to select k");
+  return SweepK(
+      std::max<size_t>(2, options.k_min), std::min(options.k_max, n - 1),
+      cluster_fn,
+      [&](size_t k, const ClusteringResult& result) {
+        std::vector<size_t> sizes = ClusterSizes(result.labels);
+        if (sizes.size() != k ||
+            std::any_of(sizes.begin(), sizes.end(),
+                        [](size_t s) { return s == 0; })) {
+          return -1.0;
+        }
+        if (options.monte_carlo) {
+          return stats::MonteCarloSilhouette(
+              n, result.labels,
+              [&](size_t i, size_t j) { return dist.At(i, j); },
+              options.mc_options);
+        }
+        return stats::MeanSilhouette(dist, result.labels);
+      },
+      options.num_threads);
 }
 
 Result<KSelectResult> SelectKWithPam(const DistanceMatrix& dist,

@@ -39,9 +39,33 @@ struct KSelectResult {
 /// Clusterer under test: produces a partition for a given k.
 using ClusterFn = std::function<Result<ClusteringResult>(size_t k)>;
 
-/// Sweeps k in [k_min, min(k_max, n-1)], scoring each partition by mean
-/// silhouette under `dist`, and returns the best. Candidates whose realized
-/// partition degenerates (empty clusters) score -1.
+/// Scores the partition `cluster_fn` produced for k; higher is better.
+using ScoreFn =
+    std::function<double(size_t k, const ClusteringResult& result)>;
+
+/// \brief The one k sweep: every silhouette-driven choice of k runs
+/// through it.
+///
+/// Runs `cluster_fn(k)` and then `score_fn(k, ·)` once for every k in
+/// [k_min, k_max], one pool task per k (`num_threads` as in
+/// common/parallel.h; both functions must be thread-safe for any value
+/// other than 1), and picks exactly what the serial ascending-k loop picks:
+///  - the first error in k order propagates;
+///  - the lowest k whose score strictly beats every smaller k wins, and
+///    `best_score` starts below every silhouette, at -2.
+/// An empty range (k_min > k_max) is rejected with InvalidArgument. The
+/// result is the same at any thread count. Each sweep adds 1 to
+/// `cluster.kselect.sweeps`, its candidate count to
+/// `cluster.kselect.candidates` and its latency to
+/// `cluster.kselect.sweep_seconds` in the global registry.
+Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
+                             const ClusterFn& cluster_fn,
+                             const ScoreFn& score_fn, size_t num_threads);
+
+/// SweepK over k in [max(2, k_min), min(k_max, n-1)], scoring each
+/// partition by mean silhouette under `dist` (Monte-Carlo when
+/// `options.monte_carlo`). Candidates whose realized partition degenerates
+/// (fewer than k non-empty clusters) score -1.
 Result<KSelectResult> SelectK(const stats::DistanceMatrix& dist,
                               const ClusterFn& cluster_fn,
                               const KSelectOptions& options = {});

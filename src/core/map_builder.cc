@@ -19,22 +19,16 @@ using monet::TablePtr;
 
 namespace {
 
-/// Distance function over preprocessed features: Euclidean for dummy
-/// encoding, Gower for mixed/Gower encoding. Every evaluation — distance
-/// matrix, CLARA assignment, Monte-Carlo silhouette — tallies into `evals`
-/// (relaxed atomic: calls come from pool threads) for the map's
+/// Euclidean distance over the preprocessed features. Every evaluation —
+/// distance matrix, CLARA assignment, Monte-Carlo silhouette — tallies into
+/// `evals` (relaxed atomic: calls come from pool threads) for the map's
 /// ResourceProfile: one by one through operator(), or in bulk through
 /// Count() for loops that call the uncounted Distance().
 struct FeatureMetric {
   const stats::Matrix* features;
-  bool use_gower;
-  stats::GowerDistance gower;
   std::atomic<int64_t>* evals = nullptr;
 
   double Distance(size_t i, size_t j) const {
-    if (use_gower) {
-      return gower(features->RowPtr(i), features->RowPtr(j));
-    }
     return stats::EuclideanDistance(features->RowPtr(i), features->RowPtr(j),
                                     features->cols());
   }
@@ -55,51 +49,10 @@ struct ClusterOutcome {
   std::string algorithm;
 };
 
-/// One candidate of a k sweep.
-struct KSweepCandidate {
-  Status status = Status::OK();
-  cluster::ClusteringResult result;
-  double score = -2.0;
-};
-
-/// Runs `run_k` once per k in [lo, hi] — one parallel task per k — and
-/// picks the winner exactly as the serial ascending-k loop did: the first
-/// error (in k order) propagates, and the lowest k whose score strictly
-/// beats every smaller k wins.
-Status SweepK(
-    size_t lo, size_t hi, size_t num_threads,
-    const std::function<Result<cluster::ClusteringResult>(size_t)>& run_k,
-    const std::function<double(const cluster::ClusteringResult&)>& score_fn,
-    ClusterOutcome* out) {
-  const size_t count = hi - lo + 1;
-  std::vector<KSweepCandidate> candidates(count);
-  ParallelFor(
-      0, count, 1,
-      [&](size_t chunk_lo, size_t chunk_hi) {
-        for (size_t i = chunk_lo; i < chunk_hi; ++i) {
-          auto result = run_k(lo + i);
-          if (!result.ok()) {
-            candidates[i].status = result.status();
-            continue;
-          }
-          candidates[i].result = std::move(result).ValueOrDie();
-          candidates[i].score = score_fn(candidates[i].result);
-        }
-      },
-      num_threads);
-  double best = -2.0;
-  size_t best_i = count;
-  for (size_t i = 0; i < count; ++i) {
-    if (!candidates[i].status.ok()) return candidates[i].status;
-    if (candidates[i].score > best) {
-      best = candidates[i].score;
-      best_i = i;
-    }
-  }
-  if (best_i < count) out->result = std::move(candidates[best_i].result);
-  out->silhouette = best;
-  return Status::OK();
-}
+/// Monte-Carlo silhouette budget of the k sweep above
+/// MapOptions::monte_carlo_threshold: 4 subsamples of 150 tuples.
+constexpr size_t kMonteCarloSubsamples = 4;
+constexpr size_t kMonteCarloSubsampleSize = 150;
 
 Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
                                      const FeatureMetric& metric,
@@ -117,8 +70,8 @@ Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
       std::min(options.k_max, n > 1 ? n - 1 : static_cast<size_t>(1));
   const bool use_mc = n > options.monte_carlo_threshold;
   stats::MonteCarloSilhouetteOptions mc;
-  mc.num_subsamples = options.mc_subsamples;
-  mc.subsample_size = options.mc_subsample_size;
+  mc.num_subsamples = kMonteCarloSubsamples;
+  mc.subsample_size = kMonteCarloSubsampleSize;
   mc.seed = options.seed + 7;
 
   auto score = [&](const std::vector<int>& labels,
@@ -139,13 +92,19 @@ Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
     auto dist_fn = [&](size_t i, size_t j) { return metric(i, j); };
     const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
     const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
-    BLAEU_RETURN_NOT_OK(SweepK(
-        lo, hi, options.num_threads,
-        [&](size_t k) { return cluster::Clara(n, dist_fn, k, clara); },
-        [&](const cluster::ClusteringResult& r) {
-          return score(r.labels, nullptr);
-        },
-        &out));
+    // Scored through the counted metric. Unlike SelectK, a degenerate
+    // partition is not forced to -1: that rule would change which k wins.
+    BLAEU_ASSIGN_OR_RETURN(
+        cluster::KSelectResult swept,
+        cluster::SweepK(
+            lo, hi,
+            [&](size_t k) { return cluster::Clara(n, dist_fn, k, clara); },
+            [&](size_t, const cluster::ClusteringResult& r) {
+              return score(r.labels, nullptr);
+            },
+            options.num_threads));
+    out.result = std::move(swept.best);
+    out.silhouette = swept.best_score;
     return out;
   }
 
@@ -353,16 +312,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     return map;
   }
 
-  // 3. Cluster the vectors. Fitting the Gower metric is a full pass over
-  // the feature matrix, so it only happens when Gower is actually in use.
-  const bool use_gower =
-      options.preprocess.encoding == CategoricalEncoding::kGower;
-  FeatureMetric metric{
-      &pre.features, use_gower,
-      use_gower
-          ? stats::GowerDistance::Fit(pre.features, pre.categorical_mask())
-          : stats::GowerDistance({}, {}),
-      &dist_evals};
+  // 3. Cluster the vectors.
+  FeatureMetric metric{&pre.features, &dist_evals};
   ClusterOutcome outcome;
   {
     obs::Span span(tracer, "core.map.cluster");

@@ -40,10 +40,9 @@ struct MapOptions {
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).
   size_t fixed_k = 0;
-  /// Monte-Carlo silhouette for the k sweep above this many tuples.
+  /// Above this many tuples the k sweep scores each candidate with the
+  /// Monte-Carlo silhouette: the mean over 4 subsamples of 150 tuples.
   size_t monte_carlo_threshold = 600;
-  size_t mc_subsamples = 4;
-  size_t mc_subsample_size = 150;
   PreprocessOptions preprocess;
   tree::CartOptions tree;
   uint64_t seed = 42;

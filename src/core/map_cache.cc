@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/json_writer.h"
 #include "core/map_builder.h"
@@ -10,13 +9,6 @@
 namespace blaeu::core {
 
 namespace {
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 uint64_t MixString(uint64_t h, const std::string& s) {
   h = HashMix(h, s.size());
@@ -58,20 +50,11 @@ uint64_t FingerprintMapOptions(const MapOptions& o) {
   h = HashMix(h, o.k_max);
   h = HashMix(h, o.fixed_k);
   h = HashMix(h, o.monte_carlo_threshold);
-  h = HashMix(h, o.mc_subsamples);
-  h = HashMix(h, o.mc_subsample_size);
-  h = HashMix(h, static_cast<uint64_t>(o.preprocess.encoding));
-  h = HashMix(h, o.preprocess.remove_primary_keys ? 1 : 2);
-  h = HashMix(h, o.preprocess.zscore ? 1 : 2);
   h = HashMix(h, o.preprocess.max_categories);
-  h = HashMix(h, o.preprocess.categorical_distinct_threshold);
   h = HashMix(h, o.tree.max_depth);
   h = HashMix(h, o.tree.min_samples_leaf);
   h = HashMix(h, o.tree.min_samples_split);
   h = HashMix(h, o.tree.max_thresholds);
-  h = HashMix(h, DoubleBits(o.tree.min_impurity_decrease));
-  h = HashMix(h, static_cast<uint64_t>(o.tree.criterion));
-  h = HashMix(h, DoubleBits(o.tree.ccp_alpha));
   return h;
 }
 

@@ -1,9 +1,7 @@
 #include "core/preprocess.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <unordered_map>
 
@@ -21,16 +19,33 @@ using monet::Dictionary;
 using monet::SelectionVector;
 using monet::Table;
 
-std::vector<bool> PreprocessedData::categorical_mask() const {
-  std::vector<bool> mask;
-  mask.reserve(feature_info.size());
-  for (const auto& f : feature_info) mask.push_back(f.is_categorical);
-  return mask;
-}
-
 namespace {
 
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+/// Numeric columns with at most this many distinct values are treated as
+/// categorical (monet::LooksCategorical).
+constexpr size_t kCategoricalDistinctThreshold = 10;
+
+/// One column's fitted preprocessing decisions.
+struct ColumnPlan {
+  size_t column = 0;  ///< index into the input table's schema
+  bool categorical = false;
+  std::vector<std::string> categories;  ///< dummy layout, most frequent first
+  stats::Normalizer normalizer = stats::Normalizer::ZScore({});
+  double impute = 0.0;  ///< numeric NaN replacement (normalized mean)
+  /// String columns under use_dictionary only: dictionary code -> rank in
+  /// `categories` (-1 = not a kept category). Empty selects the string
+  /// path.
+  std::vector<int32_t> dict_ranks;
+};
+
+/// Everything Preprocess derives from (table, selection, options) before
+/// touching the feature matrix.
+struct PreprocessPlan {
+  std::vector<ColumnPlan> columns;        ///< in schema order
+  std::vector<FeatureInfo> feature_info;  ///< resulting feature layout
+  std::vector<size_t> used_columns;
+  std::vector<size_t> dropped_keys;
+};
 
 /// (rendered value, count) pairs ranked count-descending, ties broken by the
 /// rendered string ascending — the ordering every category list in the
@@ -118,29 +133,18 @@ std::vector<std::string> TopCategories(const Column& col,
   return out;
 }
 
-}  // namespace
-
+/// Fits per-column plans (type decision, category ranking, normalizer,
+/// primary-key removal) over the rows in `sel`.
 Result<PreprocessPlan> PlanPreprocess(const Table& table,
                                       const SelectionVector& sel,
                                       const PreprocessOptions& options) {
   if (sel.empty()) return Status::Invalid("empty selection");
   PreprocessPlan out;
-  out.encoding = options.encoding;
-
-  std::vector<size_t> keys;
-  if (options.remove_primary_keys) {
-    keys = monet::DetectPrimaryKeyColumns(table);
-  }
+  const std::vector<size_t> keys = monet::DetectPrimaryKeyColumns(table);
   out.dropped_keys = keys;
   auto is_key = [&](size_t c) {
     return std::find(keys.begin(), keys.end(), c) != keys.end();
   };
-
-  // Planning only compares `distinct` against small thresholds and reads the
-  // moments, so the stats pass can stop counting distincts past the largest
-  // threshold it will be compared to.
-  const size_t distinct_cap =
-      std::max<size_t>(options.categorical_distinct_threshold, 1);
 
   // Each column's plan (stats, category ranking, normalizer fit) is a full
   // pass over the selection and independent of the others, so columns are
@@ -153,33 +157,32 @@ Result<PreprocessPlan> PlanPreprocess(const Table& table,
         for (size_t c = col_lo; c < col_hi; ++c) {
           if (is_key(c)) continue;
           const Column& col = *table.column(c);
+          // Planning only compares `distinct` against the categorical
+          // threshold and reads the moments, so the stats pass can stop
+          // counting distincts there.
           ColumnStats cs =
               options.use_dictionary
-                  ? monet::ComputeColumnStatsBounded(col, sel, distinct_cap)
+                  ? monet::ComputeColumnStatsBounded(
+                        col, sel, kCategoricalDistinctThreshold)
                   : monet::ComputeColumnStats(col, sel);
           if (cs.count == cs.null_count) continue;  // all-null: no encoding
           if (cs.distinct <= 1) continue;           // constant: no signal
           ColumnPlan plan;
           plan.column = c;
           plan.categorical = monet::LooksCategorical(
-              col, cs, options.categorical_distinct_threshold);
+              col, cs, kCategoricalDistinctThreshold);
           if (plan.categorical) {
             plan.categories = TopCategories(col, sel, options.max_categories,
                                             options.use_dictionary);
-            if (options.encoding == CategoricalEncoding::kGower) {
-              for (size_t i = 0; i < plan.categories.size(); ++i) {
-                plan.code[plan.categories[i]] = static_cast<int>(i);
-              }
-            }
             if (options.use_dictionary &&
                 col.type() == DataType::kString) {
               // Code-indexed category ranks: the per-cell fill becomes two
               // array loads. Every kept category is in the dictionary (it
               // was counted from the column).
-              plan.dict = col.dictionary();
-              plan.dict_ranks.assign(plan.dict->size(), -1);
+              const Dictionary& dict = *col.dictionary();
+              plan.dict_ranks.assign(dict.size(), -1);
               for (size_t i = 0; i < plan.categories.size(); ++i) {
-                const int32_t code = plan.dict->Find(plan.categories[i]);
+                const int32_t code = dict.Find(plan.categories[i]);
                 plan.dict_ranks[static_cast<size_t>(code)] =
                     static_cast<int32_t>(i);
               }
@@ -190,9 +193,7 @@ Result<PreprocessPlan> PlanPreprocess(const Table& table,
             for (uint32_t r : sel.rows()) {
               if (!col.IsNull(r)) values.push_back(col.GetNumeric(r));
             }
-            plan.normalizer = options.zscore
-                                  ? stats::Normalizer::ZScore(values)
-                                  : stats::Normalizer::MinMax(values);
+            plan.normalizer = stats::Normalizer::ZScore(values);
             double sum = 0;
             for (double v : values) sum += plan.normalizer.Apply(v);
             plan.impute = values.empty()
@@ -217,52 +218,30 @@ Result<PreprocessPlan> PlanPreprocess(const Table& table,
     const std::string& name = table.schema().field(plan.column).name;
     if (!plan.categorical) {
       out.feature_info.push_back({plan.column, name, false, ""});
-    } else if (options.encoding == CategoricalEncoding::kDummy) {
-      for (const std::string& cat : plan.categories) {
-        out.feature_info.push_back({plan.column, name, true, cat});
-      }
-    } else {
-      out.feature_info.push_back({plan.column, name, true, ""});
+      continue;
+    }
+    for (const std::string& cat : plan.categories) {
+      out.feature_info.push_back({plan.column, name, true, cat});
     }
   }
   return out;
 }
 
-namespace {
-
 /// Per-column state resolved once per FillFeatures call, so the row loop
-/// never re-derives it: the column pointer, and — when the plan's dictionary
-/// is the column's dictionary — the raw code payload for the allocation-free
-/// path. `codes` is null when the string path must be used (non-string
-/// column, use_dictionary off at plan time, or a column rebuilt with a
-/// different dictionary).
+/// never re-derives it: the column pointer, and for the dictionary path
+/// the raw code payload. `codes` is null when the string path must be used
+/// (a non-string column, or use_dictionary off).
 struct ColumnFill {
   const ColumnPlan* cp;
   const Column* col;
   const int32_t* codes = nullptr;
 };
 
-/// Code -> category rank under a plan, bounds-checked so codes interned
-/// after planning read as unranked instead of out-of-bounds.
-inline int32_t RankOfCode(const ColumnPlan& cp, int32_t code) {
-  if (code < 0 || static_cast<size_t>(code) >= cp.dict_ranks.size()) {
-    return -1;
-  }
-  return cp.dict_ranks[static_cast<size_t>(code)];
-}
-
-}  // namespace
-
-Result<PreprocessedData> FillFeatures(const Table& table,
-                                      const SelectionVector& sel,
-                                      const PreprocessPlan& plan,
-                                      size_t num_threads) {
-  if (sel.empty()) return Status::Invalid("empty selection");
-  for (const ColumnPlan& cp : plan.columns) {
-    if (cp.column >= table.num_columns()) {
-      return Status::Invalid("preprocess plan does not match the table");
-    }
-  }
+/// Fills one feature row per row of `sel` according to `plan`, which was
+/// fitted on the same table. Bit-identical at any thread count.
+PreprocessedData FillFeatures(const Table& table, const SelectionVector& sel,
+                              const PreprocessPlan& plan,
+                              size_t num_threads) {
   PreprocessedData out;
   out.rows = sel.rows();
   out.feature_info = plan.feature_info;
@@ -272,7 +251,6 @@ Result<PreprocessedData> FillFeatures(const Table& table,
   const size_t n = sel.size();
   const size_t dims = plan.feature_info.size();
   out.features = stats::Matrix(n, dims);
-  const bool gower = plan.encoding == CategoricalEncoding::kGower;
 
   std::vector<ColumnFill> fills;
   fills.reserve(plan.columns.size());
@@ -280,11 +258,7 @@ Result<PreprocessedData> FillFeatures(const Table& table,
     ColumnFill fill;
     fill.cp = &cp;
     fill.col = table.column(cp.column).get();
-    if (cp.categorical && cp.dict != nullptr &&
-        fill.col->type() == DataType::kString &&
-        fill.col->dictionary() == cp.dict) {
-      fill.codes = fill.col->codes().data();
-    }
+    if (!cp.dict_ranks.empty()) fill.codes = fill.col->codes().data();
     fills.push_back(fill);
   }
 
@@ -302,7 +276,7 @@ Result<PreprocessedData> FillFeatures(const Table& table,
             const Column& col = *fill.col;
             if (!cp.categorical) {
               if (col.IsNull(r)) {
-                row[f++] = gower ? kNaN : cp.impute;
+                row[f++] = cp.impute;
               } else {
                 row[f++] = cp.normalizer.Apply(col.GetNumeric(r));
               }
@@ -311,31 +285,15 @@ Result<PreprocessedData> FillFeatures(const Table& table,
             if (fill.codes != nullptr) {
               // Dictionary fast path: two array loads per cell, no string
               // materialization and no hashing. kNullCode ranks as -1.
-              const int32_t rank = RankOfCode(cp, fill.codes[r]);
-              if (gower) {
-                row[f++] = col.IsNull(r)
-                               ? kNaN
-                               : (rank >= 0 ? static_cast<double>(rank)
-                                            : static_cast<double>(
-                                                  cp.categories.size()));
-                continue;
-              }
+              const int32_t code = fill.codes[r];
+              const int32_t rank =
+                  code == Dictionary::kNullCode
+                      ? -1
+                      : cp.dict_ranks[static_cast<size_t>(code)];
               const size_t k = cp.categories.size();
               for (size_t j = 0; j < k; ++j) row[f + j] = 0.0;
               if (rank >= 0) row[f + static_cast<size_t>(rank)] = 1.0;
               f += k;
-              continue;
-            }
-            if (gower) {
-              if (col.IsNull(r)) {
-                row[f++] = kNaN;
-              } else {
-                auto it = cp.code.find(col.GetValue(r).ToString());
-                // Categories beyond the cap share one overflow code.
-                row[f++] = it != cp.code.end()
-                               ? static_cast<double>(it->second)
-                               : static_cast<double>(cp.code.size());
-              }
               continue;
             }
             // Dummy coding: 1 for the matching category, else 0. The null
@@ -352,6 +310,8 @@ Result<PreprocessedData> FillFeatures(const Table& table,
       num_threads);
   return out;
 }
+
+}  // namespace
 
 Result<PreprocessedData> Preprocess(const Table& table,
                                     const SelectionVector& sel,

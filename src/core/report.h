@@ -1,8 +1,8 @@
 // Session report export: writes every artifact of an exploration session
 // to a directory — the headless equivalent of saving the demo's screen
 // state (theme view, map views, dependency graph, the implicit queries and
-// the region contents). Everything EXPERIMENTS.md shows regenerates from
-// these files.
+// the region contents). The theme list, every map and the Figure 2 graph
+// of a session regenerate from these files.
 #pragma once
 
 #include <string>

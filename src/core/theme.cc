@@ -27,10 +27,7 @@ Result<ThemeSet> DetectThemes(const Table& table,
                               const ThemeOptions& options) {
   // Candidate columns: everything except primary keys.
   std::vector<size_t> columns;
-  std::vector<size_t> keys;
-  if (options.exclude_primary_keys) {
-    keys = monet::DetectPrimaryKeyColumns(table);
-  }
+  const std::vector<size_t> keys = monet::DetectPrimaryKeyColumns(table);
   for (size_t c = 0; c < table.num_columns(); ++c) {
     if (std::find(keys.begin(), keys.end(), c) == keys.end()) {
       columns.push_back(c);
@@ -69,8 +66,7 @@ Result<ThemeSet> DetectThemes(const Table& table,
         dist.Set(i, j, 1.0 - dep[i][j]);
       }
     }
-    cluster::KSelectOptions ks;
-    ks.k_min = std::max<size_t>(2, options.min_themes);
+    cluster::KSelectOptions ks;  // k_min = 2
     ks.k_max = std::min(options.max_themes, m - 1);
     BLAEU_ASSIGN_OR_RETURN(cluster::KSelectResult result,
                            cluster::SelectKWithPam(dist, ks));

@@ -1,6 +1,8 @@
 // Vertical clustering (paper §3, "Creating Themes"): build the dependency
 // graph over columns, then partition it with PAM into themes — "groups of
 // mutually dependent columns" that each highlight one aspect of the data.
+// Primary-key columns are always excluded, and the number of themes is
+// swept by silhouette from 2 up to ThemeOptions::max_themes.
 #pragma once
 
 #include <string>
@@ -27,11 +29,9 @@ struct Theme {
 /// Theme-detection options.
 struct ThemeOptions {
   stats::DependencyOptions dependency;
-  /// Range of theme counts swept with the silhouette criterion.
-  size_t min_themes = 2;
+  /// Upper end of the theme counts swept with the silhouette criterion
+  /// (from 2).
   size_t max_themes = 12;
-  /// Columns excluded up front (e.g. primary keys).
-  bool exclude_primary_keys = true;
 };
 
 /// \brief Theme detection output.
@@ -45,9 +45,10 @@ struct ThemeSet {
   size_t size() const { return themes.size(); }
 };
 
-/// Detects themes on `table`: dependency matrix -> graph -> PAM over the
-/// graph distances (1 - dependency), with the number of themes chosen by
-/// silhouette. Tables with fewer than 3 usable columns yield one theme.
+/// Detects themes on the non-key columns of `table`: dependency matrix ->
+/// graph -> PAM over the graph distances (1 - dependency), with the number
+/// of themes chosen by silhouette. Tables with fewer than 3 usable columns
+/// yield one theme.
 Result<ThemeSet> DetectThemes(const monet::Table& table,
                               const ThemeOptions& options = {});
 

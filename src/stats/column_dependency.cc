@@ -1,7 +1,5 @@
 #include "stats/column_dependency.h"
 
-#include <unordered_map>
-
 #include "monet/sampling.h"
 #include "stats/discretize.h"
 #include "stats/entropy.h"
@@ -68,53 +66,11 @@ std::vector<int> EncodeColumnDiscrete(const Column& col,
 
 namespace {
 
-bool BothNumeric(const Table& table, size_t a, size_t b) {
-  return monet::IsNumeric(table.schema().field(a).type) &&
-         monet::IsNumeric(table.schema().field(b).type);
-}
-
-double AbsCorrelation(const Table& table, size_t col_a, size_t col_b,
-                      const std::vector<uint32_t>& rows, bool spearman) {
-  const Column& a = *table.column(col_a);
-  const Column& b = *table.column(col_b);
-  std::vector<double> xs, ys;
-  xs.reserve(rows.size());
-  ys.reserve(rows.size());
-  for (uint32_t r : rows) {
-    if (a.IsNull(r) || b.IsNull(r)) continue;  // pairwise deletion
-    xs.push_back(a.GetNumeric(r));
-    ys.push_back(b.GetNumeric(r));
-  }
-  double c = spearman ? SpearmanCorrelation(xs, ys)
-                      : PearsonCorrelation(xs, ys);
-  return c < 0 ? -c : c;
-}
+/// Equal-frequency bins per numeric column. Few bins keep the estimator's
+/// variance low on sampled rows (its bias is Miller-Madow corrected).
+constexpr size_t kNumBins = 5;
 
 }  // namespace
-
-double ColumnDependency(const Table& table, size_t col_a, size_t col_b,
-                        const std::vector<uint32_t>& rows,
-                        const DependencyOptions& options) {
-  switch (options.measure) {
-    case DependencyMeasure::kAbsPearson:
-      if (BothNumeric(table, col_a, col_b)) {
-        return AbsCorrelation(table, col_a, col_b, rows, /*spearman=*/false);
-      }
-      break;  // fall through to NMI for mixed pairs
-    case DependencyMeasure::kAbsSpearman:
-      if (BothNumeric(table, col_a, col_b)) {
-        return AbsCorrelation(table, col_a, col_b, rows, /*spearman=*/true);
-      }
-      break;
-    case DependencyMeasure::kMutualInformation:
-      break;
-  }
-  std::vector<int> xs =
-      EncodeColumnDiscrete(*table.column(col_a), rows, options.num_bins);
-  std::vector<int> ys =
-      EncodeColumnDiscrete(*table.column(col_b), rows, options.num_bins);
-  return NormalizedMutualInformationMM(xs, ys);
-}
 
 Result<std::vector<std::vector<double>>> DependencyMatrix(
     const Table& table, const DependencyOptions& options) {
@@ -133,26 +89,18 @@ Result<std::vector<std::vector<double>>> DependencyMatrix(
   }
   if (rows.empty()) return Status::Invalid("empty table");
 
-  // Pre-encode every column once for the MI path (each pair reuses them).
+  // Encode every column once; each pair reuses the codes.
   std::vector<std::vector<int>> encoded(m);
-  if (options.measure == DependencyMeasure::kMutualInformation) {
-    for (size_t i = 0; i < m; ++i) {
-      encoded[i] =
-          EncodeColumnDiscrete(*table.column(i), rows, options.num_bins);
-    }
+  for (size_t i = 0; i < m; ++i) {
+    encoded[i] = EncodeColumnDiscrete(*table.column(i), rows, kNumBins);
   }
 
   std::vector<std::vector<double>> dep(m, std::vector<double>(m, 0.0));
   for (size_t i = 0; i < m; ++i) {
     dep[i][i] = 1.0;
     for (size_t j = i + 1; j < m; ++j) {
-      double d;
-      if (options.measure == DependencyMeasure::kMutualInformation) {
-        d = NormalizedMutualInformationMM(encoded[i], encoded[j]);
-      } else {
-        d = ColumnDependency(table, i, j, rows, options);
-      }
-      dep[i][j] = dep[j][i] = d;
+      dep[i][j] = dep[j][i] =
+          NormalizedMutualInformationMM(encoded[i], encoded[j]);
     }
   }
   return dep;

@@ -1,5 +1,9 @@
 // Statistical dependency between table columns of any type: the edge
-// weights of Blaeu's dependency graph (Figure 2).
+// weights of Blaeu's dependency graph (Figure 2). The measure is normalized
+// Miller-Madow mutual information, the paper's choice because "it copes
+// with mixed values and it is sensitive to non-linear relationships" (§3):
+// numeric columns are binned into 5 equal-frequency bins, categorical ones
+// are coded by value.
 #pragma once
 
 #include <vector>
@@ -11,20 +15,8 @@
 
 namespace blaeu::stats {
 
-/// How to measure column dependency.
-enum class DependencyMeasure {
-  kMutualInformation,  ///< paper's choice: mixed types, non-linear
-  kAbsPearson,         ///< |Pearson correlation| (ablation baseline)
-  kAbsSpearman,        ///< |Spearman correlation| (ablation baseline)
-};
-
 /// Options for dependency estimation.
 struct DependencyOptions {
-  DependencyMeasure measure = DependencyMeasure::kMutualInformation;
-  /// Bins used to discretize numeric columns for MI. Few bins keep the
-  /// estimator's variance low on sampled rows (bias is Miller-Madow
-  /// corrected).
-  size_t num_bins = 5;
   /// Rows sampled for estimation (0 = use all rows).
   size_t sample_rows = 4000;
   uint64_t seed = 42;
@@ -32,22 +24,16 @@ struct DependencyOptions {
 
 /// Discrete encoding of one column over the given rows: numeric columns are
 /// equal-frequency binned, categorical values are dictionary-coded, NULLs
-/// get their own code. Used by MI and by the CART categorical handling.
+/// get their own code (-1).
 std::vector<int> EncodeColumnDiscrete(const monet::Column& col,
                                       const std::vector<uint32_t>& rows,
                                       size_t num_bins);
 
-/// Dependency in [0, 1] between two columns of `table` on `rows`:
-/// normalized Miller-Madow MI, or |correlation| for the ablation measures (correlation
-/// measures require both columns numeric and fall back to NMI otherwise).
-double ColumnDependency(const monet::Table& table, size_t col_a, size_t col_b,
-                        const std::vector<uint32_t>& rows,
-                        const DependencyOptions& options);
-
 /// \brief Symmetric dependency matrix over the (optionally sampled) table.
 ///
-/// Entry (i, j) is the pairwise dependency of columns i and j; the diagonal
-/// is 1. Column sampling happens once, shared by all pairs.
+/// Entry (i, j) is the normalized Miller-Madow MI of columns i and j, in
+/// [0, 1]; the diagonal is 1. Row sampling and each column's encoding
+/// happen once, shared by all pairs.
 Result<std::vector<std::vector<double>>> DependencyMatrix(
     const monet::Table& table, const DependencyOptions& options = {});
 

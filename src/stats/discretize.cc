@@ -5,20 +5,6 @@
 
 namespace blaeu::stats {
 
-Discretizer Discretizer::EqualWidth(const std::vector<double>& values,
-                                    size_t num_bins) {
-  Discretizer d;
-  if (values.empty() || num_bins <= 1) return d;
-  auto [mn_it, mx_it] = std::minmax_element(values.begin(), values.end());
-  double mn = *mn_it, mx = *mx_it;
-  if (mn == mx) return d;  // single bin
-  double width = (mx - mn) / static_cast<double>(num_bins);
-  for (size_t i = 1; i < num_bins; ++i) {
-    d.cuts_.push_back(mn + width * static_cast<double>(i));
-  }
-  return d;
-}
-
 Discretizer Discretizer::EqualFrequency(const std::vector<double>& values,
                                         size_t num_bins) {
   Discretizer d;
@@ -42,13 +28,6 @@ int Discretizer::Bin(double v) const {
   // First cut strictly greater than v gives the bin.
   auto it = std::lower_bound(cuts_.begin(), cuts_.end(), v);
   return static_cast<int>(it - cuts_.begin());
-}
-
-std::vector<int> Discretizer::BinAll(const std::vector<double>& values) const {
-  std::vector<int> out;
-  out.reserve(values.size());
-  for (double v : values) out.push_back(Bin(v));
-  return out;
 }
 
 }  // namespace blaeu::stats

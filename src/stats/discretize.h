@@ -11,12 +11,6 @@ namespace blaeu::stats {
 /// \brief Maps doubles to integer bin ids.
 class Discretizer {
  public:
-  /// Equal-width bins spanning [min, max] of the observed values. Values
-  /// outside the fitted range clamp to the first/last bin. Degenerate input
-  /// (all equal) yields a single bin.
-  static Discretizer EqualWidth(const std::vector<double>& values,
-                                size_t num_bins);
-
   /// Equal-frequency (quantile) bins: each bin receives roughly the same
   /// number of training values. Duplicate cut points are merged, so the
   /// realized bin count can be lower than requested.
@@ -25,9 +19,6 @@ class Discretizer {
 
   /// Bin id for one value, in [0, num_bins()).
   int Bin(double v) const;
-
-  /// Bin ids for a batch.
-  std::vector<int> BinAll(const std::vector<double>& values) const;
 
   /// Realized number of bins (>= 1).
   size_t num_bins() const { return cuts_.size() + 1; }

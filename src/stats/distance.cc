@@ -1,6 +1,5 @@
 #include "stats/distance.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -21,62 +20,6 @@ double EuclideanDistance(const double* a, const double* b, size_t dims) {
   return std::sqrt(SquaredEuclideanDistance(a, b, dims));
 }
 
-double ManhattanDistance(const double* a, const double* b, size_t dims) {
-  double sum = 0.0;
-  for (size_t i = 0; i < dims; ++i) {
-    sum += std::fabs(a[i] - b[i]);
-  }
-  return sum;
-}
-
-GowerDistance::GowerDistance(std::vector<bool> is_categorical,
-                             std::vector<double> ranges)
-    : is_categorical_(std::move(is_categorical)), ranges_(std::move(ranges)) {
-  assert(is_categorical_.size() == ranges_.size());
-}
-
-GowerDistance GowerDistance::Fit(const Matrix& data,
-                                 std::vector<bool> is_categorical) {
-  const size_t dims = data.cols();
-  assert(is_categorical.size() == dims);
-  std::vector<double> ranges(dims, 0.0);
-  for (size_t f = 0; f < dims; ++f) {
-    if (is_categorical[f]) continue;
-    bool first = true;
-    double mn = 0, mx = 0;
-    for (size_t r = 0; r < data.rows(); ++r) {
-      double v = data.At(r, f);
-      if (std::isnan(v)) continue;
-      if (first) {
-        mn = mx = v;
-        first = false;
-      } else {
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-    }
-    ranges[f] = mx - mn;
-  }
-  return GowerDistance(std::move(is_categorical), std::move(ranges));
-}
-
-double GowerDistance::operator()(const double* a, const double* b) const {
-  double sum = 0.0;
-  size_t compared = 0;
-  for (size_t f = 0; f < is_categorical_.size(); ++f) {
-    double x = a[f], y = b[f];
-    if (std::isnan(x) || std::isnan(y)) continue;
-    ++compared;
-    if (is_categorical_[f]) {
-      sum += (x != y) ? 1.0 : 0.0;
-    } else if (ranges_[f] > 0.0) {
-      sum += std::fabs(x - y) / ranges_[f];
-    }
-  }
-  if (compared == 0) return 1.0;
-  return sum / static_cast<double>(compared);
-}
-
 DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data) {
   const size_t n = data.rows();
   DistanceMatrix out(n);
@@ -88,20 +31,6 @@ DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data) {
         out.Set(i, j,
                 EuclideanDistance(data.RowPtr(i), data.RowPtr(j),
                                   data.cols()));
-      }
-    }
-  });
-  return out;
-}
-
-DistanceMatrix DistanceMatrix::Gower(const Matrix& data,
-                                     const GowerDistance& gower) {
-  const size_t n = data.rows();
-  DistanceMatrix out(n);
-  ParallelFor(0, n, 16, [&](size_t row_lo, size_t row_hi) {
-    for (size_t i = row_lo; i < row_hi; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        out.Set(i, j, gower(data.RowPtr(i), data.RowPtr(j)));
       }
     }
   });

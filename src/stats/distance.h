@@ -16,44 +16,11 @@ double EuclideanDistance(const double* a, const double* b, size_t dims);
 double SquaredEuclideanDistance(const double* a, const double* b,
                                 size_t dims);
 
-/// Manhattan (L1) distance.
-double ManhattanDistance(const double* a, const double* b, size_t dims);
-
-/// \brief Gower dissimilarity for mixed data with missing values.
-///
-/// Feature f contributes |a_f - b_f| / range_f for numeric features and
-/// 0/1 mismatch for categorical ones; features where either side is missing
-/// (encoded as NaN) are skipped and the sum is averaged over the features
-/// actually compared. Result in [0, 1]; rows with no comparable feature get
-/// distance 1.
-class GowerDistance {
- public:
-  /// \param is_categorical  per-feature flag
-  /// \param ranges          per-feature range (numeric features; ignored for
-  ///                        categorical). Zero ranges contribute 0.
-  GowerDistance(std::vector<bool> is_categorical, std::vector<double> ranges);
-
-  /// Fits ranges from the data (NaN-aware) with the given categorical mask.
-  static GowerDistance Fit(const Matrix& data,
-                           std::vector<bool> is_categorical);
-
-  double operator()(const double* a, const double* b) const;
-
-  size_t dims() const { return is_categorical_.size(); }
-
- private:
-  std::vector<bool> is_categorical_;
-  std::vector<double> ranges_;
-};
-
 /// \brief Condensed symmetric distance matrix (upper triangle, no diagonal).
 class DistanceMatrix {
  public:
   /// Pairwise Euclidean distances between rows of `data`.
   static DistanceMatrix Euclidean(const Matrix& data);
-
-  /// Pairwise Gower distances with a fitted metric.
-  static DistanceMatrix Gower(const Matrix& data, const GowerDistance& gower);
 
   explicit DistanceMatrix(size_t n) : n_(n), d_(n * (n - 1) / 2, 0.0) {}
 

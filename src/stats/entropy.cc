@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <unordered_map>
 
 namespace blaeu::stats {
@@ -92,52 +91,6 @@ double NormalizedMutualInformationMM(const std::vector<int>& xs,
   if (hx <= 0.0 || hy <= 0.0) return 0.0;
   double nmi = MutualInformationMM(xs, ys) / std::sqrt(hx * hy);
   return std::clamp(nmi, 0.0, 1.0);
-}
-
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys) {
-  assert(xs.size() == ys.size());
-  const size_t n = xs.size();
-  if (n < 2) return 0.0;
-  double mean_x = std::accumulate(xs.begin(), xs.end(), 0.0) / n;
-  double mean_y = std::accumulate(ys.begin(), ys.end(), 0.0) / n;
-  double cov = 0, var_x = 0, var_y = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double dx = xs[i] - mean_x;
-    double dy = ys[i] - mean_y;
-    cov += dx * dy;
-    var_x += dx * dx;
-    var_y += dy * dy;
-  }
-  if (var_x <= 0.0 || var_y <= 0.0) return 0.0;
-  return cov / std::sqrt(var_x * var_y);
-}
-
-namespace {
-
-std::vector<double> AverageRanks(const std::vector<double>& xs) {
-  const size_t n = xs.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0;
-    for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-}  // namespace
-
-double SpearmanCorrelation(const std::vector<double>& xs,
-                           const std::vector<double>& ys) {
-  return PearsonCorrelation(AverageRanks(xs), AverageRanks(ys));
 }
 
 }  // namespace blaeu::stats

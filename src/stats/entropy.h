@@ -36,13 +36,4 @@ double MutualInformationMM(const std::vector<int>& xs,
 double NormalizedMutualInformationMM(const std::vector<int>& xs,
                                      const std::vector<int>& ys);
 
-/// Pearson correlation of two equal-length numeric sequences; 0 for
-/// degenerate (constant) inputs. Provided as the ablation alternative to MI.
-double PearsonCorrelation(const std::vector<double>& xs,
-                          const std::vector<double>& ys);
-
-/// Spearman rank correlation (Pearson on average ranks).
-double SpearmanCorrelation(const std::vector<double>& xs,
-                           const std::vector<double>& ys);
-
 }  // namespace blaeu::stats

@@ -49,32 +49,4 @@ double ClusteringNMI(const std::vector<int>& a, const std::vector<int>& b) {
   return NormalizedMutualInformation(a, b);
 }
 
-double Purity(const std::vector<int>& predicted,
-              const std::vector<int>& truth) {
-  assert(predicted.size() == truth.size());
-  if (predicted.empty()) return 0.0;
-  std::unordered_map<int, std::unordered_map<int, size_t>> votes;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    ++votes[predicted[i]][truth[i]];
-  }
-  size_t correct = 0;
-  for (const auto& [cluster, counts] : votes) {
-    size_t best = 0;
-    for (const auto& [_, c] : counts) best = std::max(best, c);
-    correct += best;
-  }
-  return static_cast<double>(correct) / static_cast<double>(predicted.size());
-}
-
-double Accuracy(const std::vector<int>& predicted,
-                const std::vector<int>& truth) {
-  assert(predicted.size() == truth.size());
-  if (predicted.empty()) return 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    if (predicted[i] == truth[i]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(predicted.size());
-}
-
 }  // namespace blaeu::stats

@@ -16,14 +16,4 @@ double AdjustedRandIndex(const std::vector<int>& a, const std::vector<int>& b);
 /// (sqrt normalization).
 double ClusteringNMI(const std::vector<int>& a, const std::vector<int>& b);
 
-/// Purity of `predicted` against `truth`: each predicted cluster votes for
-/// its majority true class; fraction of points covered by the votes.
-double Purity(const std::vector<int>& predicted,
-              const std::vector<int>& truth);
-
-/// Classification accuracy: fraction of exact label matches. Use only when
-/// the two labelings share an alphabet (e.g. CART fidelity to PAM labels).
-double Accuracy(const std::vector<int>& predicted,
-                const std::vector<int>& truth);
-
 }  // namespace blaeu::stats

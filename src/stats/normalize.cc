@@ -1,6 +1,5 @@
 #include "stats/normalize.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -16,13 +15,6 @@ Normalizer Normalizer::ZScore(const std::vector<double>& values) {
   double stddev = var > 0 ? std::sqrt(var) : 0.0;
   if (stddev == 0.0) return Normalizer(mean, 1.0);
   return Normalizer(mean, 1.0 / stddev);
-}
-
-Normalizer Normalizer::MinMax(const std::vector<double>& values) {
-  if (values.empty()) return Normalizer(0.0, 1.0);
-  auto [mn, mx] = std::minmax_element(values.begin(), values.end());
-  if (*mx == *mn) return Normalizer(*mn, 1.0);
-  return Normalizer(*mn, 1.0 / (*mx - *mn));
 }
 
 }  // namespace blaeu::stats

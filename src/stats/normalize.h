@@ -12,20 +12,7 @@ class Normalizer {
   /// z-score: (x - mean) / stddev; identity when stddev == 0.
   static Normalizer ZScore(const std::vector<double>& values);
 
-  /// min-max to [0, 1]; identity when max == min.
-  static Normalizer MinMax(const std::vector<double>& values);
-
   double Apply(double v) const { return (v - shift_) * scale_; }
-
-  /// Inverse transform (Apply^-1).
-  double Invert(double v) const { return v / scale_ + shift_; }
-
-  void ApplyAll(std::vector<double>* values) const {
-    for (double& v : *values) v = Apply(v);
-  }
-
-  double shift() const { return shift_; }
-  double scale() const { return scale_; }
 
  private:
   Normalizer(double shift, double scale) : shift_(shift), scale_(scale) {}

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/parallel.h"
-#include "common/string_util.h"
 
 namespace blaeu::tree {
 
@@ -23,19 +19,18 @@ namespace {
 /// the per-column work is too small to amortize a pool dispatch.
 constexpr size_t kParallelSplitMinRows = 256;
 
-double Impurity(const std::vector<size_t>& counts, size_t total,
-                SplitCriterion criterion) {
+/// A split must reduce weighted impurity by more than this.
+constexpr double kMinImpurityDecrease = 1e-7;
+
+/// Gini impurity of a class histogram.
+double Impurity(const std::vector<size_t>& counts, size_t total) {
   if (total == 0) return 0.0;
   const double dt = static_cast<double>(total);
-  double v = criterion == SplitCriterion::kGini ? 1.0 : 0.0;
+  double v = 1.0;
   for (size_t c : counts) {
     if (c == 0) continue;
     double p = static_cast<double>(c) / dt;
-    if (criterion == SplitCriterion::kGini) {
-      v -= p * p;
-    } else {
-      v -= p * std::log(p);
-    }
+    v -= p * p;
   }
   return v;
 }
@@ -135,8 +130,7 @@ void BestNumericSplit(const TrainContext& ctx,
           right_n >= ctx.options.min_samples_leaf) {
         double wl = static_cast<double>(left_n) / static_cast<double>(total);
         double wr = static_cast<double>(right_n) / static_cast<double>(total);
-        double child = wl * Impurity(lc, left_n, ctx.options.criterion) +
-                       wr * Impurity(rc, right_n, ctx.options.criterion);
+        double child = wl * Impurity(lc, left_n) + wr * Impurity(rc, right_n);
         double decrease = parent_impurity - child;
         if (decrease > best->impurity_decrease) {
           best->found = true;
@@ -241,8 +235,7 @@ void BestCategoricalSplit(const TrainContext& ctx,
     }
     double wl = static_cast<double>(left_n) / static_cast<double>(total);
     double wr = static_cast<double>(right_n) / static_cast<double>(total);
-    double child = wl * Impurity(lc, left_n, ctx.options.criterion) +
-                   wr * Impurity(rc, right_n, ctx.options.criterion);
+    double child = wl * Impurity(lc, left_n) + wr * Impurity(rc, right_n);
     return std::make_pair(parent_impurity - child, null_left);
   };
 
@@ -321,19 +314,14 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   auto node = std::make_unique<CartNode>();
   std::vector<size_t> counts = CountClasses(ctx, idx);
   node->count = idx.size();
-  node->class_fractions.resize(ctx.num_classes, 0.0);
   size_t best_count = 0;
   for (size_t c = 0; c < ctx.num_classes; ++c) {
-    node->class_fractions[c] =
-        idx.empty() ? 0.0
-                    : static_cast<double>(counts[c]) /
-                          static_cast<double>(idx.size());
     if (counts[c] > best_count) {
       best_count = counts[c];
       node->label = static_cast<int>(c);
     }
   }
-  double parent_impurity = Impurity(counts, idx.size(), ctx.options.criterion);
+  double parent_impurity = Impurity(counts, idx.size());
   bool pure = best_count == idx.size();
   if (depth >= ctx.options.max_depth || pure ||
       idx.size() < ctx.options.min_samples_split) {
@@ -341,7 +329,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   }
 
   SplitSpec best;
-  best.impurity_decrease = ctx.options.min_impurity_decrease;
+  best.impurity_decrease = kMinImpurityDecrease;
   const size_t num_columns = ctx.table->num_columns();
   auto search_column = [&](size_t col, SplitSpec* spec) {
     DataType type = ctx.table->schema().field(col).type;
@@ -362,7 +350,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
         0, num_columns, 1,
         [&](size_t col_lo, size_t col_hi) {
           for (size_t c = col_lo; c < col_hi; ++c) {
-            specs[c].impurity_decrease = ctx.options.min_impurity_decrease;
+            specs[c].impurity_decrease = kMinImpurityDecrease;
             search_column(c, &specs[c]);
           }
         },
@@ -386,8 +374,6 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   node->threshold = best.threshold;
   node->categories = best.categories;
   node->null_goes_left = best.null_goes_left;
-  node->impurity_decrease =
-      best.impurity_decrease * static_cast<double>(idx.size());
 
   const Column& col = *ctx.table->column(best.column);
   std::vector<size_t> left_idx, right_idx;
@@ -407,54 +393,6 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   node->left = Grow(ctx, rows, left_idx, depth + 1);
   node->right = Grow(ctx, rows, right_idx, depth + 1);
   return node;
-}
-
-/// Training misclassifications in the subtree rooted at `node` (leaves
-/// predict their majority class).
-size_t SubtreeError(const CartNode& node) {
-  if (node.is_leaf) {
-    size_t majority = node.label < static_cast<int>(node.class_fractions.size())
-                          ? static_cast<size_t>(
-                                node.class_fractions[node.label] *
-                                    static_cast<double>(node.count) +
-                                0.5)
-                          : 0;
-    return node.count - majority;
-  }
-  return SubtreeError(*node.left) + SubtreeError(*node.right);
-}
-
-size_t SubtreeLeaves(const CartNode& node) {
-  if (node.is_leaf) return 1;
-  return SubtreeLeaves(*node.left) + SubtreeLeaves(*node.right);
-}
-
-/// One weakest-link pass: collapses every internal node whose effective
-/// alpha — (error(node-as-leaf) - error(subtree)) / (leaves - 1), as a
-/// fraction of the training size — is <= ccp_alpha. Returns true if
-/// anything was pruned.
-bool PrunePass(CartNode* node, double ccp_alpha, size_t total_rows) {
-  if (node->is_leaf) return false;
-  bool changed = PrunePass(node->left.get(), ccp_alpha, total_rows);
-  changed |= PrunePass(node->right.get(), ccp_alpha, total_rows);
-  size_t leaves = SubtreeLeaves(*node);
-  if (leaves < 2) return changed;
-  size_t majority = static_cast<size_t>(
-      node->class_fractions[node->label] * static_cast<double>(node->count) +
-      0.5);
-  double leaf_error = static_cast<double>(node->count - majority);
-  double subtree_error = static_cast<double>(SubtreeError(*node));
-  double alpha_eff = (leaf_error - subtree_error) /
-                     (static_cast<double>(leaves - 1) *
-                      static_cast<double>(total_rows));
-  if (alpha_eff <= ccp_alpha) {
-    node->is_leaf = true;
-    node->left.reset();
-    node->right.reset();
-    node->categories.clear();
-    return true;
-  }
-  return changed;
 }
 
 }  // namespace
@@ -481,12 +419,6 @@ Result<CartModel> CartModel::Train(const Table& table,
   std::vector<size_t> idx(rows.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   std::unique_ptr<CartNode> root = Grow(ctx, rows, idx, 0);
-  if (options.ccp_alpha > 0.0) {
-    // Weakest-link pruning to a fixed alpha; iterate until stable since
-    // collapsing children can make the parent prunable.
-    while (PrunePass(root.get(), options.ccp_alpha, rows.size())) {
-    }
-  }
 
   std::vector<std::string> names;
   names.reserve(table.num_columns());
@@ -503,14 +435,6 @@ int CartModel::Predict(const Table& table, size_t row) const {
                : node->right.get();
   }
   return node->label;
-}
-
-std::vector<int> CartModel::PredictAll(
-    const Table& table, const std::vector<uint32_t>& rows) const {
-  std::vector<int> out;
-  out.reserve(rows.size());
-  for (uint32_t r : rows) out.push_back(Predict(table, r));
-  return out;
 }
 
 double CartModel::Fidelity(const Table& table,
@@ -537,49 +461,7 @@ size_t LeavesOf(const CartNode& node) {
   return LeavesOf(*node.left) + LeavesOf(*node.right);
 }
 
-void Render(const CartNode& node, const std::vector<std::string>& names,
-            size_t indent, std::ostringstream* out) {
-  std::string pad(indent * 2, ' ');
-  if (node.is_leaf) {
-    *out << pad << "-> class " << node.label << " (" << node.count
-         << " rows)\n";
-    return;
-  }
-  std::string test;
-  if (node.categorical_split) {
-    test = names[node.column] + " in {" + Join(node.categories, ", ") + "}";
-  } else {
-    test = names[node.column] + " <= " + FormatDouble(node.threshold, 4);
-  }
-  *out << pad << "if " << test << ":\n";
-  Render(*node.left, names, indent + 1, out);
-  *out << pad << "else:\n";
-  Render(*node.right, names, indent + 1, out);
-}
-
 }  // namespace
-
-namespace {
-
-void AccumulateImportance(const CartNode& node, std::vector<double>* out) {
-  if (node.is_leaf) return;
-  (*out)[node.column] += node.impurity_decrease;
-  AccumulateImportance(*node.left, out);
-  AccumulateImportance(*node.right, out);
-}
-
-}  // namespace
-
-std::vector<double> CartModel::FeatureImportances() const {
-  std::vector<double> out(column_names_.size(), 0.0);
-  AccumulateImportance(*root_, &out);
-  double total = 0.0;
-  for (double v : out) total += v;
-  if (total > 0) {
-    for (double& v : out) v /= total;
-  }
-  return out;
-}
 
 size_t CartModel::Depth() const { return DepthOf(*root_); }
 size_t CartModel::NumLeaves() const { return LeavesOf(*root_); }
@@ -596,12 +478,6 @@ Condition CartModel::BranchCondition(const CartNode& node, bool branch) const {
   }
   return Condition::Compare(name, monet::CompareOp::kGt,
                             monet::Value::Double(node.threshold));
-}
-
-std::string CartModel::ToString() const {
-  std::ostringstream out;
-  Render(*root_, column_names_, 0, &out);
-  return out.str();
 }
 
 }  // namespace blaeu::tree

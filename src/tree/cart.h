@@ -2,7 +2,9 @@
 // Blaeu's map builder trains a CART model "on the original tuples from the
 // database, using the cluster IDs obtained previously as class labels"
 // (paper §3); the resulting axis-aligned splits are the interpretable
-// region descriptions shown on the map.
+// region descriptions shown on the map. Splits minimize Gini impurity (a
+// split must lower it by more than 1e-7), and the grown tree is used as is,
+// without pruning: max_depth and the sample-count floors bound its size.
 #pragma once
 
 #include <memory>
@@ -15,9 +17,6 @@
 
 namespace blaeu::tree {
 
-/// Impurity criterion for split selection.
-enum class SplitCriterion { kGini, kEntropy };
-
 /// CART training options.
 struct CartOptions {
   size_t max_depth = 4;        ///< shallow trees keep maps readable
@@ -26,13 +25,6 @@ struct CartOptions {
   /// Candidate thresholds per numeric column (quantile-capped); 0 = all
   /// midpoints.
   size_t max_thresholds = 32;
-  /// A split must reduce weighted impurity by at least this much.
-  double min_impurity_decrease = 1e-7;
-  SplitCriterion criterion = SplitCriterion::kGini;
-  /// Cost-complexity pruning strength (CART's weakest-link pruning): after
-  /// growing, subtrees whose per-leaf training-error reduction is below
-  /// this alpha are collapsed. 0 disables pruning.
-  double ccp_alpha = 0.0;
   /// Thread budget for the per-column split search at large nodes
   /// (common/parallel.h: 0 = process default, 1 = serial). The trained tree
   /// is identical at any value.
@@ -46,9 +38,8 @@ struct CartOptions {
 /// `categories`. NULLs follow `null_goes_left`.
 struct CartNode {
   // Leaf payload (valid for all nodes; internal nodes use it as fallback).
-  int label = 0;                        ///< majority class
-  size_t count = 0;                     ///< training rows reaching the node
-  std::vector<double> class_fractions;  ///< per-class share at the node
+  int label = 0;     ///< majority class
+  size_t count = 0;  ///< training rows reaching the node
 
   // Split payload (internal nodes only).
   bool is_leaf = true;
@@ -57,9 +48,6 @@ struct CartNode {
   double threshold = 0.0;
   std::vector<std::string> categories;  ///< left-branch category set
   bool null_goes_left = false;
-  /// Weighted impurity decrease achieved by this node's split (internal
-  /// nodes only); feeds feature importances.
-  double impurity_decrease = 0.0;
   std::unique_ptr<CartNode> left;
   std::unique_ptr<CartNode> right;
 };
@@ -77,10 +65,6 @@ class CartModel {
   /// Predicted class of one row of a table with the training schema.
   int Predict(const monet::Table& table, size_t row) const;
 
-  /// Predicted classes of all `rows`.
-  std::vector<int> PredictAll(const monet::Table& table,
-                              const std::vector<uint32_t>& rows) const;
-
   /// Fraction of `rows` whose prediction matches `labels` — the fidelity of
   /// the tree description to the clustering it approximates (experiment C5).
   double Fidelity(const monet::Table& table,
@@ -95,14 +79,6 @@ class CartModel {
   /// The predicate of the edge from `node` to its left (branch=true) or
   /// right (branch=false) child, as a SQL-able condition.
   monet::Condition BranchCondition(const CartNode& node, bool branch) const;
-
-  /// Impurity-decrease feature importances, one per training column,
-  /// normalized to sum 1 (all zeros for a single-leaf tree). The columns
-  /// driving the map's splits — what the map "is about".
-  std::vector<double> FeatureImportances() const;
-
-  /// Indented text rendering of the tree.
-  std::string ToString() const;
 
  private:
   CartModel(std::unique_ptr<CartNode> root, std::vector<std::string> columns,

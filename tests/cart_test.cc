@@ -150,15 +150,6 @@ TEST(CartTest, NullsRoutedConsistently) {
   EXPECT_EQ(p, model.Predict(*t, 6));
 }
 
-TEST(CartTest, ClassFractionsSumToOne) {
-  std::vector<int> labels;
-  TablePtr t = ThresholdTable(150, &labels);
-  auto model = *CartModel::Train(*t, AllRows(150), labels);
-  double sum = 0;
-  for (double f : model.root().class_fractions) sum += f;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
 TEST(CartTest, BranchConditionsMatchSplit) {
   std::vector<int> labels;
   TablePtr t = ThresholdTable(200, &labels);
@@ -177,66 +168,6 @@ TEST(CartTest, BranchConditionsMatchSplit) {
   }
 }
 
-TEST(CartTest, EntropyCriterionAlsoWorks) {
-  std::vector<int> labels;
-  TablePtr t = ThresholdTable(200, &labels);
-  CartOptions opt;
-  opt.criterion = SplitCriterion::kEntropy;
-  opt.max_thresholds = 0;
-  auto model = *CartModel::Train(*t, AllRows(200), labels, opt);
-  EXPECT_DOUBLE_EQ(model.Fidelity(*t, AllRows(200), labels), 1.0);
-}
-
-TEST(CartTest, CcpPruningCollapsesNoiseSplits) {
-  // Labels are mostly class 0 with 15% noise: an unpruned deep tree chases
-  // the noise, a pruned one collapses to few leaves at similar fidelity.
-  TableBuilder b(Schema({{"x", DataType::kDouble}}));
-  std::vector<int> labels;
-  Rng rng(9);
-  for (size_t i = 0; i < 400; ++i) {
-    double x = rng.NextUniform(0, 20);
-    ASSERT_TRUE(b.AppendRow({Value::Double(x)}).ok());
-    int label = x > 10 ? 1 : 0;
-    if (rng.NextBernoulli(0.15)) label = 1 - label;
-    labels.push_back(label);
-  }
-  TablePtr t = *b.Finish();
-  CartOptions deep;
-  deep.max_depth = 8;
-  deep.min_samples_leaf = 2;
-  deep.min_samples_split = 4;
-  auto unpruned = *CartModel::Train(*t, AllRows(400), labels, deep);
-  CartOptions pruned_opt = deep;
-  pruned_opt.ccp_alpha = 0.01;
-  auto pruned = *CartModel::Train(*t, AllRows(400), labels, pruned_opt);
-  EXPECT_LT(pruned.NumLeaves(), unpruned.NumLeaves());
-  EXPECT_GE(pruned.NumLeaves(), 2u);  // the real split survives
-  // Pruning costs little training fidelity on this noise level.
-  EXPECT_GT(pruned.Fidelity(*t, AllRows(400), labels), 0.8);
-}
-
-TEST(CartTest, HugeAlphaPrunesToRoot) {
-  std::vector<int> labels;
-  TablePtr t = ThresholdTable(200, &labels);
-  CartOptions opt;
-  opt.ccp_alpha = 1.0;  // prune everything
-  auto model = *CartModel::Train(*t, AllRows(200), labels, opt);
-  EXPECT_TRUE(model.root().is_leaf);
-}
-
-TEST(CartTest, ZeroAlphaKeepsTreeIntact) {
-  std::vector<int> labels;
-  TablePtr t = ThresholdTable(200, &labels);
-  CartOptions base;
-  base.max_thresholds = 0;
-  auto a = *CartModel::Train(*t, AllRows(200), labels, base);
-  CartOptions with_zero = base;
-  with_zero.ccp_alpha = 0.0;
-  auto b2 = *CartModel::Train(*t, AllRows(200), labels, with_zero);
-  EXPECT_EQ(a.NumLeaves(), b2.NumLeaves());
-  EXPECT_EQ(a.Depth(), b2.Depth());
-}
-
 TEST(CartTest, InvalidInputsRejected) {
   std::vector<int> labels;
   TablePtr t = ThresholdTable(10, &labels);
@@ -244,46 +175,6 @@ TEST(CartTest, InvalidInputsRejected) {
   EXPECT_FALSE(CartModel::Train(*t, AllRows(10), {0, 1}).ok());
   std::vector<int> negative(10, -1);
   EXPECT_FALSE(CartModel::Train(*t, AllRows(10), negative).ok());
-}
-
-TEST(CartTest, FeatureImportancesIdentifySplitColumn) {
-  // Two columns, only x carries signal.
-  TableBuilder b(Schema({{"x", DataType::kDouble}, {"noise", DataType::kDouble}}));
-  std::vector<int> labels;
-  Rng rng(12);
-  for (size_t i = 0; i < 300; ++i) {
-    double x = rng.NextUniform(0, 10);
-    ASSERT_TRUE(b.AppendRow({Value::Double(x),
-                             Value::Double(rng.NextGaussian())})
-                    .ok());
-    labels.push_back(x > 5 ? 1 : 0);
-  }
-  TablePtr t = *b.Finish();
-  auto model = *CartModel::Train(*t, AllRows(300), labels);
-  std::vector<double> importance = model.FeatureImportances();
-  ASSERT_EQ(importance.size(), 2u);
-  EXPECT_GT(importance[0], 0.9);
-  EXPECT_NEAR(importance[0] + importance[1], 1.0, 1e-9);
-}
-
-TEST(CartTest, SingleLeafTreeHasZeroImportances) {
-  TableBuilder b(Schema({{"x", DataType::kDouble}}));
-  std::vector<int> labels(20, 0);
-  for (size_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(b.AppendRow({Value::Double(1.0)}).ok());
-  }
-  TablePtr t = *b.Finish();
-  auto model = *CartModel::Train(*t, AllRows(20), labels);
-  for (double v : model.FeatureImportances()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(CartTest, ToStringShowsSplits) {
-  std::vector<int> labels;
-  TablePtr t = ThresholdTable(200, &labels);
-  auto model = *CartModel::Train(*t, AllRows(200), labels);
-  std::string text = model.ToString();
-  EXPECT_NE(text.find("if x <="), std::string::npos);
-  EXPECT_NE(text.find("class"), std::string::npos);
 }
 
 }  // namespace

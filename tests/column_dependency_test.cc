@@ -35,6 +35,26 @@ TablePtr DependencyTable(size_t n, uint64_t seed) {
   return *b.Finish();
 }
 
+/// Pearson correlation of two equal-length sequences: the linear
+/// measure MI is compared against.
+double Pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
+  const double n = static_cast<double>(xs.size());
+  double mean_x = 0, mean_y = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    mean_x += xs[i];
+    mean_y += ys[i];
+  }
+  mean_x /= n;
+  mean_y /= n;
+  double cov = 0, var_x = 0, var_y = 0;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    cov += (xs[i] - mean_x) * (ys[i] - mean_y);
+    var_x += (xs[i] - mean_x) * (xs[i] - mean_x);
+    var_y += (ys[i] - mean_y) * (ys[i] - mean_y);
+  }
+  return cov / std::sqrt(var_x * var_y);
+}
+
 std::vector<uint32_t> AllRows(size_t n) {
   std::vector<uint32_t> rows(n);
   for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
@@ -63,38 +83,25 @@ TEST(EncodeTest, NullsGetOwnCode) {
 
 TEST(DependencyTest, NonlinearDependenceDetectedByMI) {
   auto t = DependencyTable(2000, 2);
-  DependencyOptions mi;
-  mi.sample_rows = 0;
-  double dep_xy = ColumnDependency(*t, 0, 1, AllRows(2000), mi);
-  double dep_xz = ColumnDependency(*t, 0, 2, AllRows(2000), mi);
-  EXPECT_GT(dep_xy, 0.5);   // y = x^2 strongly dependent
-  EXPECT_LT(dep_xz, 0.15);  // noise independent
+  DependencyOptions all_rows;
+  all_rows.sample_rows = 0;
+  auto dep = *DependencyMatrix(*t, all_rows);
+  EXPECT_GT(dep[0][1], 0.5);   // y = x^2 strongly dependent
+  EXPECT_LT(dep[0][2], 0.15);  // noise independent
+  EXPECT_GT(dep[0][3], 0.3);   // mixed types: cat tracks sign(x)
 }
 
 TEST(DependencyTest, PearsonMissesNonlinearMIFinds) {
   // The paper's reason for choosing MI: sensitivity to non-linear
   // relationships. y = x^2 on symmetric x has |Pearson| ~ 0.
   auto t = DependencyTable(2000, 3);
-  DependencyOptions pearson;
-  pearson.measure = DependencyMeasure::kAbsPearson;
-  pearson.sample_rows = 0;
-  DependencyOptions mi;
-  mi.sample_rows = 0;
-  double p = ColumnDependency(*t, 0, 1, AllRows(2000), pearson);
-  double m = ColumnDependency(*t, 0, 1, AllRows(2000), mi);
-  EXPECT_LT(p, 0.15);
-  EXPECT_GT(m, 0.5);
-}
-
-TEST(DependencyTest, MixedTypePairsUseMIEvenUnderCorrelationMeasure) {
-  auto t = DependencyTable(500, 4);
-  DependencyOptions pearson;
-  pearson.measure = DependencyMeasure::kAbsPearson;
-  pearson.sample_rows = 0;
-  // x vs cat: cat tracks sign(x), strong dependence; correlation is not
-  // defined for strings so the implementation falls back to NMI.
-  double dep = ColumnDependency(*t, 0, 3, AllRows(500), pearson);
-  EXPECT_GT(dep, 0.3);
+  EXPECT_LT(std::fabs(Pearson(t->column(0)->doubles(),
+                              t->column(1)->doubles())),
+            0.15);
+  DependencyOptions all_rows;
+  all_rows.sample_rows = 0;
+  auto dep = *DependencyMatrix(*t, all_rows);
+  EXPECT_GT(dep[0][1], 0.5);
 }
 
 TEST(DependencyMatrixTest, SymmetricUnitDiagonal) {

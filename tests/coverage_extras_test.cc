@@ -1,62 +1,18 @@
 // Cross-cutting coverage: option combinations the per-module suites don't
-// reach (alternative dependency measures in theme detection, Gower-encoded
-// sessions, CLARA with explicit sample sizes, importances surfaced through
-// maps).
+// reach (CLARA with explicit sample sizes, fixed k and Monte-Carlo scoring
+// in maps, the columns map splits name, small-sample sessions).
 #include <gtest/gtest.h>
 
 #include "cluster/clara.h"
 #include "core/map_builder.h"
 #include "core/navigation.h"
-#include "core/theme.h"
 #include "stats/distance.h"
 #include "stats/metrics.h"
-#include "tree/cart.h"
 #include "workloads/gaussian.h"
 #include "workloads/hollywood.h"
 
 namespace blaeu {
 namespace {
-
-TEST(ThemeMeasureTest, PearsonMeasureRecoversLinearThemes) {
-  auto data = workloads::MakeTwoThemeMixture(600, 4, 3, 3, 11);
-  core::ThemeOptions opt;
-  opt.dependency.measure = stats::DependencyMeasure::kAbsPearson;
-  auto themes = *core::DetectThemes(*data.table, opt);
-  EXPECT_EQ(themes.size(), 2u);
-  for (const core::Theme& t : themes.themes) {
-    std::set<char> prefixes;
-    for (const std::string& name : t.names) prefixes.insert(name[0]);
-    EXPECT_EQ(prefixes.size(), 1u);
-  }
-}
-
-TEST(ThemeMeasureTest, SpearmanMeasureWorksToo) {
-  auto data = workloads::MakeTwoThemeMixture(400, 3, 2, 2, 12);
-  core::ThemeOptions opt;
-  opt.dependency.measure = stats::DependencyMeasure::kAbsSpearman;
-  auto themes = *core::DetectThemes(*data.table, opt);
-  EXPECT_GE(themes.size(), 2u);
-}
-
-TEST(GowerSessionTest, EndToEndWithGowerEncoding) {
-  workloads::MixtureSpec spec;
-  spec.rows = 500;
-  spec.num_clusters = 3;
-  spec.dims = 4;
-  spec.with_categorical = true;
-  spec.null_rate = 0.15;  // plenty of missing values
-  auto data = workloads::MakeGaussianMixture(spec);
-  core::SessionOptions opt;
-  opt.map.sample_size = 500;
-  opt.map.preprocess.encoding = core::CategoricalEncoding::kGower;
-  auto session_or = core::Session::Start(data.table, "gower", opt);
-  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
-  core::Session s = std::move(session_or).ValueOrDie();
-  std::vector<int> leaves = s.current().map.LeafIds();
-  ASSERT_FALSE(leaves.empty());
-  ASSERT_TRUE(s.Zoom(leaves[0]).ok());
-  ASSERT_TRUE(s.Rollback().ok());
-}
 
 TEST(ClaraOptionsTest, ExplicitSampleSizeHonored) {
   workloads::MixtureSpec spec;
@@ -116,8 +72,7 @@ TEST(MapOptionsTest, MonteCarloThresholdSwitchesScoring) {
 }
 
 TEST(ImportanceTest, MapSplitsTrackImportantColumns) {
-  // Train the description tree directly and confirm the split columns of
-  // the resulting map carry the importance mass.
+  // The description tree splits only on the map's active columns.
   auto data = workloads::MakeHollywood();
   core::MapOptions opt;
   opt.sample_size = 900;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "core/map_builder.h"
@@ -133,32 +132,23 @@ TEST(DictionaryEquivalenceTest, PreprocessMatricesAreBitIdentical) {
   auto data = workloads::MakeHollywood({});  // categorical-heavy workload
   const Table& table = *data.table;
   SelectionVector all = SelectionVector::All(table.num_rows());
-  for (auto encoding : {core::CategoricalEncoding::kDummy,
-                        core::CategoricalEncoding::kGower}) {
-    core::PreprocessOptions fast;
-    fast.encoding = encoding;
-    core::PreprocessOptions slow = fast;
-    slow.use_dictionary = false;
-    auto a = core::Preprocess(table, all, fast);
-    auto b = core::Preprocess(table, all, slow);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->feature_info.size(), b->feature_info.size());
-    for (size_t f = 0; f < a->feature_info.size(); ++f) {
-      EXPECT_EQ(a->feature_info[f].category, b->feature_info[f].category);
-    }
-    ASSERT_EQ(a->features.rows(), b->features.rows());
-    ASSERT_EQ(a->features.cols(), b->features.cols());
-    for (size_t i = 0; i < a->features.rows(); ++i) {
-      for (size_t j = 0; j < a->features.cols(); ++j) {
-        const double x = a->features.At(i, j);
-        const double y = b->features.At(i, j);
-        if (std::isnan(x)) {
-          ASSERT_TRUE(std::isnan(y)) << "row " << i << " col " << j;
-        } else {
-          ASSERT_EQ(x, y) << "row " << i << " col " << j;
-        }
-      }
+  core::PreprocessOptions fast;
+  core::PreprocessOptions slow = fast;
+  slow.use_dictionary = false;
+  auto a = core::Preprocess(table, all, fast);
+  auto b = core::Preprocess(table, all, slow);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->feature_info.size(), b->feature_info.size());
+  for (size_t f = 0; f < a->feature_info.size(); ++f) {
+    EXPECT_EQ(a->feature_info[f].category, b->feature_info[f].category);
+  }
+  ASSERT_EQ(a->features.rows(), b->features.rows());
+  ASSERT_EQ(a->features.cols(), b->features.cols());
+  for (size_t i = 0; i < a->features.rows(); ++i) {
+    for (size_t j = 0; j < a->features.cols(); ++j) {
+      ASSERT_EQ(a->features.At(i, j), b->features.At(i, j))
+          << "row " << i << " col " << j;
     }
   }
 }

@@ -6,37 +6,13 @@
 namespace blaeu::stats {
 namespace {
 
-TEST(EqualWidthTest, SplitsRangeEvenly) {
-  std::vector<double> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 10};
-  Discretizer d = Discretizer::EqualWidth(v, 5);
-  EXPECT_EQ(d.num_bins(), 5u);
-  EXPECT_EQ(d.Bin(0.0), 0);
-  EXPECT_EQ(d.Bin(9.9), 4);
-  EXPECT_EQ(d.Bin(5.0), 2);
-  // Out-of-range clamps.
-  EXPECT_EQ(d.Bin(-100), 0);
-  EXPECT_EQ(d.Bin(100), 4);
-}
-
-TEST(EqualWidthTest, ConstantInputSingleBin) {
-  Discretizer d = Discretizer::EqualWidth({3, 3, 3}, 4);
-  EXPECT_EQ(d.num_bins(), 1u);
-  EXPECT_EQ(d.Bin(3), 0);
-}
-
-TEST(EqualWidthTest, EmptyInputSingleBin) {
-  Discretizer d = Discretizer::EqualWidth({}, 4);
-  EXPECT_EQ(d.num_bins(), 1u);
-}
-
 TEST(EqualFrequencyTest, BalancedCounts) {
   std::vector<double> v;
   for (int i = 0; i < 100; ++i) v.push_back(i);
   Discretizer d = Discretizer::EqualFrequency(v, 4);
   EXPECT_EQ(d.num_bins(), 4u);
-  std::vector<int> bins = d.BinAll(v);
   int counts[4] = {0, 0, 0, 0};
-  for (int b : bins) ++counts[b];
+  for (double x : v) ++counts[d.Bin(x)];
   for (int c : counts) EXPECT_NEAR(c, 25, 2);
 }
 
@@ -60,13 +36,6 @@ TEST(EqualFrequencyTest, MonotoneBinning) {
     EXPECT_GE(b, prev);
     prev = b;
   }
-}
-
-TEST(DiscretizerTest, BinAllMatchesBin) {
-  std::vector<double> v = {5, 1, 9, 3};
-  Discretizer d = Discretizer::EqualWidth(v, 3);
-  std::vector<int> bins = d.BinAll(v);
-  for (size_t i = 0; i < v.size(); ++i) EXPECT_EQ(bins[i], d.Bin(v[i]));
 }
 
 }  // namespace

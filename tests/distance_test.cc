@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 namespace blaeu::stats {
 namespace {
@@ -14,59 +13,6 @@ TEST(EuclideanTest, KnownValues) {
   EXPECT_DOUBLE_EQ(EuclideanDistance(a, b, 2), 5.0);
   EXPECT_DOUBLE_EQ(SquaredEuclideanDistance(a, b, 2), 25.0);
   EXPECT_DOUBLE_EQ(EuclideanDistance(a, a, 2), 0.0);
-}
-
-TEST(ManhattanTest, KnownValues) {
-  double a[] = {1, -1, 2};
-  double b[] = {2, 1, 0};
-  EXPECT_DOUBLE_EQ(ManhattanDistance(a, b, 3), 5.0);
-}
-
-TEST(GowerTest, MixedFeatures) {
-  // Feature 0 numeric with range 10; feature 1 categorical.
-  Matrix data(3, 2);
-  data.At(0, 0) = 0;
-  data.At(1, 0) = 10;
-  data.At(2, 0) = 5;
-  data.At(0, 1) = 0;
-  data.At(1, 1) = 0;
-  data.At(2, 1) = 1;
-  GowerDistance gower = GowerDistance::Fit(data, {false, true});
-  // Rows 0,1: numeric diff 10/10 = 1, categorical same: (1 + 0) / 2.
-  EXPECT_DOUBLE_EQ(gower(data.RowPtr(0), data.RowPtr(1)), 0.5);
-  // Rows 0,2: numeric 0.5, categorical mismatch 1 -> 0.75.
-  EXPECT_DOUBLE_EQ(gower(data.RowPtr(0), data.RowPtr(2)), 0.75);
-}
-
-TEST(GowerTest, MissingValuesSkipped) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  Matrix data(2, 2);
-  data.At(0, 0) = 0;
-  data.At(1, 0) = 5;
-  data.At(0, 1) = kNaN;
-  data.At(1, 1) = 1;
-  GowerDistance gower({false, true}, {10.0, 0.0});
-  // Only feature 0 comparable: |0-5|/10 = 0.5.
-  EXPECT_DOUBLE_EQ(gower(data.RowPtr(0), data.RowPtr(1)), 0.5);
-}
-
-TEST(GowerTest, NoComparableFeaturesIsMaxDistance) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  Matrix data(2, 1);
-  data.At(0, 0) = kNaN;
-  data.At(1, 0) = 1.0;
-  GowerDistance gower({false}, {1.0});
-  EXPECT_DOUBLE_EQ(gower(data.RowPtr(0), data.RowPtr(1)), 1.0);
-}
-
-TEST(GowerTest, ZeroRangeFeatureContributesNothing) {
-  Matrix data(2, 2);
-  data.At(0, 0) = 7;
-  data.At(1, 0) = 7;  // constant feature
-  data.At(0, 1) = 0;
-  data.At(1, 1) = 4;
-  GowerDistance gower = GowerDistance::Fit(data, {false, false});
-  EXPECT_DOUBLE_EQ(gower(data.RowPtr(0), data.RowPtr(1)), 0.5);  // (0+1)/2
 }
 
 TEST(DistanceMatrixTest, SymmetricWithZeroDiagonal) {

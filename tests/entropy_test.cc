@@ -99,43 +99,5 @@ TEST(MillerMadowTest, NeverNegative) {
   EXPECT_GE(NormalizedMutualInformationMM(xs, ys), 0.0);
 }
 
-TEST(PearsonTest, LinearRelationships) {
-  std::vector<double> xs = {1, 2, 3, 4, 5};
-  std::vector<double> ys = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(PearsonCorrelation(xs, ys), 1.0, 1e-12);
-  std::vector<double> neg = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(xs, neg), -1.0, 1e-12);
-}
-
-TEST(PearsonTest, DegenerateInputsScoreZero) {
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1}, {2}), 0.0);
-}
-
-TEST(PearsonTest, MissesNonMonotoneDependence) {
-  // y = x^2 on symmetric x: Pearson ~ 0 even though fully dependent.
-  std::vector<double> xs, ys;
-  for (double x = -10; x <= 10; x += 0.5) {
-    xs.push_back(x);
-    ys.push_back(x * x);
-  }
-  EXPECT_NEAR(PearsonCorrelation(xs, ys), 0.0, 1e-9);
-}
-
-TEST(SpearmanTest, MonotoneNonlinearIsPerfect) {
-  std::vector<double> xs, ys;
-  for (double x = 1; x <= 20; ++x) {
-    xs.push_back(x);
-    ys.push_back(x * x * x);  // monotone, nonlinear
-  }
-  EXPECT_NEAR(SpearmanCorrelation(xs, ys), 1.0, 1e-12);
-}
-
-TEST(SpearmanTest, HandlesTies) {
-  std::vector<double> xs = {1, 2, 2, 3};
-  std::vector<double> ys = {1, 2, 2, 3};
-  EXPECT_NEAR(SpearmanCorrelation(xs, ys), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace blaeu::stats

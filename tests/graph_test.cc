@@ -29,41 +29,6 @@ TEST(GraphTest, CountEdgesAboveThreshold) {
   EXPECT_EQ(g.CountEdges(0.9), 0u);
 }
 
-TEST(GraphTest, ConnectedComponentsLikeFigure2) {
-  // Figure 2: two dependency groups — {unemp, lt_unemp, female_unemp} and
-  // {insurance, life_exp, spending} — with no cross edges.
-  Graph g({"unemp", "lt_unemp", "female_unemp", "insurance", "life_exp",
-           "spending"});
-  g.SetWeight(0, 1, 0.8);
-  g.SetWeight(0, 2, 0.7);
-  g.SetWeight(1, 2, 0.6);
-  g.SetWeight(3, 4, 0.9);
-  g.SetWeight(4, 5, 0.5);
-  std::vector<int> comp = g.ConnectedComponents(0.1);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_EQ(comp[4], comp[5]);
-  EXPECT_NE(comp[0], comp[3]);
-}
-
-TEST(GraphTest, ThresholdSplitsComponents) {
-  Graph g(3);
-  g.SetWeight(0, 1, 0.9);
-  g.SetWeight(1, 2, 0.2);
-  std::vector<int> loose = g.ConnectedComponents(0.1);
-  EXPECT_EQ(loose[0], loose[2]);
-  std::vector<int> tight = g.ConnectedComponents(0.5);
-  EXPECT_NE(tight[0], tight[2]);
-  EXPECT_EQ(tight[0], tight[1]);
-}
-
-TEST(GraphTest, IsolatedVerticesGetOwnComponents) {
-  Graph g(3);
-  std::vector<int> comp = g.ConnectedComponents(0.0);
-  EXPECT_EQ(comp, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(GraphTest, DotOutputContainsVerticesAndEdges) {
   Graph g({"alpha", "beta"});
   g.SetWeight(0, 1, 0.42);

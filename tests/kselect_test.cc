@@ -160,5 +160,55 @@ TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
   }
 }
 
+TEST(KSelectTest, SweepKPicksLowestTiedKAndFirstErrorAtAnyThreadCount) {
+  // Canned clusterer: k points, one per cluster; canned scores by k.
+  const ClusterFn canned = [](size_t k) -> Result<ClusteringResult> {
+    ClusteringResult r;
+    for (size_t i = 0; i < k; ++i) {
+      r.labels.push_back(static_cast<int>(i));
+      r.medoids.push_back(i);
+    }
+    return r;
+  };
+  const std::vector<double> canned_scores = {0.1, 0.5, 0.2, 0.5, -0.3};
+  const ScoreFn score = [&](size_t k, const ClusteringResult&) {
+    return canned_scores[k - 2];
+  };
+  const ClusterFn failing = [&](size_t k) -> Result<ClusteringResult> {
+    if (k == 4) return Status::Invalid("k = 4 failed");
+    if (k == 6) return Status::Internal("k = 6 failed");
+    return canned(k);
+  };
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // k = 3 and k = 5 tie on the best score: the lower k wins.
+    auto swept = SweepK(2, 6, canned, score, threads);
+    ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+    EXPECT_EQ(swept->best_k, 3u);
+    EXPECT_EQ(swept->best_score, 0.5);
+    EXPECT_EQ(swept->best.num_clusters(), 3u);
+    EXPECT_EQ(swept->scores, canned_scores);
+
+    // Two k fail: the lower k's status is returned.
+    auto failed = SweepK(2, 6, failing, score, threads);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(failed.status().message(), "k = 4 failed");
+
+    // An empty range is rejected before any k runs.
+    size_t calls = 0;
+    auto empty = SweepK(
+        5, 4,
+        [&](size_t k) {
+          ++calls;
+          return canned(k);
+        },
+        score, threads);
+    ASSERT_FALSE(empty.ok());
+    EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(calls, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace blaeu::cluster

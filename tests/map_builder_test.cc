@@ -205,6 +205,45 @@ TEST(MapBuilderTest, KSweepPicksPlantedK) {
   EXPECT_EQ(map.num_clusters, 3u);
 }
 
+TEST(MapBuilderTest, EmptyKRangeIsRejectedOnPamAndClaraSelections) {
+  // After the n/k clamp the range [max(2, k_min), k_max] is empty; both
+  // algorithms must say so instead of building from an empty sweep.
+  auto pam_sized = Mixture(300, 3, 23);
+  auto clara_sized = Mixture(2000, 3, 24);
+  for (const workloads::Dataset* data : {&pam_sized, &clara_sized}) {
+    for (auto [k_min, k_max] : {std::pair<size_t, size_t>{7, 6},
+                                std::pair<size_t, size_t>{8, 6},
+                                std::pair<size_t, size_t>{2, 1}}) {
+      SCOPED_TRACE(std::to_string(data->table->num_rows()) + " rows, k " +
+                   std::to_string(k_min) + ".." + std::to_string(k_max));
+      MapOptions opt;
+      opt.k_min = k_min;
+      opt.k_max = k_max;
+      auto map = BuildMap(*data->table, opt);
+      ASSERT_FALSE(map.ok());
+      EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(map.status().message().find("empty k range"),
+                std::string::npos)
+          << map.status().ToString();
+    }
+  }
+}
+
+TEST(MapBuilderTest, ClaraBuildRunsOneKSweep) {
+  // A default build above clara_threshold sweeps k = 2..6 once, through
+  // the same SweepK as PAM, so the global kselect counters see it.
+  auto data = Mixture(2000, 3, 25);
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  const int64_t sweeps = global.counter("cluster.kselect.sweeps")->value();
+  const int64_t candidates =
+      global.counter("cluster.kselect.candidates")->value();
+  auto map = *BuildMap(*data.table);
+  EXPECT_EQ(map.algorithm, "clara");
+  EXPECT_EQ(global.counter("cluster.kselect.sweeps")->value() - sweeps, 1);
+  EXPECT_EQ(
+      global.counter("cluster.kselect.candidates")->value() - candidates, 5);
+}
+
 TEST(MapBuilderTest, BuildRecordsStageSpans) {
   auto data = Mixture(500, 3, 20);
   obs::Tracer tracer;

@@ -48,23 +48,5 @@ TEST(NmiClusteringTest, MatchesRelabeling) {
   EXPECT_NEAR(ClusteringNMI(a, b), 1.0, 1e-12);
 }
 
-TEST(PurityTest, PerfectAndMixed) {
-  std::vector<int> truth = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(Purity({5, 5, 7, 7}, truth), 1.0);
-  // One cluster holding everything: purity = majority share.
-  EXPECT_DOUBLE_EQ(Purity({0, 0, 0, 0}, truth), 0.5);
-}
-
-TEST(PurityTest, OverclusteringInflatesPurity) {
-  // Purity's known bias: singleton clusters are always pure.
-  std::vector<int> truth = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(Purity({0, 1, 2, 3}, truth), 1.0);
-}
-
-TEST(AccuracyTest, ExactMatchFraction) {
-  EXPECT_DOUBLE_EQ(Accuracy({0, 1, 1, 0}, {0, 1, 0, 0}), 0.75);
-  EXPECT_DOUBLE_EQ(Accuracy({}, {}), 0.0);
-}
-
 }  // namespace
 }  // namespace blaeu::stats

@@ -1,5 +1,5 @@
 // Parameterized property sweeps over the storage layer: predicate/selection
-// algebra, and the mixed-distance and MI estimators.
+// algebra, and the MI estimator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "monet/predicate.h"
-#include "stats/distance.h"
 #include "stats/entropy.h"
 #include "workloads/gaussian.h"
 
@@ -39,52 +38,6 @@ TablePtr RandomTable(size_t rows, size_t groups, double null_rate,
   }
   return *b.Finish();
 }
-
-// ---------------------------------------------------------------------------
-// Gower distance stays in [0, 1], is symmetric, zero on the diagonal.
-// ---------------------------------------------------------------------------
-
-class GowerPropertyTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(GowerPropertyTest, MetricAxioms) {
-  double nan_rate = GetParam();
-  Rng rng(static_cast<uint64_t>(nan_rate * 1000) + 3);
-  const size_t n = 40, dims = 5;
-  stats::Matrix data(n, dims);
-  std::vector<bool> categorical = {false, true, false, true, false};
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t f = 0; f < dims; ++f) {
-      if (rng.NextBernoulli(nan_rate)) {
-        data.At(i, f) = std::numeric_limits<double>::quiet_NaN();
-      } else if (categorical[f]) {
-        data.At(i, f) = static_cast<double>(rng.NextBounded(4));
-      } else {
-        data.At(i, f) = rng.NextGaussian();
-      }
-    }
-  }
-  stats::GowerDistance gower = stats::GowerDistance::Fit(data, categorical);
-  for (size_t i = 0; i < n; i += 3) {
-    // Self-distance is 0 unless the row is entirely missing (the documented
-    // "no comparable features -> 1" convention).
-    bool has_value = false;
-    for (size_t f = 0; f < dims; ++f) {
-      if (!std::isnan(data.At(i, f))) has_value = true;
-    }
-    EXPECT_DOUBLE_EQ(gower(data.RowPtr(i), data.RowPtr(i)),
-                     has_value ? 0.0 : 1.0);
-    for (size_t j = 0; j < n; j += 5) {
-      double d_ij = gower(data.RowPtr(i), data.RowPtr(j));
-      double d_ji = gower(data.RowPtr(j), data.RowPtr(i));
-      EXPECT_DOUBLE_EQ(d_ij, d_ji);
-      EXPECT_GE(d_ij, 0.0);
-      EXPECT_LE(d_ij, 1.0);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, GowerPropertyTest,
-                         ::testing::Values(0.0, 0.1, 0.4, 0.8));
 
 // ---------------------------------------------------------------------------
 // Miller-Madow MI: symmetric, bounded by plug-in MI, near zero under

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 namespace blaeu::core {
 namespace {
@@ -94,24 +93,6 @@ TEST(PreprocessTest, MissingNumericImputedAtMean) {
   auto pre = *Preprocess(*t, SelectionVector::All(3));
   // Row 1's x is the mean of the normalized non-nulls = 0.
   EXPECT_NEAR(pre.features.At(1, 0), 0.0, 1e-9);
-}
-
-TEST(PreprocessTest, GowerEncodingKeepsNaNs) {
-  TableBuilder b(Schema({{"x", DataType::kDouble},
-                         {"g", DataType::kString}}));
-  ASSERT_TRUE(b.AppendRow({Value::Double(1), Value::Str("a")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Null(), Value::Str("b")}).ok());
-  ASSERT_TRUE(b.AppendRow({Value::Double(3), Value::Null()}).ok());
-  auto t = *b.Finish();
-  PreprocessOptions opt;
-  opt.encoding = CategoricalEncoding::kGower;
-  auto pre = *Preprocess(*t, SelectionVector::All(3), opt);
-  EXPECT_EQ(pre.features.cols(), 2u);  // one feature per column
-  EXPECT_TRUE(std::isnan(pre.features.At(1, 0)));
-  EXPECT_TRUE(std::isnan(pre.features.At(2, 1)));
-  std::vector<bool> mask = pre.categorical_mask();
-  EXPECT_FALSE(mask[0]);
-  EXPECT_TRUE(mask[1]);
 }
 
 TEST(PreprocessTest, ConstantAndAllNullColumnsSkipped) {
