@@ -2,49 +2,90 @@
 //
 // (1) Latency of the dependency matrix + graph partitioning as the column
 //     count grows (the OECD table has 378 columns; "Blaeu must cluster
-//     millions of tuples on hundreds of columns at interaction time").
+//     millions of tuples on hundreds of columns at interaction time"), with
+//     the options every Session::Start uses. Then DetectThemes on LOFAR and
+//     Session::Start on the paper-scale OECD table (6,823 x 378).
 // (2) Emits the Figure 2 dependency graph (DOT) for the OECD subset.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/timer.h"
+#include "core/navigation.h"
 #include "core/render.h"
 #include "core/theme.h"
 #include "monet/table.h"
-#include "stats/metrics.h"
+#include "workloads/lofar.h"
 #include "workloads/oecd.h"
 
 using namespace blaeu;
 
 namespace {
 
-/// NMI between detected column themes and planted ones.
+/// Plug-in entropy (nats) of a map from label to count, over n items.
+template <typename Counts>
+double Entropy(const Counts& counts, size_t n) {
+  double h = 0.0;
+  for (const auto& [_, c] : counts) {
+    const double p = static_cast<double>(c) / static_cast<double>(n);
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+/// NMI between detected column themes and planted ones, in [0, 1] (sqrt
+/// normalization).
 double ThemeRecovery(const core::ThemeSet& themes,
                      const workloads::Dataset& data) {
-  std::vector<int> detected, truth;
+  std::map<int, size_t> detected, planted;
+  std::map<std::pair<int, int>, size_t> joint;
+  size_t n = 0;
   for (const core::Theme& t : themes.themes) {
     for (size_t col : t.columns) {
-      detected.push_back(t.id);
-      truth.push_back(data.truth.column_themes[col]);
+      const int truth = data.truth.column_themes[col];
+      ++detected[t.id];
+      ++planted[truth];
+      ++joint[{t.id, truth}];
+      ++n;
     }
   }
-  return stats::ClusteringNMI(detected, truth);
+  const double hd = Entropy(detected, n);
+  const double hp = Entropy(planted, n);
+  if (hd <= 0.0 || hp <= 0.0) return 0.0;
+  return std::clamp((hd + hp - Entropy(joint, n)) / std::sqrt(hd * hp), 0.0,
+                    1.0);
+}
+
+/// Median and minimum of `reps` timings of `run`, in ms.
+template <typename Fn>
+std::pair<double, double> TimeMs(size_t reps, Fn run) {
+  std::vector<double> ms;
+  for (size_t r = 0; r < reps; ++r) {
+    Timer t;
+    run();
+    ms.push_back(t.ElapsedMillis());
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms[ms.size() / 2], ms.front()};
 }
 
 void LatencySweep() {
+  const core::ThemeOptions opt;  // what every Session::Start runs
   std::printf("== F1a: theme detection latency vs #columns "
-              "(6823 rows, MI on 2000 sampled rows) ==\n");
+              "(6823 rows, MI on %zu sampled rows) ==\n",
+              opt.dependency.sample_rows);
   std::printf("%10s %12s %12s %10s %12s\n", "columns", "dep_ms",
               "partition_ms", "themes", "recovery_nmi");
   for (size_t cols : {25, 50, 100, 200, 375}) {
     workloads::OecdSpec spec;
     spec.indicator_columns = cols;
     auto data = workloads::MakeOecd(spec);
-
-    core::ThemeOptions opt;
-    opt.dependency.sample_rows = 2000;
-    opt.max_themes = 12;
 
     // Time the dependency matrix alone, then the full detection.
     Timer t1;
@@ -60,6 +101,28 @@ void LatencySweep() {
                 total_ms - dep_ms < 0 ? 0.0 : total_ms - dep_ms,
                 themes->size(), ThemeRecovery(*themes, data));
   }
+  std::printf("\n");
+}
+
+/// The two paper-scale opens: theme detection on LOFAR (200,000 x 40) and a
+/// whole Session::Start, themes plus the first map, on OECD (6,823 x 378).
+void PaperScale() {
+  std::printf("== F1a: paper-scale opens (1 thread, median/min of runs) "
+              "==\n");
+  const workloads::Dataset lofar = workloads::MakeLofar();
+  auto [lofar_ms, lofar_min] = TimeMs(7, [&] {
+    if (!core::DetectThemes(*lofar.table).ok()) std::abort();
+  });
+  std::printf("%-34s %9.1f ms  (min %.1f)\n", "DetectThemes lofar 200000x40",
+              lofar_ms, lofar_min);
+  const workloads::Dataset oecd = workloads::MakeOecd();
+  core::SessionOptions options;
+  options.map.num_threads = 1;
+  auto [oecd_ms, oecd_min] = TimeMs(3, [&] {
+    if (!core::Session::Start(oecd.table, "oecd", options).ok()) std::abort();
+  });
+  std::printf("%-34s %9.1f ms  (min %.1f)\n", "Session::Start oecd 6823x378",
+              oecd_ms, oecd_min);
   std::printf("\n");
 }
 
@@ -92,6 +155,7 @@ void EmitFigure2() {
 int main() {
   std::printf("Blaeu bench: theme detection (F1a, F2)\n\n");
   LatencySweep();
+  PaperScale();
   EmitFigure2();
   return 0;
 }

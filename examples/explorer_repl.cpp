@@ -71,11 +71,8 @@ monet::TablePtr LoadDataset(const std::string& arg, std::string* name) {
     return workloads::MakeHollywood().table;
   }
   if (arg == "oecd") {
-    workloads::OecdSpec spec;
-    spec.rows = 3000;  // keep the REPL snappy
-    spec.indicator_columns = 60;
     *name = "oecd";
-    return workloads::MakeOecd(spec).table;
+    return workloads::MakeOecd().table;  // the paper's 6,823 x 378 table
   }
   if (arg == "lofar") {
     workloads::LofarSpec spec;

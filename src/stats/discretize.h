@@ -12,9 +12,11 @@ namespace blaeu::stats {
 class Discretizer {
  public:
   /// Equal-frequency (quantile) bins: each bin receives roughly the same
-  /// number of training values. Duplicate cut points are merged, so the
-  /// realized bin count can be lower than requested.
-  static Discretizer EqualFrequency(const std::vector<double>& values,
+  /// number of training values. Cut i is the value of rank i * n / num_bins
+  /// in sorted order, found by partial selection, not a full sort.
+  /// Duplicate cut points are merged, so the realized bin count can be
+  /// lower than requested. `values` must not hold NaN, which has no order.
+  static Discretizer EqualFrequency(std::vector<double> values,
                                     size_t num_bins);
 
   /// Bin id for one value, in [0, num_bins()).

@@ -4,8 +4,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "stats/entropy.h"
-
 namespace blaeu::stats {
 
 namespace {
@@ -43,10 +41,6 @@ double AdjustedRandIndex(const std::vector<int>& a,
   double max_index = (sum_rows + sum_cols) / 2.0;
   if (max_index == expected) return 1.0;  // both partitions trivial
   return (sum_cells - expected) / (max_index - expected);
-}
-
-double ClusteringNMI(const std::vector<int>& a, const std::vector<int>& b) {
-  return NormalizedMutualInformation(a, b);
 }
 
 }  // namespace blaeu::stats

@@ -12,8 +12,4 @@ namespace blaeu::stats {
 /// [-1, 1]; 1 = identical partitions, ~0 = random agreement.
 double AdjustedRandIndex(const std::vector<int>& a, const std::vector<int>& b);
 
-/// Normalized mutual information between two labelings, in [0, 1]
-/// (sqrt normalization).
-double ClusteringNMI(const std::vector<int>& a, const std::vector<int>& b);
-
 }  // namespace blaeu::stats

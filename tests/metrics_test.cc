@@ -42,11 +42,5 @@ TEST(AriTest, DegenerateSinglePartition) {
   EXPECT_DOUBLE_EQ(AdjustedRandIndex(a, a), 1.0);
 }
 
-TEST(NmiClusteringTest, MatchesRelabeling) {
-  std::vector<int> a = {0, 0, 1, 1};
-  std::vector<int> b = {1, 1, 0, 0};
-  EXPECT_NEAR(ClusteringNMI(a, b), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace blaeu::stats

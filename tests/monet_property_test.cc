@@ -1,13 +1,14 @@
 // Parameterized property sweeps over the storage layer: predicate/selection
-// algebra, and the MI estimator.
+// algebra, and the MI estimator of the column dependency matrix.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
 #include "monet/predicate.h"
-#include "stats/entropy.h"
+#include "stats/column_dependency.h"
 #include "workloads/gaussian.h"
 
 namespace blaeu {
@@ -40,9 +41,48 @@ TablePtr RandomTable(size_t rows, size_t groups, double null_rate,
 }
 
 // ---------------------------------------------------------------------------
-// Miller-Madow MI: symmetric, bounded by plug-in MI, near zero under
-// independence across support sizes.
+// Miller-Madow MI, as DependencyMatrix computes it: symmetric, bounded by
+// plug-in MI, near zero under independence across support sizes.
 // ---------------------------------------------------------------------------
+
+/// Two string columns holding the codes `xs` and `ys`.
+TablePtr CodeTable(const std::vector<int>& xs, const std::vector<int>& ys) {
+  TableBuilder b(Schema({{"x", DataType::kString}, {"y", DataType::kString}}));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_TRUE(b.AppendRow({Value::Str("v" + std::to_string(xs[i])),
+                             Value::Str("v" + std::to_string(ys[i]))})
+                    .ok());
+  }
+  return *b.Finish();
+}
+
+/// Normalized Miller-Madow MI of `xs` and `ys` over all their rows.
+double DependencyOf(const std::vector<int>& xs, const std::vector<int>& ys) {
+  stats::DependencyOptions all_rows;
+  all_rows.sample_rows = 0;
+  return (*stats::DependencyMatrix(*CodeTable(xs, ys), all_rows))[0][1];
+}
+
+/// Plug-in MI of codes in [0, k), normalized like DependencyMatrix.
+double PluginNmi(const std::vector<int>& xs, const std::vector<int>& ys,
+                 size_t k) {
+  std::vector<size_t> cx(k), cy(k), cxy(k * k);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ++cx[xs[i]];
+    ++cy[ys[i]];
+    ++cxy[xs[i] * k + ys[i]];
+  }
+  auto entropy = [n = static_cast<double>(xs.size())](
+                     const std::vector<size_t>& counts) {
+    double h = 0.0;
+    for (size_t c : counts) {
+      if (c > 0) h -= c / n * std::log(c / n);
+    }
+    return h;
+  };
+  const double hx = entropy(cx), hy = entropy(cy);
+  return (hx + hy - entropy(cxy)) / std::sqrt(hx * hy);
+}
 
 class MmMiPropertyTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
@@ -55,15 +95,15 @@ TEST_P(MmMiPropertyTest, EstimatorProperties) {
     xs.push_back(static_cast<int>(rng.NextBounded(support)));
     ys.push_back(static_cast<int>(rng.NextBounded(support)));
   }
-  double mm_xy = stats::MutualInformationMM(xs, ys);
-  double mm_yx = stats::MutualInformationMM(ys, xs);
-  EXPECT_NEAR(mm_xy, mm_yx, 1e-9);  // hash-order float summation jitter
-  EXPECT_LE(mm_xy, stats::MutualInformation(xs, ys) + 1e-12);
+  double mm_xy = DependencyOf(xs, ys);
+  double mm_yx = DependencyOf(ys, xs);
+  EXPECT_NEAR(mm_xy, mm_yx, 1e-12);  // summation order only
+  EXPECT_LE(mm_xy, PluginNmi(xs, ys, support) + 1e-12);
   EXPECT_GE(mm_xy, 0.0);
   // Independent draws: corrected MI should be (near) zero.
-  EXPECT_LT(stats::NormalizedMutualInformationMM(xs, ys), 0.05);
+  EXPECT_LT(mm_xy, 0.05);
   // Perfect dependence survives the correction.
-  EXPECT_GT(stats::NormalizedMutualInformationMM(xs, xs), 0.9);
+  EXPECT_GT(DependencyOf(xs, xs), 0.9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MmMiPropertyTest,
