@@ -8,8 +8,10 @@
 #include <cstdio>
 
 #include "cluster/kselect.h"
+#include "cluster/pam.h"
 #include "common/timer.h"
 #include "stats/distance.h"
+#include "stats/silhouette.h"
 #include "workloads/gaussian.h"
 
 using namespace blaeu;
@@ -39,14 +41,26 @@ Outcome Run(size_t planted_k, double separation, bool monte_carlo) {
       }
     }
     auto dist = stats::DistanceMatrix::Euclidean(features);
-    cluster::KSelectOptions opt;
-    opt.k_min = 2;
-    opt.k_max = 8;
-    opt.monte_carlo = monte_carlo;
-    opt.mc_options.subsample_size = 150;
-    opt.mc_options.seed = seed;
+    stats::MonteCarloSilhouetteOptions mc;
+    mc.subsample_size = 150;
+    mc.seed = seed;
     Timer timer;
-    auto result = cluster::SelectKWithPam(dist, opt);
+    // One BUILD seeds every k, as in SelectKWithPam; the two scorings are
+    // two ScoreFns over the same sweep.
+    const std::vector<size_t> build = cluster::PamBuild(dist, 8);
+    auto result = cluster::SweepK(
+        2, 8,
+        [&](size_t k) -> Result<cluster::ClusteringResult> {
+          return cluster::PamSwap(
+              dist, std::vector<size_t>(build.begin(), build.begin() + k));
+        },
+        [&](size_t, const cluster::ClusteringResult& r) {
+          if (!monte_carlo) return stats::MeanSilhouette(dist, r.labels);
+          return stats::MonteCarloSilhouette(
+              spec.rows, r.labels,
+              [&](size_t i, size_t j) { return dist.At(i, j); }, mc);
+        },
+        1);
     out.total_ms += timer.ElapsedMillis();
     ++out.trials;
     if (result.ok() && result->best_k == planted_k) ++out.hits;

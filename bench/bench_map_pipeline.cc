@@ -21,8 +21,8 @@
 //   BENCH_map_pipeline_categorical.json— the same regression block for the
 //                                        categorical-heavy Hollywood point
 //                                        (string-path wins show up here)
-//   BENCH_map_pipeline_pam.json        — the same block for a default
-//                                        (PAM k sweep) build on 1,199 rows
+//   BENCH_map_pipeline_sweep.json      — the same block for a default
+//                                        (k sweep) build on 1,199 rows
 //   BENCH_map_pipeline_report.html     — self-contained HTML perf report
 //   BENCH_map_pipeline_openmetrics.txt — Prometheus/OpenMetrics exposition
 // so the dominant pipeline stage is known before optimizing anything and
@@ -410,14 +410,14 @@ void EmitNavigationBench() {
 
 /// The CI perf-regression point: core.map.build_seconds at an operating
 /// point (32k rows, sample 2000, fixed k=4, 1 thread; `fixed_k` 0 runs the
-/// default kAuto k sweep instead), kReps repetitions after one warm-up.
+/// default k sweep instead), kReps repetitions after one warm-up.
 /// p50/p95 are exact nearest-rank order statistics over the raw
 /// wall-clock samples — the log-scale metrics histogram quantizes
 /// to power-of-two buckets (~2x relative error), far too coarse for a 25%
 /// gate. Each rep also runs under its own tracer so the per-stage
 /// breakdown (preprocess/cluster/describe/count/...) gets the same exact
 /// quantile treatment; tools/check_bench_regression gates both the total
-/// p50 and one stage's p50 (preprocess; cluster at the PAM point) against
+/// p50 and one stage's p50 (preprocess; cluster at the sweep point) against
 /// the committed bench/baselines/ snapshot.
 void EmitRegressionPointFor(const char* workload, const monet::Table& table,
                             const std::vector<std::string>& columns,
@@ -521,14 +521,13 @@ void EmitCategoricalPoint() {
                          "BENCH_map_pipeline_categorical.json");
 }
 
-/// The PAM-range point: 1,199 LOFAR rows, just under clara_threshold, so
-/// the default kAuto build runs the full PAM k sweep on the distance
-/// matrix (what every small zoom and every paper-scale Hollywood map
-/// costs); "k": 0 in the JSON marks the sweep.
-void EmitPamPoint() {
+/// The sweep point: a default k sweep (k = 2..6, CLARA) on 1,199 LOFAR
+/// rows, all of them clustered: what a small zoom and every paper-scale
+/// Hollywood map cost. "k": 0 in the JSON marks the sweep.
+void EmitSweepPoint() {
   const auto& data = LofarCached(1199);
   EmitRegressionPointFor("lofar", *data.table, AllColumns(*data.table), 0,
-                         "BENCH_map_pipeline_pam.json");
+                         "BENCH_map_pipeline_sweep.json");
 }
 
 /// The process-global metrics accumulated across every bench above, as a
@@ -557,7 +556,7 @@ int main(int argc, char** argv) {
   EmitNavigationBench();
   EmitRegressionPoint();
   EmitCategoricalPoint();
-  EmitPamPoint();
+  EmitSweepPoint();
   EmitPerfReport();
   return 0;
 }

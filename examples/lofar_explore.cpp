@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
 
   core::SessionOptions options;
   options.themes.dependency.sample_rows = 3000;
-  options.map.sample_size = 2000;        // "a few thousand samples"
-  options.map.clara_threshold = 1200;    // CLARA beyond this
+  options.map.sample_size = 2000;  // "a few thousand samples"
 
   timer.Reset();
   auto session_or = core::Session::Start(data.table, "lofar", options);

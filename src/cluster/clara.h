@@ -1,7 +1,8 @@
 // CLARA (Clustering LARge Applications, Kaufman & Rousseeuw 1990): the
-// sampling-based PAM variant Blaeu switches to "when the data is too large"
-// (paper §3). Runs PAM on several random sub-samples, extends each medoid
-// set to the full data, and keeps the cheapest.
+// sampling-based PAM variant the paper uses "when the data is too large"
+// (§3), and the clusterer of every map here. Runs PAM on several random
+// sub-samples, extends each medoid set to the full data, and keeps the
+// cheapest.
 #pragma once
 
 #include "common/rng.h"
@@ -24,8 +25,7 @@ struct ClaraOptions {
 /// Clusters `n` points into k groups under `dist_fn`.
 ///
 /// Cost: num_samples * (PAM on sample_size points + O(n * k) extension),
-/// versus PAM's O(n^2) matrix — this is the crossover the paper exploits at
-/// interaction time.
+/// against the O(n^2) distance matrix of PAM on all n points.
 Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
                                size_t k, const ClaraOptions& options = {});
 

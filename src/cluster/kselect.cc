@@ -6,6 +6,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
+#include "stats/silhouette.h"
 
 namespace blaeu::cluster {
 
@@ -78,15 +79,9 @@ Result<KSelectResult> SelectK(const DistanceMatrix& dist,
                         [](size_t s) { return s == 0; })) {
           return -1.0;
         }
-        if (options.monte_carlo) {
-          return stats::MonteCarloSilhouette(
-              n, result.labels,
-              [&](size_t i, size_t j) { return dist.At(i, j); },
-              options.mc_options);
-        }
         return stats::MeanSilhouette(dist, result.labels);
       },
-      options.num_threads);
+      /*num_threads=*/1);
 }
 
 Result<KSelectResult> SelectKWithPam(const DistanceMatrix& dist,

@@ -8,23 +8,13 @@
 #include "common/status.h"
 #include "cluster/clustering.h"
 #include "stats/distance.h"
-#include "stats/silhouette.h"
 
 namespace blaeu::cluster {
 
-/// Options for the k sweep.
+/// Range of the k sweep of SelectK.
 struct KSelectOptions {
   size_t k_min = 2;
   size_t k_max = 8;
-  /// When true, score each candidate with the Monte-Carlo silhouette
-  /// instead of the exact one.
-  bool monte_carlo = false;
-  stats::MonteCarloSilhouetteOptions mc_options;
-  /// Thread budget for the sweep: one task per candidate k
-  /// (common/parallel.h: 0 = process default). Defaults to 1 (serial)
-  /// because `cluster_fn` must be thread-safe for any other value; the
-  /// selected k, labels and scores are identical at any value.
-  size_t num_threads = 1;
 };
 
 /// \brief Outcome of the sweep.
@@ -62,10 +52,11 @@ Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
                              const ClusterFn& cluster_fn,
                              const ScoreFn& score_fn, size_t num_threads);
 
-/// SweepK over k in [max(2, k_min), min(k_max, n-1)], scoring each
-/// partition by mean silhouette under `dist` (Monte-Carlo when
-/// `options.monte_carlo`). Candidates whose realized partition degenerates
-/// (fewer than k non-empty clusters) score -1.
+/// Serial SweepK over k in [max(2, k_min), min(k_max, n-1)], scoring each
+/// partition by its exact mean silhouette under `dist`. Candidates whose
+/// realized partition degenerates (fewer than k non-empty clusters) score
+/// -1. A caller that wants Monte-Carlo scoring or threads calls SweepK with
+/// its own ScoreFn, as the map builder does.
 Result<KSelectResult> SelectK(const stats::DistanceMatrix& dist,
                               const ClusterFn& cluster_fn,
                               const KSelectOptions& options = {});

@@ -48,7 +48,7 @@ struct DataMap {
   double tree_fidelity = 0.0;   ///< CART agreement with the clustering
   size_t sample_size = 0;       ///< tuples actually clustered
   size_t total_tuples = 0;      ///< size of the selection summarized
-  std::string algorithm;        ///< "pam", "clara", ...
+  std::string algorithm;        ///< "clara", or "trivial" for one region
   double build_seconds = 0.0;   ///< wall-clock build latency
   /// What producing this map cost for THIS interaction (obs/resource.h). A
   /// map served from the cache reports cache_hits = 1 and zero work; a cold

@@ -1,15 +1,16 @@
 #include "core/map_builder.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "cluster/clara.h"
 #include "cluster/clustering.h"
 #include "cluster/kselect.h"
-#include "cluster/pam.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "monet/sampling.h"
 #include "stats/distance.h"
+#include "stats/silhouette.h"
 
 namespace blaeu::core {
 
@@ -19,136 +20,62 @@ using monet::TablePtr;
 
 namespace {
 
-/// Euclidean distance over the preprocessed features. Every evaluation —
-/// distance matrix, CLARA assignment, Monte-Carlo silhouette — tallies into
-/// `evals` (relaxed atomic: calls come from pool threads) for the map's
-/// ResourceProfile: one by one through operator(), or in bulk through
-/// Count() for loops that call the uncounted Distance().
-struct FeatureMetric {
-  const stats::Matrix* features;
-  std::atomic<int64_t>* evals = nullptr;
+/// Runs `fn` with the Euclidean distance between rows of `features`,
+/// counting its evaluations in a local and adding them to `evals` once:
+/// every k task of the sweep runs on a pool thread, and one shared atomic
+/// increment per distance would make them contend.
+template <typename Fn>
+auto WithCountedDistance(const stats::Matrix& features,
+                         std::atomic<int64_t>* evals, Fn&& fn) {
+  int64_t count = 0;
+  auto result = fn([&](size_t i, size_t j) {
+    ++count;
+    return stats::EuclideanDistance(features.RowPtr(i), features.RowPtr(j),
+                                    features.cols());
+  });
+  evals->fetch_add(count, std::memory_order_relaxed);
+  return result;
+}
 
-  double Distance(size_t i, size_t j) const {
-    return stats::EuclideanDistance(features->RowPtr(i), features->RowPtr(j),
-                                    features->cols());
-  }
-  void Count(int64_t evaluations) const {
-    if (evals != nullptr) {
-      evals->fetch_add(evaluations, std::memory_order_relaxed);
-    }
-  }
-  double operator()(size_t i, size_t j) const {
-    Count(1);
-    return Distance(i, j);
-  }
-};
-
-struct ClusterOutcome {
-  cluster::ClusteringResult result;
-  double silhouette = 0.0;
-  std::string algorithm;
-};
-
-/// Monte-Carlo silhouette budget of the k sweep above
-/// MapOptions::monte_carlo_threshold: 4 subsamples of 150 tuples.
+/// Monte-Carlo silhouette budget of the k sweep: 4 subsamples of 150
+/// tuples (one exact pass at 150 tuples or fewer).
 constexpr size_t kMonteCarloSubsamples = 4;
 constexpr size_t kMonteCarloSubsampleSize = 150;
 
-Result<ClusterOutcome> RunClustering(const stats::Matrix& features,
-                                     const FeatureMetric& metric,
-                                     const MapOptions& options,
-                                     obs::Tracer* tracer, obs::Span* span,
-                                     obs::ScratchCounter* scratch) {
+/// The map's clustering (paper §3): a CLARA k sweep over k in
+/// [max(2, k_min), min(k_max, n - 1)], or over [fixed_k, fixed_k], with
+/// each candidate scored by the Monte-Carlo silhouette. Unlike SelectK, a
+/// degenerate partition is not forced to -1: that rule would change which
+/// k wins. `features` has at least 4 rows (fewer make a trivial map).
+Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
+                                             const MapOptions& options,
+                                             std::atomic<int64_t>* evals) {
   const size_t n = features.rows();
-  MapAlgorithm algo = options.algorithm;
-  if (algo == MapAlgorithm::kAuto) {
-    algo = n > options.clara_threshold ? MapAlgorithm::kClara
-                                       : MapAlgorithm::kPam;
-  }
   const size_t k_min = std::max<size_t>(2, options.k_min);
-  const size_t k_max =
-      std::min(options.k_max, n > 1 ? n - 1 : static_cast<size_t>(1));
-  const bool use_mc = n > options.monte_carlo_threshold;
+  const size_t k_max = std::min(options.k_max, n - 1);
+  const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
+  const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
+  cluster::ClaraOptions clara;
+  clara.seed = options.seed;
   stats::MonteCarloSilhouetteOptions mc;
   mc.num_subsamples = kMonteCarloSubsamples;
   mc.subsample_size = kMonteCarloSubsampleSize;
   mc.seed = options.seed + 7;
-
-  auto score = [&](const std::vector<int>& labels,
-                   const stats::DistanceMatrix* dist) {
-    if (!use_mc && dist != nullptr) {
-      return stats::MeanSilhouette(*dist, labels);
-    }
-    return stats::MonteCarloSilhouette(
-        n, labels, [&](size_t i, size_t j) { return metric(i, j); }, mc);
-  };
-
-  ClusterOutcome out;
-
-  if (algo == MapAlgorithm::kClara) {
-    out.algorithm = "clara";
-    cluster::ClaraOptions clara;
-    clara.seed = options.seed;
-    auto dist_fn = [&](size_t i, size_t j) { return metric(i, j); };
-    const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
-    const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
-    // Scored through the counted metric. Unlike SelectK, a degenerate
-    // partition is not forced to -1: that rule would change which k wins.
-    BLAEU_ASSIGN_OR_RETURN(
-        cluster::KSelectResult swept,
-        cluster::SweepK(
-            lo, hi,
-            [&](size_t k) { return cluster::Clara(n, dist_fn, k, clara); },
-            [&](size_t, const cluster::ClusteringResult& r) {
-              return score(r.labels, nullptr);
-            },
-            options.num_threads));
-    out.result = std::move(swept.best);
-    out.silhouette = swept.best_score;
-    return out;
-  }
-
-  // PAM needs the full distance matrix. Rows are independent, so it is
-  // built row-blocked on the pool; every (i, j) entry is computed exactly
-  // once regardless of the thread count.
-  stats::DistanceMatrix dist(n);
-  obs::ScratchCharge dist_bytes(scratch, n * (n - 1) / 2 * sizeof(double));
-  {
-    obs::Span dist_span(tracer, "core.map.distance_matrix");
-    ParallelFor(
-        0, n, 16,
-        [&](size_t row_lo, size_t row_hi) {
-          int64_t pairs = 0;
-          for (size_t i = row_lo; i < row_hi; ++i) {
-            for (size_t j = i + 1; j < n; ++j) {
-              dist.Set(i, j, metric.Distance(i, j));
-            }
-            pairs += static_cast<int64_t>(n - 1 - i);
-          }
-          metric.Count(pairs);
-        },
-        options.num_threads);
-    dist_span.SetAttr("points", n);
-    dist_span.SetAttr("pairs", n * (n - 1) / 2);
-    dist_span.SetAttr("threads", EffectiveNumThreads(options.num_threads));
-  }
-  span->SetAttr("distance_matrix_points", n);
-  out.algorithm = "pam";
-  if (options.fixed_k > 0) {
-    BLAEU_ASSIGN_OR_RETURN(out.result, cluster::Pam(dist, options.fixed_k));
-    out.silhouette = score(out.result.labels, &dist);
-    return out;
-  }
-  cluster::KSelectOptions ks;
-  ks.k_min = k_min;
-  ks.k_max = k_max;
-  ks.monte_carlo = use_mc;
-  ks.mc_options = mc;
-  ks.num_threads = options.num_threads;  // Pam is thread-safe
-  BLAEU_ASSIGN_OR_RETURN(auto selected, cluster::SelectKWithPam(dist, ks));
-  out.result = std::move(selected.best);
-  out.silhouette = selected.best_score;
-  return out;
+  return cluster::SweepK(
+      lo, hi,
+      [&](size_t k) {
+        return WithCountedDistance(
+            features, evals, [&](const cluster::RowDistanceFn& dist) {
+              return cluster::Clara(n, dist, k, clara);
+            });
+      },
+      [&](size_t, const cluster::ClusteringResult& r) {
+        return WithCountedDistance(
+            features, evals, [&](const cluster::RowDistanceFn& dist) {
+              return stats::MonteCarloSilhouette(n, r.labels, dist, mc);
+            });
+      },
+      options.num_threads);
 }
 
 /// Builds map regions from the CART tree: one region per tree node, with
@@ -313,23 +240,21 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   }
 
   // 3. Cluster the vectors.
-  FeatureMetric metric{&pre.features, &dist_evals};
-  ClusterOutcome outcome;
+  cluster::KSelectResult swept;
   {
     obs::Span span(tracer, "core.map.cluster");
     span.SetAttr("threads", threads);
-    BLAEU_ASSIGN_OR_RETURN(
-        outcome, RunClustering(pre.features, metric, options, tracer, &span,
-                               &scratch));
+    BLAEU_ASSIGN_OR_RETURN(swept,
+                           RunClustering(pre.features, options, &dist_evals));
     res.stages.push_back({"cluster", span.ElapsedSeconds()});
-    span.SetAttr("algorithm", outcome.algorithm);
-    span.SetAttr("k", outcome.result.num_clusters());
-    span.SetAttr("silhouette", outcome.silhouette);
+    span.SetAttr("k", swept.best.num_clusters());
+    span.SetAttr("silhouette", swept.best_score);
   }
-  map.num_clusters = outcome.result.num_clusters();
-  map.silhouette = outcome.silhouette;
-  map.algorithm = outcome.algorithm;
-  metrics->histogram("core.map.silhouette")->Observe(outcome.silhouette);
+  const cluster::ClusteringResult& clustering = swept.best;
+  map.num_clusters = clustering.num_clusters();
+  map.silhouette = swept.best_score;
+  map.algorithm = "clara";
+  metrics->histogram("core.map.silhouette")->Observe(swept.best_score);
 
   // 4. Describe the clusters with a decision tree on the original columns.
   Result<tree::CartModel> model_or = [&]() -> Result<tree::CartModel> {
@@ -337,10 +262,9 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(
         tree::CartModel model,
-        tree::CartModel::Train(*view, pre.rows, outcome.result.labels,
+        tree::CartModel::Train(*view, pre.rows, clustering.labels,
                                tree_options));
-    map.tree_fidelity =
-        model.Fidelity(*view, pre.rows, outcome.result.labels);
+    map.tree_fidelity = model.Fidelity(*view, pre.rows, clustering.labels);
     res.stages.push_back({"describe", span.ElapsedSeconds()});
     span.SetAttr("fidelity", map.tree_fidelity);
     return model;
@@ -382,8 +306,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   for (MapRegion& region : map.regions) {
     if (!region.is_leaf() || region.cluster_label < 0) continue;
     size_t c = static_cast<size_t>(region.cluster_label);
-    if (c < outcome.result.medoids.size()) {
-      region.medoid_row = pre.rows[outcome.result.medoids[c]];
+    if (c < clustering.medoids.size()) {
+      region.medoid_row = pre.rows[clustering.medoids[c]];
       region.has_medoid = true;
     }
   }

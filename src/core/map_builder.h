@@ -1,6 +1,7 @@
 // The mapping engine (paper §3, Figure 3): sample -> preprocess -> cluster
-// (PAM / CLARA, k chosen by silhouette) -> describe with CART -> assemble
-// the region hierarchy -> count each region's rows over the selection.
+// (a CLARA k sweep, k chosen by silhouette) -> describe with CART ->
+// assemble the region hierarchy -> count each region's rows over the
+// selection.
 #pragma once
 
 #include <cstdint>
@@ -20,36 +21,26 @@
 
 namespace blaeu::core {
 
-/// Cluster-detection algorithm for the map.
-enum class MapAlgorithm {
-  kAuto,  ///< PAM on small samples, CLARA beyond clara_threshold
-  kPam,
-  kClara,
-};
-
 /// Map-construction options.
 struct MapOptions {
   /// Tuples sampled from the selection before clustering (paper: "a few
   /// thousand samples"). 0 disables sampling.
   size_t sample_size = 2000;
-  MapAlgorithm algorithm = MapAlgorithm::kAuto;
-  /// kAuto switches from PAM to CLARA above this many sampled tuples.
-  size_t clara_threshold = 1200;
-  /// Range of cluster counts swept with the silhouette criterion.
+  /// Range of cluster counts swept with the silhouette criterion. Every
+  /// candidate is a CLARA run over the sample, scored by the Monte-Carlo
+  /// silhouette: the mean over 4 subsamples of 150 tuples (one exact pass
+  /// on samples of at most 150).
   size_t k_min = 2;
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).
   size_t fixed_k = 0;
-  /// Above this many tuples the k sweep scores each candidate with the
-  /// Monte-Carlo silhouette: the mean over 4 subsamples of 150 tuples.
-  size_t monte_carlo_threshold = 600;
   PreprocessOptions preprocess;
   tree::CartOptions tree;
   uint64_t seed = 42;
-  /// Thread budget for the whole build: preprocessing, distance matrix,
-  /// k sweeps, CART split search and region counting all draw from the
-  /// process-wide pool (common/parallel.h). 0 = process default
-  /// (BLAEU_NUM_THREADS, else hardware_concurrency); 1 = fully serial.
+  /// Thread budget for the whole build: preprocessing, the k sweep, CART
+  /// split search and region counting all draw from the process-wide pool
+  /// (common/parallel.h). 0 = process default (BLAEU_NUM_THREADS, else
+  /// hardware_concurrency); 1 = fully serial.
   /// Overrides the num_threads of `preprocess` and `tree`. The map produced
   /// — regions, predicates, tuple counts, silhouette — is bit-identical at
   /// any value.

@@ -44,12 +44,9 @@ uint64_t FingerprintTable(const monet::Table& table) {
 uint64_t FingerprintMapOptions(const MapOptions& o) {
   uint64_t h = kFnvOffset;
   h = HashMix(h, o.sample_size);
-  h = HashMix(h, static_cast<uint64_t>(o.algorithm));
-  h = HashMix(h, o.clara_threshold);
   h = HashMix(h, o.k_min);
   h = HashMix(h, o.k_max);
   h = HashMix(h, o.fixed_k);
-  h = HashMix(h, o.monte_carlo_threshold);
   h = HashMix(h, o.preprocess.max_categories);
   h = HashMix(h, o.tree.max_depth);
   h = HashMix(h, o.tree.min_samples_leaf);

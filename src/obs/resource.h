@@ -81,7 +81,7 @@ struct ResourceProfile {
   int64_t rows_counted = 0;
   /// Cells of the preprocessed feature matrix (rows x features).
   int64_t cells_materialized = 0;
-  /// Metric-space distance evaluations (distance matrix, CLARA assignment,
+  /// Metric-space distance evaluations (CLARA draws and assignment,
   /// Monte-Carlo silhouette). Zero for a trivial map, which never clusters.
   int64_t distance_evaluations = 0;
   /// Nodes of the trained CART description tree (= map regions).
@@ -90,7 +90,7 @@ struct ResourceProfile {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   /// High-water mark of instrumented scratch allocations (feature matrix,
-  /// distance matrix, per-region row sets).
+  /// per-region row sets).
   int64_t peak_scratch_bytes = 0;
   /// End-to-end build wall time; stages[] splits it.
   double total_seconds = 0.0;

@@ -53,24 +53,6 @@ TEST(MapOptionsTest, FixedKOverridesSweep) {
   }
 }
 
-TEST(MapOptionsTest, MonteCarloThresholdSwitchesScoring) {
-  workloads::MixtureSpec spec;
-  spec.rows = 900;
-  spec.num_clusters = 3;
-  spec.dims = 3;
-  auto data = workloads::MakeGaussianMixture(spec);
-  core::MapOptions mc;
-  mc.sample_size = 900;
-  mc.monte_carlo_threshold = 100;  // forces MC scoring
-  auto map_mc = *core::BuildMap(*data.table, mc);
-  core::MapOptions exact = mc;
-  exact.monte_carlo_threshold = 100000;  // forces exact scoring
-  auto map_exact = *core::BuildMap(*data.table, exact);
-  // Both find the planted structure.
-  EXPECT_EQ(map_mc.num_clusters, 3u);
-  EXPECT_EQ(map_exact.num_clusters, 3u);
-}
-
 TEST(ImportanceTest, MapSplitsTrackImportantColumns) {
   // The description tree splits only on the map's active columns.
   auto data = workloads::MakeHollywood();

@@ -9,6 +9,7 @@
 #include "workloads/hollywood.h"
 #include "workloads/oecd.h"
 
+#include <cstdio>
 #include <sstream>
 
 namespace blaeu::core {
@@ -76,20 +77,16 @@ TEST(EndToEndTest, Figure1ScenarioOnOecd) {
   EXPECT_EQ(session.current().selection.size(), 1500u);
 }
 
-TEST(EndToEndTest, HighIncomeRegionContainsTheRightCountries) {
-  // The demo's payoff: Switzerland/Norway/Canada surface in the
-  // low-hours / high-income region.
-  workloads::OecdSpec spec;
-  spec.rows = 2000;
-  spec.indicator_columns = 12;
-  auto data = workloads::MakeOecd(spec);
-
-  // Build the map directly on the Figure 1 columns.
+/// The share of work-life-balance countries (Switzerland, Norway, Canada,
+/// ...) in the highest-income leaf of a 3-cluster map over the Figure 1
+/// columns, built with map seed `seed`.
+double HighIncomeLeafShare(const workloads::Dataset& data, uint64_t seed) {
   MapOptions opt;
   opt.sample_size = 1000;
   opt.fixed_k = 3;
+  opt.seed = seed;
   auto map = *BuildMap(
-      *data.table, monet::SelectionVector::All(2000),
+      *data.table, monet::SelectionVector::All(data.table->num_rows()),
       {"pct_employees_working_long_hours", "average_income_kusd",
        "time_dedicated_to_leisure_hours"},
       opt);
@@ -114,7 +111,7 @@ TEST(EndToEndTest, HighIncomeRegionContainsTheRightCountries) {
       best_rows = rows;
     }
   }
-  ASSERT_GT(best_rows.size(), 0u);
+  if (best_rows.empty()) return 0.0;
   size_t rich_profile = 0;
   for (uint32_t r : best_rows.rows()) {
     const std::string& c = country->StringAt(r);
@@ -124,8 +121,28 @@ TEST(EndToEndTest, HighIncomeRegionContainsTheRightCountries) {
       ++rich_profile;
     }
   }
-  // The work-life-balance countries dominate the high-income region.
-  EXPECT_GT(static_cast<double>(rich_profile) / best_rows.size(), 0.5);
+  return static_cast<double>(rich_profile) / best_rows.size();
+}
+
+TEST(EndToEndTest, HighIncomeRegionContainsTheRightCountries) {
+  // The demo's payoff: Switzerland/Norway/Canada surface in the
+  // low-hours / high-income region. One map draw can miss it, so this
+  // asserts a rate over map seeds 1-60: the work-life-balance countries
+  // dominate the high-income region on at least 54 of them.
+  workloads::OecdSpec spec;
+  spec.rows = 2000;
+  spec.indicator_columns = 12;
+  auto data = workloads::MakeOecd(spec);
+  int passes = 0;
+  double share_sum = 0.0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const double share = HighIncomeLeafShare(data, seed);
+    share_sum += share;
+    if (share > 0.5) ++passes;
+  }
+  std::printf("payoff on %d of 60 map seeds, mean share %.3f\n", passes,
+              share_sum / 60);
+  EXPECT_GE(passes, 54);
 }
 
 TEST(EndToEndTest, HollywoodViaCsvRoundTrip) {

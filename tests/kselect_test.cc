@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "stats/distance.h"
+#include "stats/silhouette.h"
 
 namespace blaeu::cluster {
 namespace {
@@ -34,6 +35,29 @@ uint64_t Bits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
   return bits;
+}
+
+/// Monte-Carlo silhouette scoring under `dist`: a caller's own ScoreFn for
+/// SweepK, as the map builder scores its CLARA sweep.
+ScoreFn MonteCarloScore(const DistanceMatrix& dist,
+                        const stats::MonteCarloSilhouetteOptions& mc) {
+  return [&dist, mc](size_t, const ClusteringResult& result) {
+    return stats::MonteCarloSilhouette(
+        dist.size(), result.labels,
+        [&](size_t i, size_t j) { return dist.At(i, j); }, mc);
+  };
+}
+
+/// Same k, labels and medoids, bit-equal scores.
+void ExpectSameSweep(const KSelectResult& a, const KSelectResult& b) {
+  EXPECT_EQ(a.best_k, b.best_k);
+  EXPECT_EQ(a.best.labels, b.best.labels);
+  EXPECT_EQ(a.best.medoids, b.best.medoids);
+  EXPECT_EQ(Bits(a.best_score), Bits(b.best_score));
+  ASSERT_EQ(a.scores.size(), b.scores.size());
+  for (size_t i = 0; i < a.scores.size(); ++i) {
+    EXPECT_EQ(Bits(a.scores[i]), Bits(b.scores[i])) << "candidate " << i;
+  }
 }
 
 TEST(KSelectTest, RecoversPlantedKThree) {
@@ -79,12 +103,13 @@ TEST(KSelectTest, MonteCarloAgreesOnWellSeparatedData) {
   KSelectOptions exact;
   exact.k_min = 2;
   exact.k_max = 6;
-  KSelectOptions mc = exact;
-  mc.monte_carlo = true;
-  mc.mc_options.num_subsamples = 5;
-  mc.mc_options.subsample_size = 150;
+  stats::MonteCarloSilhouetteOptions mc;
+  mc.num_subsamples = 5;
+  mc.subsample_size = 150;
   auto exact_result = *SelectKWithPam(dist, exact);
-  auto mc_result = *SelectKWithPam(dist, mc);
+  auto mc_result = *SweepK(
+      2, 6, [&](size_t k) { return Pam(dist, k); }, MonteCarloScore(dist, mc),
+      1);
   EXPECT_EQ(exact_result.best_k, 4u);
   EXPECT_EQ(mc_result.best_k, 4u);
 }
@@ -122,10 +147,10 @@ TEST(KSelectTest, CustomClusterFn) {
 }
 
 TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
-  // SelectKWithPam seeds every k from one BUILD shared by the k tasks. It
-  // must pick exactly what one Pam per k picks, with exact and Monte-Carlo
-  // scoring, at any thread count: same k, labels and medoids, bit-equal
-  // scores.
+  // SelectKWithPam seeds every k from one BUILD. It must pick exactly what
+  // one Pam per k picks. A Monte-Carlo or threaded sweep is SweepK with the
+  // caller's ScoreFn: seeded from one BUILD that its concurrent k tasks
+  // share read-only, it must match the serial one-Pam-per-k sweep too.
   Rng rng(12);
   Matrix noise(260, 3);
   for (size_t i = 0; i < noise.rows(); ++i) {
@@ -133,29 +158,24 @@ TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
   }
   for (const Matrix& data : {PlantedBlobs(4, 60, 9), noise}) {
     DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-    for (bool monte_carlo : {false, true}) {
-      for (size_t threads : {1, 4}) {
-        SCOPED_TRACE("mc " + std::to_string(monte_carlo) + " threads " +
-                     std::to_string(threads));
-        KSelectOptions opt;
-        opt.k_min = 2;
-        opt.k_max = 6;
-        opt.monte_carlo = monte_carlo;
-        opt.mc_options.subsample_size = 120;
-        opt.num_threads = threads;
-        auto shared = *SelectKWithPam(dist, opt);
-        auto per_k = *SelectK(
-            dist, [&](size_t k) { return Pam(dist, k); }, opt);
-        EXPECT_EQ(shared.best_k, per_k.best_k);
-        EXPECT_EQ(shared.best.labels, per_k.best.labels);
-        EXPECT_EQ(shared.best.medoids, per_k.best.medoids);
-        EXPECT_EQ(Bits(shared.best_score), Bits(per_k.best_score));
-        ASSERT_EQ(shared.scores.size(), per_k.scores.size());
-        for (size_t i = 0; i < shared.scores.size(); ++i) {
-          EXPECT_EQ(Bits(shared.scores[i]), Bits(per_k.scores[i]))
-              << "k " << opt.k_min + i;
-        }
-      }
+    KSelectOptions opt;
+    opt.k_min = 2;
+    opt.k_max = 6;
+    const ClusterFn per_k = [&](size_t k) { return Pam(dist, k); };
+    ExpectSameSweep(*SelectKWithPam(dist, opt), *SelectK(dist, per_k, opt));
+
+    stats::MonteCarloSilhouetteOptions mc;
+    mc.subsample_size = 120;
+    const ScoreFn score = MonteCarloScore(dist, mc);
+    const std::vector<size_t> build = PamBuild(dist, opt.k_max);
+    const ClusterFn shared = [&](size_t k) -> Result<ClusteringResult> {
+      return PamSwap(dist,
+                     std::vector<size_t>(build.begin(), build.begin() + k));
+    };
+    const KSelectResult serial = *SweepK(2, 6, per_k, score, 1);
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ExpectSameSweep(*SweepK(2, 6, shared, score, threads), serial);
     }
   }
 }

@@ -145,29 +145,6 @@ TEST(MapBuilderTest, TreeFidelityHighOnSeparatedData) {
   EXPECT_GT(map.silhouette, 0.4);
 }
 
-TEST(MapBuilderTest, AlgorithmSelectionAuto) {
-  auto small = Mixture(300, 2, 9);
-  MapOptions opt;
-  opt.clara_threshold = 1200;
-  opt.sample_size = 0;
-  auto map_small = *BuildMap(*small.table, opt);
-  EXPECT_EQ(map_small.algorithm, "pam");
-  auto big = Mixture(3000, 2, 10);
-  auto map_big = *BuildMap(*big.table, opt);
-  EXPECT_EQ(map_big.algorithm, "clara");
-}
-
-TEST(MapBuilderTest, ExplicitAlgorithms) {
-  auto data = Mixture(250, 3, 11);
-  for (MapAlgorithm algo : {MapAlgorithm::kPam, MapAlgorithm::kClara}) {
-    MapOptions opt;
-    opt.algorithm = algo;
-    opt.fixed_k = 3;
-    auto map = *BuildMap(*data.table, opt);
-    EXPECT_EQ(map.num_clusters, 3u);
-  }
-}
-
 TEST(MapBuilderTest, SelectionRestrictsMap) {
   auto data = Mixture(400, 3, 12);
   SelectionVector sel = SelectionVector::All(200);
@@ -205,12 +182,12 @@ TEST(MapBuilderTest, KSweepPicksPlantedK) {
   EXPECT_EQ(map.num_clusters, 3u);
 }
 
-TEST(MapBuilderTest, EmptyKRangeIsRejectedOnPamAndClaraSelections) {
-  // After the n/k clamp the range [max(2, k_min), k_max] is empty; both
-  // algorithms must say so instead of building from an empty sweep.
-  auto pam_sized = Mixture(300, 3, 23);
-  auto clara_sized = Mixture(2000, 3, 24);
-  for (const workloads::Dataset* data : {&pam_sized, &clara_sized}) {
+TEST(MapBuilderTest, EmptyKRangeIsRejectedOnSmallAndLargeSelections) {
+  // After the n/k clamp the range [max(2, k_min), k_max] is empty; the
+  // build must say so instead of building from an empty sweep.
+  auto small = Mixture(300, 3, 23);
+  auto large = Mixture(2000, 3, 24);
+  for (const workloads::Dataset* data : {&small, &large}) {
     for (auto [k_min, k_max] : {std::pair<size_t, size_t>{7, 6},
                                 std::pair<size_t, size_t>{8, 6},
                                 std::pair<size_t, size_t>{2, 1}}) {
@@ -230,8 +207,8 @@ TEST(MapBuilderTest, EmptyKRangeIsRejectedOnPamAndClaraSelections) {
 }
 
 TEST(MapBuilderTest, ClaraBuildRunsOneKSweep) {
-  // A default build above clara_threshold sweeps k = 2..6 once, through
-  // the same SweepK as PAM, so the global kselect counters see it.
+  // A default build sweeps k = 2..6 once, through SweepK, so the global
+  // kselect counters see it.
   auto data = Mixture(2000, 3, 25);
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
   const int64_t sweeps = global.counter("cluster.kselect.sweeps")->value();
@@ -330,8 +307,8 @@ void ExpectMapsIdentical(const DataMap& a, const DataMap& b) {
 
 TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnGaussian) {
   // The parallel layer's core promise: 1 thread and 8 threads produce the
-  // same map, bit for bit. Gaussian path: PAM + exact-silhouette k sweep +
-  // distance matrix.
+  // same map, bit for bit. Gaussian path: the CLARA k sweep over all 600
+  // rows, whose k tasks run concurrently.
   auto data = Mixture(600, 3, 21);
   MapOptions serial;
   serial.num_threads = 1;
@@ -350,7 +327,7 @@ TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnLofar) {
   spec.seed = 5;
   auto data = workloads::MakeLofar(spec);
   MapOptions serial;
-  serial.sample_size = 2000;  // above clara_threshold: CLARA + MC silhouette
+  serial.sample_size = 2000;
   serial.seed = 99;
   serial.num_threads = 1;
   MapOptions parallel = serial;
@@ -361,20 +338,6 @@ TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnLofar) {
   auto map8 = *BuildMap(*data.table, sel, columns, parallel);
   EXPECT_EQ(map1.algorithm, "clara");
   ExpectMapsIdentical(map1, map8);
-}
-
-TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapAcrossAlgorithms) {
-  auto data = Mixture(400, 3, 22);
-  for (MapAlgorithm algo : {MapAlgorithm::kPam, MapAlgorithm::kClara}) {
-    MapOptions serial;
-    serial.algorithm = algo;
-    serial.num_threads = 1;
-    MapOptions parallel = serial;
-    parallel.num_threads = 8;
-    auto map1 = *BuildMap(*data.table, serial);
-    auto map8 = *BuildMap(*data.table, parallel);
-    ExpectMapsIdentical(map1, map8);
-  }
 }
 
 TEST(MapBuilderTest, ValidateRegionId) {
