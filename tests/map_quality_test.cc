@@ -1,8 +1,7 @@
-// Map quality against planted truth. Every map is a CLARA k sweep; this
-// grid checks that its leaves recover the planted row clusters of Hollywood
-// and LOFAR about as well as the full-matrix PAM k sweep did, which built
-// every map of up to 1,200 sampled rows before CLARA became the one map
-// clusterer.
+// Map quality against planted truth: the leaves of the maps' CLARA k sweep
+// must recover the planted row clusters of Hollywood and LOFAR about as
+// well as a full-matrix PAM k sweep, whose means on the same grid are the
+// constants below.
 //
 // Grid: the first two detected themes of each table, selections of
 // n = 300/600/900/1,199 rows (Hollywood has 900), 12 seeds. Each selected
@@ -95,11 +94,11 @@ GridQuality MeasureGrid(const workloads::Dataset& data,
 }
 
 // Means of the same grid under the full-matrix PAM k sweep, which built
-// these maps before every map became a CLARA k sweep (measured on that
-// code, RelWithDebInfo). The CLARA sweep measured 0.4033 / 0.7368 on
-// Hollywood, with the same k on all 72 maps, and 0.2510 / 0.5969 on LOFAR,
-// with the same k on 77 of 96: LOFAR trades 0.023 of silhouette for 0.10
-// of ARI and builds about 5x shorter, hence its wider silhouette bound.
+// every map of up to 1,200 sampled rows before CLARA became the one map
+// clusterer. The CLARA sweep measured 0.4033 / 0.7368 on Hollywood, with
+// the same k on all 72 maps, and 0.2510 / 0.5969 on LOFAR, with the same k
+// on 77 of 96: LOFAR trades 0.023 of silhouette for 0.10 of ARI and builds
+// about 5x shorter, hence its wider silhouette bound.
 constexpr double kHollywoodPamAri = 0.4045;
 constexpr double kHollywoodPamSilhouette = 0.7375;
 constexpr double kLofarPamAri = 0.1486;
