@@ -1,6 +1,7 @@
 #include "monet/predicate.h"
 
-#include <algorithm>
+#include <functional>
+#include <memory>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -60,24 +61,6 @@ Condition Condition::NotNull(std::string column) {
 
 namespace {
 
-bool CompareNumeric(double lhs, CompareOp op, double rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kLe:
-      return lhs <= rhs;
-    case CompareOp::kGt:
-      return lhs > rhs;
-    case CompareOp::kGe:
-      return lhs >= rhs;
-    case CompareOp::kEq:
-      return lhs == rhs;
-    case CompareOp::kNe:
-      return lhs != rhs;
-  }
-  return false;
-}
-
 bool CompareString(const std::string& lhs, CompareOp op,
                    const std::string& rhs) {
   switch (op) {
@@ -97,144 +80,179 @@ bool CompareString(const std::string& lhs, CompareOp op,
   return false;
 }
 
-/// \brief One condition compiled against its column for a bulk evaluation.
+/// \brief One condition compiled against its column: it writes the rows
+/// of in[0, n) that pass it to out, in order, and returns how many. `out`
+/// may be `in`, which then compacts in place.
 ///
-/// All literal materialization is hoisted out of the row loop: the compare
-/// literal is resolved to a double / string reference / dictionary code
-/// once, and set membership pre-resolves to dictionary codes (string
-/// columns), an int64 set (int columns, exact-rendering round-trip), or a
-/// hashed string set — so the per-row test never constructs a Value or a
-/// fresh std::string for dictionary-backed columns.
-struct PreparedCondition {
-  const Condition* cond = nullptr;
-  const Column* col = nullptr;
-  Condition::Kind kind = Condition::Kind::kCompare;
-  CompareOp op = CompareOp::kLt;
-  bool always_false = false;  // null literal or unsatisfiable type mix
+/// Everything but the per-row test is resolved once, when the condition is
+/// prepared: the column's typed payload, the literal as a double or a
+/// dictionary code, and set membership as a byte table over the codes.
+using Kernel =
+    std::function<size_t(const uint32_t* in, size_t n, uint32_t* out)>;
 
-  // kCompare
-  double num_rhs = 0.0;                 // numeric columns
-  const std::string* str_rhs = nullptr; // string columns, ordered ops
-  bool use_eq_code = false;             // string columns, Eq/Ne via codes
-  int32_t eq_code = Dictionary::kNullCode;
-
-  // kInSet
-  std::vector<int32_t> set_codes;        // string columns (sorted)
-  std::unordered_set<int64_t> int_set;   // int64 columns
-  std::unordered_set<std::string> str_set;  // double columns (rendered)
-  bool in_true = false, in_false = false;   // bool columns
-
-  bool Matches(uint32_t row) const {
-    const bool is_null = col->IsNull(row);
-    switch (kind) {
-      case Condition::Kind::kIsNull:
-        return is_null;
-      case Condition::Kind::kNotNull:
-        return !is_null;
-      case Condition::Kind::kCompare: {
-        if (is_null || always_false) return false;
-        if (use_eq_code) {
-          const bool eq = col->codes()[row] == eq_code;
-          return op == CompareOp::kEq ? eq : !eq;
-        }
-        if (str_rhs != nullptr) {
-          return CompareString(col->StringAt(row), op, *str_rhs);
-        }
-        return CompareNumeric(col->GetNumeric(row), op, num_rhs);
-      }
-      case Condition::Kind::kInSet: {
-        if (is_null) return false;
-        bool found = false;
-        switch (col->type()) {
-          case DataType::kString:
-            found = std::binary_search(set_codes.begin(), set_codes.end(),
-                                       col->codes()[row]);
-            break;
-          case DataType::kBool:
-            found = col->bools()[row] ? in_true : in_false;
-            break;
-          case DataType::kInt64:
-            found = int_set.count(col->ints()[row]) > 0;
-            break;
-          case DataType::kDouble:
-            // Rendering per row matches the string-set semantics exactly
-            // (%.6g is not injective, so value-keyed sets would diverge).
-            found = str_set.count(FormatDouble(col->doubles()[row])) > 0;
-            break;
-        }
-        return cond->negated ? !found : found;
-      }
+/// The kernel that keeps the rows for which `keep(row)` holds. The loop
+/// writes every row and advances the cursor by 0 or 1, without a branch.
+template <typename Keep>
+Kernel Filter(Keep keep) {
+  return [keep = std::move(keep)](const uint32_t* in, size_t n,
+                                  uint32_t* out) {
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = in[i];
+      out[kept] = row;
+      kept += keep(row) ? 1 : 0;
     }
-    return false;
-  }
-};
+    return kept;
+  };
+}
 
-PreparedCondition PrepareCondition(const Condition& c, const Column& col) {
-  PreparedCondition p;
-  p.cond = &c;
-  p.col = &col;
-  p.kind = c.kind;
-  p.op = c.op;
+/// A null literal or a literal of the wrong type: no row passes.
+Kernel KeepNone() {
+  return [](const uint32_t*, size_t, uint32_t*) -> size_t { return 0; };
+}
+
+/// Numeric compare on a typed payload. The cell is widened to double as
+/// Column::GetNumeric does, so NaN fails every op but <>.
+template <typename T>
+Kernel CompareKernel(const Column& col, const std::vector<T>& payload,
+                     CompareOp op, double rhs) {
+  const uint8_t* valid = col.validity().data();
+  const T* data = payload.data();
+  auto with = [&](auto cmp) {
+    return Filter([=](uint32_t row) {
+      return (valid[row] != 0) & cmp(static_cast<double>(data[row]), rhs);
+    });
+  };
+  switch (op) {
+    case CompareOp::kLt:
+      return with(std::less<double>());
+    case CompareOp::kLe:
+      return with(std::less_equal<double>());
+    case CompareOp::kGt:
+      return with(std::greater<double>());
+    case CompareOp::kGe:
+      return with(std::greater_equal<double>());
+    case CompareOp::kEq:
+      return with(std::equal_to<double>());
+    case CompareOp::kNe:
+      return with(std::not_equal_to<double>());
+  }
+  return KeepNone();
+}
+
+Kernel PrepareCompare(const Condition& c, const Column& col) {
+  if (c.value.is_null()) return KeepNone();
+  const uint8_t* valid = col.validity().data();
+  if (col.type() == DataType::kString) {
+    if (c.value.type() != DataType::kString) return KeepNone();
+    const std::string& rhs = c.value.AsString();
+    if (c.op == CompareOp::kEq || c.op == CompareOp::kNe) {
+      // An absent literal is kNullCode, never a valid cell's code: = keeps
+      // nothing and <> every non-NULL cell.
+      const int32_t code = col.dictionary()->Find(rhs);
+      const int32_t* codes = col.codes().data();
+      const bool eq = c.op == CompareOp::kEq;
+      return Filter([=](uint32_t row) {
+        return (valid[row] != 0) & ((codes[row] == code) == eq);
+      });
+    }
+    // Ordered string compares: no product path emits them.
+    const CompareOp op = c.op;
+    return Filter([&col, &rhs, op](uint32_t row) {
+      return !col.IsNull(row) && CompareString(col.StringAt(row), op, rhs);
+    });
+  }
+  if (c.value.type() == DataType::kString) return KeepNone();
+  const double rhs = c.value.AsDouble();
+  switch (col.type()) {
+    case DataType::kDouble:
+      return CompareKernel(col, col.doubles(), c.op, rhs);
+    case DataType::kInt64:
+      return CompareKernel(col, col.ints(), c.op, rhs);
+    case DataType::kBool:
+      return CompareKernel(col, col.bools(), c.op, rhs);
+    case DataType::kString:
+      break;
+  }
+  return KeepNone();
+}
+
+Kernel PrepareInSet(const Condition& c, const Column& col) {
+  const uint8_t* valid = col.validity().data();
+  const bool negated = c.negated;
+  switch (col.type()) {
+    case DataType::kString: {
+      // keep[code + 1] says whether a cell of that code passes. Slot 0 is
+      // NULL's kNullCode, which fails IN and NOT IN alike.
+      std::vector<uint8_t> keep(col.dictionary()->size() + 1, negated);
+      keep[0] = 0;
+      for (const std::string& s : c.set) {
+        const int32_t code = col.dictionary()->Find(s);
+        if (code != Dictionary::kNullCode) keep[code + 1] = !negated;
+      }
+      const int32_t* codes = col.codes().data();
+      return Filter([keep = std::move(keep), codes](uint32_t row) {
+        return keep[codes[row] + 1] != 0;
+      });
+    }
+    case DataType::kBool: {
+      bool in_true = false, in_false = false;
+      for (const std::string& s : c.set) {
+        if (s == "true") in_true = true;
+        if (s == "false") in_false = true;
+      }
+      const bool keep_true = in_true != negated;
+      const bool keep_false = in_false != negated;
+      const uint8_t* bools = col.bools().data();
+      return Filter([=](uint32_t row) {
+        return (valid[row] != 0) & (bools[row] != 0 ? keep_true : keep_false);
+      });
+    }
+    case DataType::kInt64: {
+      // No product path emits the next two shapes; they test per cell.
+      std::unordered_set<int64_t> set;
+      for (const std::string& s : c.set) {
+        int64_t v;
+        // Only canonical renderings can ever match a cell's ToString.
+        if (ParseInt(s, &v) && std::to_string(v) == s) set.insert(v);
+      }
+      const int64_t* ints = col.ints().data();
+      return Filter(
+          [set = std::move(set), valid, ints, negated](uint32_t row) {
+            return valid[row] != 0 && (set.count(ints[row]) > 0) != negated;
+          });
+    }
+    case DataType::kDouble: {
+      // Rendering per row matches the string-set semantics exactly (%.6g is
+      // not injective, so value-keyed sets would diverge).
+      std::unordered_set<std::string> set(c.set.begin(), c.set.end());
+      const double* doubles = col.doubles().data();
+      return Filter(
+          [set = std::move(set), valid, doubles, negated](uint32_t row) {
+            return valid[row] != 0 &&
+                   (set.count(FormatDouble(doubles[row])) > 0) != negated;
+          });
+    }
+  }
+  return KeepNone();
+}
+
+Kernel PrepareCondition(const Condition& c, const Column& col) {
+  const uint8_t* valid = col.validity().data();
   switch (c.kind) {
     case Condition::Kind::kIsNull:
+      return Filter([valid](uint32_t row) { return valid[row] == 0; });
     case Condition::Kind::kNotNull:
-      break;
+      return Filter([valid](uint32_t row) { return valid[row] != 0; });
     case Condition::Kind::kCompare:
-      if (c.value.is_null()) {
-        p.always_false = true;
-      } else if (col.type() == DataType::kString) {
-        if (c.value.type() != DataType::kString) {
-          p.always_false = true;
-        } else if (c.op == CompareOp::kEq || c.op == CompareOp::kNe) {
-          // Absent literal: Eq never matches, Ne matches every non-null —
-          // exactly what kNullCode (never a cell code) yields.
-          p.use_eq_code = true;
-          p.eq_code = col.dictionary()->Find(c.value.AsString());
-        } else {
-          p.str_rhs = &c.value.AsString();
-        }
-      } else if (c.value.type() == DataType::kString) {
-        p.always_false = true;
-      } else {
-        p.num_rhs = c.value.AsDouble();
-      }
-      break;
+      return PrepareCompare(c, col);
     case Condition::Kind::kInSet:
-      switch (col.type()) {
-        case DataType::kString:
-          for (const std::string& s : c.set) {
-            const int32_t code = col.dictionary()->Find(s);
-            if (code != Dictionary::kNullCode) p.set_codes.push_back(code);
-          }
-          std::sort(p.set_codes.begin(), p.set_codes.end());
-          break;
-        case DataType::kBool:
-          for (const std::string& s : c.set) {
-            if (s == "true") p.in_true = true;
-            if (s == "false") p.in_false = true;
-          }
-          break;
-        case DataType::kInt64:
-          for (const std::string& s : c.set) {
-            int64_t v;
-            // Only canonical renderings can ever match a cell's ToString.
-            if (ParseInt(s, &v) && std::to_string(v) == s) p.int_set.insert(v);
-          }
-          break;
-        case DataType::kDouble:
-          p.str_set.insert(c.set.begin(), c.set.end());
-          break;
-      }
-      break;
+      return PrepareInSet(c, col);
   }
-  return p;
+  return KeepNone();
 }
 
 }  // namespace
-
-bool Condition::Matches(const Column& col, size_t row) const {
-  return PrepareCondition(*this, col).Matches(static_cast<uint32_t>(row));
-}
 
 std::string Condition::ToSql() const {
   std::string quoted = "\"" + column + "\"";
@@ -273,27 +291,26 @@ Result<SelectionVector> Conjunction::Evaluate(const Table& table) const {
 
 Result<SelectionVector> Conjunction::EvaluateOn(
     const Table& table, const SelectionVector& base) const {
-  // Resolve columns and compile each condition once; the row loop then
-  // works on dictionary codes / pre-parsed literals only.
-  std::vector<PreparedCondition> prepared;
-  prepared.reserve(conditions_.size());
+  // Resolve every column before touching a row: an unknown column is a
+  // KeyError even over an empty base.
+  std::vector<Kernel> kernels;
+  kernels.reserve(conditions_.size());
   for (const auto& c : conditions_) {
     BLAEU_ASSIGN_OR_RETURN(size_t idx,
                            table.schema().RequireFieldIndex(c.column));
-    prepared.push_back(PrepareCondition(c, *table.column(idx)));
+    kernels.push_back(PrepareCondition(c, *table.column(idx)));
   }
-  SelectionVector out;
-  for (uint32_t row : base.rows()) {
-    bool all = true;
-    for (const PreparedCondition& p : prepared) {
-      if (!p.Matches(row)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) out.push_back(row);
+  if (kernels.empty()) return base;
+  // The first condition reads `base`; each later one compacts the
+  // survivors of the ones before it in place. The result is copied out
+  // exactly sized.
+  const std::vector<uint32_t>& in = base.rows();
+  std::unique_ptr<uint32_t[]> rows(new uint32_t[in.size()]);
+  size_t n = kernels[0](in.data(), in.size(), rows.get());
+  for (size_t i = 1; i < kernels.size() && n > 0; ++i) {
+    n = kernels[i](rows.get(), n, rows.get());
   }
-  return out;
+  return SelectionVector(std::vector<uint32_t>(rows.get(), rows.get() + n));
 }
 
 std::string Conjunction::ToSql() const {

@@ -1,6 +1,12 @@
 // Predicates over table columns. Data-map regions are described by
 // conjunctions of these conditions; rendering them as SQL realizes the
 // paper's claim that every map state is an implicit Select-Project query.
+//
+// Evaluation is column-at-a-time, as in MonetDB: the conditions of a
+// conjunction apply one at a time, each to the rows that survived the ones
+// before it, in one tight loop over its column's typed payload. A NULL cell
+// fails every condition but IS NULL, and a NaN cell every comparison but
+// <>. Results are ascending and exactly sized (no spare capacity).
 #pragma once
 
 #include <string>
@@ -20,8 +26,11 @@ const char* CompareOpSymbol(CompareOp op);
 
 /// \brief One atomic condition on a single column.
 ///
-/// Three shapes: scalar comparison (numeric or string equality), categorical
-/// set membership (`col IN {...}`, possibly negated), and null tests.
+/// Three shapes: scalar comparison (numeric or string), categorical set
+/// membership (`col IN {...}`, possibly negated), and null tests. A
+/// comparison with a NULL literal, or across string and non-string types,
+/// matches no row. A set member matches the cells it spells as
+/// Value::ToString does: `true`/`false`, canonical integers, `%.6g` doubles.
 struct Condition {
   enum class Kind { kCompare, kInSet, kIsNull, kNotNull };
 
@@ -39,10 +48,6 @@ struct Condition {
                          bool negated = false);
   static Condition IsNull(std::string column);
   static Condition NotNull(std::string column);
-
-  /// True if the row satisfies the condition. NULL cells fail every
-  /// condition except kIsNull (SQL three-valued logic collapsed to false).
-  bool Matches(const Column& col, size_t row) const;
 
   /// SQL rendering, e.g. `"income" >= 22` or `"genre" IN ('Drama','Comedy')`.
   std::string ToSql() const;
@@ -64,10 +69,12 @@ class Conjunction {
   /// inherits the parent's constraints).
   Conjunction And(const Conjunction& other) const;
 
-  /// Rows of `table` satisfying all conditions. KeyError on unknown columns.
+  /// Rows of `table` satisfying all conditions (SQL three-valued logic
+  /// collapsed to false). KeyError on unknown columns.
   Result<SelectionVector> Evaluate(const Table& table) const;
 
-  /// Like Evaluate but restricted to the candidate rows in `base`.
+  /// Like Evaluate but restricted to the candidate rows in `base`; the
+  /// result keeps their (ascending) order.
   Result<SelectionVector> EvaluateOn(const Table& table,
                                      const SelectionVector& base) const;
 

@@ -162,8 +162,9 @@ TEST(CartTest, BranchConditionsMatchSplit) {
   EXPECT_EQ(left.column, "x");
   // Every row satisfies exactly one branch (no nulls here).
   for (uint32_t r = 0; r < 50; ++r) {
-    bool l = left.Matches(*t->column(0), r);
-    bool rr = right.Matches(*t->column(0), r);
+    const monet::SelectionVector row({r});
+    bool l = !monet::Conjunction({left}).EvaluateOn(*t, row)->empty();
+    bool rr = !monet::Conjunction({right}).EvaluateOn(*t, row)->empty();
     EXPECT_NE(l, rr);
   }
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
+#include "core/theme.h"
 #include "stats/metrics.h"
 #include "workloads/gaussian.h"
 #include "workloads/lofar.h"
@@ -338,6 +340,56 @@ TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnLofar) {
   auto map8 = *BuildMap(*data.table, sel, columns, parallel);
   EXPECT_EQ(map1.algorithm, "clara");
   ExpectMapsIdentical(map1, map8);
+}
+
+TEST(MapBuilderTest, RegionRowsEqualEachPredicateOnLofarAtPaperScale) {
+  // LOFAR at 200k rows: about 2,000 NULLs in each of the 12 flux columns,
+  // and theme 1 splits on the string column source_class at the root. For
+  // the root map of each of the first 4 themes and one zoom into its
+  // largest non-root region, every region's rows must equal its full
+  // predicate run over the selection, at 1 and 4 threads.
+  const workloads::Dataset data = workloads::MakeLofar();
+  const monet::Table& table = *data.table;
+  const ThemeSet themes = *DetectThemes(table);
+  ASSERT_GE(themes.themes.size(), 4u);
+  const SelectionVector all = SelectionVector::All(table.num_rows());
+  MapOptions opt;
+  opt.num_threads = 1;
+  for (size_t t = 0; t < 4; ++t) {
+    const std::vector<std::string>& columns = themes.themes[t].names;
+    const DataMap root = *BuildMap(table, all, columns, opt);
+    const std::vector<SelectionVector> root_rows =
+        *RegionRows(table, root, all, 1);
+    int largest = -1;
+    for (const MapRegion& region : root.regions) {
+      if (region.parent >= 0 &&
+          (largest < 0 ||
+           region.tuple_count > root.region(largest).tuple_count)) {
+        largest = region.id;
+      }
+    }
+    ASSERT_GE(largest, 0) << "theme " << t;
+    if (t == 1) {
+      const MapRegion& first = root.region(root.root().children.at(0));
+      EXPECT_EQ(first.edge.conditions().at(0).column, "source_class");
+    }
+    const SelectionVector& zoomed = root_rows[largest];
+    const DataMap zoom = *BuildMap(table, zoomed, columns, opt);
+    for (const auto& [map, sel] :
+         {std::pair(&root, &all), std::pair(&zoom, &zoomed)}) {
+      for (size_t threads : {1, 4}) {
+        const std::vector<SelectionVector> rows =
+            *RegionRows(table, *map, *sel, threads);
+        for (const MapRegion& region : map->regions) {
+          EXPECT_EQ(rows[region.id].rows(),
+                    region.predicate.EvaluateOn(table, *sel)->rows())
+              << "theme " << t << ", " << sel->size() << " rows, region "
+              << region.id << ": " << region.predicate.ToSql() << ", "
+              << threads << " threads";
+        }
+      }
+    }
+  }
 }
 
 TEST(MapBuilderTest, ValidateRegionId) {

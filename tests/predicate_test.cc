@@ -1,7 +1,15 @@
-// Unit tests for conditions, conjunctions and their SQL rendering.
+// Unit tests for conditions, conjunctions and their SQL rendering, and a
+// differential test of the column-at-a-time kernels against a per-row
+// oracle.
 #include "monet/predicate.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.h"
 
 namespace blaeu::monet {
 namespace {
@@ -22,55 +30,57 @@ TablePtr TestTable() {
   return *b.Finish();
 }
 
+// True if `c` keeps `row` of `t`, asked through EvaluateOn.
+bool Keeps(const Table& t, const Condition& c, uint32_t row) {
+  return !Conjunction({c}).EvaluateOn(t, SelectionVector({row}))->empty();
+}
+
 TEST(ConditionTest, NumericComparisons) {
   auto t = TestTable();
-  const Column& x = *t->column(0);
   Condition lt = Condition::Compare("x", CompareOp::kLt, Value::Double(2.5));
-  EXPECT_TRUE(lt.Matches(x, 0));
-  EXPECT_TRUE(lt.Matches(x, 1));
-  EXPECT_FALSE(lt.Matches(x, 2));
+  EXPECT_TRUE(Keeps(*t, lt, 0));
+  EXPECT_TRUE(Keeps(*t, lt, 1));
+  EXPECT_FALSE(Keeps(*t, lt, 2));
   Condition ge = Condition::Compare("x", CompareOp::kGe, Value::Double(3.0));
-  EXPECT_TRUE(ge.Matches(x, 2));
-  EXPECT_FALSE(ge.Matches(x, 1));
+  EXPECT_TRUE(Keeps(*t, ge, 2));
+  EXPECT_FALSE(Keeps(*t, ge, 1));
 }
 
 TEST(ConditionTest, NullsFailComparisons) {
   auto t = TestTable();
   Condition c = Condition::Compare("x", CompareOp::kLt, Value::Double(100));
-  EXPECT_FALSE(c.Matches(*t->column(0), 3));  // NULL row
+  EXPECT_FALSE(Keeps(*t, c, 3));  // NULL row
 }
 
 TEST(ConditionTest, NullTests) {
   auto t = TestTable();
-  EXPECT_TRUE(Condition::IsNull("x").Matches(*t->column(0), 3));
-  EXPECT_FALSE(Condition::IsNull("x").Matches(*t->column(0), 0));
-  EXPECT_TRUE(Condition::NotNull("x").Matches(*t->column(0), 0));
+  EXPECT_TRUE(Keeps(*t, Condition::IsNull("x"), 3));
+  EXPECT_FALSE(Keeps(*t, Condition::IsNull("x"), 0));
+  EXPECT_TRUE(Keeps(*t, Condition::NotNull("x"), 0));
 }
 
 TEST(ConditionTest, StringEqualityAndOrdering) {
   auto t = TestTable();
-  const Column& g = *t->column(1);
   Condition eq = Condition::Compare("genre", CompareOp::kEq,
                                     Value::Str("Drama"));
-  EXPECT_TRUE(eq.Matches(g, 0));
-  EXPECT_FALSE(eq.Matches(g, 1));
+  EXPECT_TRUE(Keeps(*t, eq, 0));
+  EXPECT_FALSE(Keeps(*t, eq, 1));
   // Cross-type comparison fails closed.
   Condition cross = Condition::Compare("genre", CompareOp::kEq,
                                        Value::Double(1.0));
-  EXPECT_FALSE(cross.Matches(g, 0));
+  EXPECT_FALSE(Keeps(*t, cross, 0));
 }
 
 TEST(ConditionTest, InSetAndNegation) {
   auto t = TestTable();
-  const Column& g = *t->column(1);
   Condition in = Condition::InSet("genre", {"Drama", "Action"});
-  EXPECT_TRUE(in.Matches(g, 0));
-  EXPECT_FALSE(in.Matches(g, 1));
-  EXPECT_FALSE(in.Matches(g, 3));  // NULL fails IN
+  EXPECT_TRUE(Keeps(*t, in, 0));
+  EXPECT_FALSE(Keeps(*t, in, 1));
+  EXPECT_FALSE(Keeps(*t, in, 3));  // NULL fails IN
   Condition not_in = Condition::InSet("genre", {"Drama"}, /*negated=*/true);
-  EXPECT_FALSE(not_in.Matches(g, 0));
-  EXPECT_TRUE(not_in.Matches(g, 1));
-  EXPECT_FALSE(not_in.Matches(g, 3));  // NULL fails NOT IN too
+  EXPECT_FALSE(Keeps(*t, not_in, 0));
+  EXPECT_TRUE(Keeps(*t, not_in, 1));
+  EXPECT_FALSE(Keeps(*t, not_in, 3));  // NULL fails NOT IN too
 }
 
 TEST(ConditionTest, SqlRendering) {
@@ -132,6 +142,215 @@ TEST(ConjunctionTest, AndConcatenates) {
 TEST(CompareOpTest, Symbols) {
   EXPECT_STREQ(CompareOpSymbol(CompareOp::kLe), "<=");
   EXPECT_STREQ(CompareOpSymbol(CompareOp::kNe), "<>");
+}
+
+// ---------------------------------------------------------------------------
+// The kernels against the per-row oracle.
+
+template <typename T>
+bool OracleCompare(const T& lhs, CompareOp op, const T& rhs) {
+  switch (op) {
+    case CompareOp::kLt:
+      return lhs < rhs;
+    case CompareOp::kLe:
+      return lhs <= rhs;
+    case CompareOp::kGt:
+      return lhs > rhs;
+    case CompareOp::kGe:
+      return lhs >= rhs;
+    case CompareOp::kEq:
+      return lhs == rhs;
+    case CompareOp::kNe:
+      return lhs != rhs;
+  }
+  return false;
+}
+
+// The per-row matcher the kernels replaced: true if `row` of `col`
+// satisfies `c`. A set member matches the cells it spells as ToString does.
+bool OracleMatches(const Condition& c, const Column& col, uint32_t row) {
+  const bool is_null = col.IsNull(row);
+  switch (c.kind) {
+    case Condition::Kind::kIsNull:
+      return is_null;
+    case Condition::Kind::kNotNull:
+      return !is_null;
+    case Condition::Kind::kCompare: {
+      if (is_null || c.value.is_null()) return false;
+      const bool string_col = col.type() == DataType::kString;
+      if (string_col != (c.value.type() == DataType::kString)) return false;
+      if (string_col) {
+        return OracleCompare(col.StringAt(row), c.op, c.value.AsString());
+      }
+      return OracleCompare(col.GetNumeric(row), c.op, c.value.AsDouble());
+    }
+    case Condition::Kind::kInSet: {
+      if (is_null) return false;
+      const std::string cell = col.GetValue(row).ToString();
+      const bool found =
+          std::find(c.set.begin(), c.set.end(), cell) != c.set.end();
+      return found != c.negated;
+    }
+  }
+  return false;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int64_t k2To53 = int64_t{1} << 53;
+
+// `rows` rows over a double, an int64, a bool and a string column, each
+// about 10% NULL, drawing from small pools so that values repeat.
+TablePtr RandomTable(size_t rows, uint64_t seed) {
+  const std::vector<double> doubles = {
+      -kInf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e300, kInf, std::nan("")};
+  const std::vector<int64_t> ints = {
+      std::numeric_limits<int64_t>::min(), -k2To53 - 1, -7, 0, 1, 7,
+      k2To53, k2To53 + 1, std::numeric_limits<int64_t>::max()};
+  const std::vector<std::string> strings = {"Drama", "Comedy", "Action",
+                                            "07",    "7",      "",
+                                            "true"};
+  Rng rng(seed);
+  TableBuilder b(Schema({{"d", DataType::kDouble},
+                         {"i", DataType::kInt64},
+                         {"b", DataType::kBool},
+                         {"s", DataType::kString}}));
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row = {
+        Value::Double(rng.NextBernoulli(0.5)
+                          ? doubles[rng.NextBounded(doubles.size())]
+                          : rng.NextGaussian()),
+        Value::Int(rng.NextBernoulli(0.5) ? ints[rng.NextBounded(ints.size())]
+                                          : rng.NextInt(-10, 10)),
+        Value::Boolean(rng.NextBernoulli(0.5)),
+        Value::Str(strings[rng.NextBounded(strings.size())])};
+    for (Value& v : row) {
+      if (rng.NextBernoulli(0.1)) v = Value::Null();
+    }
+    EXPECT_TRUE(b.AppendRow(row).ok());
+  }
+  return *b.Finish();
+}
+
+// Every condition shape on every column: each CompareOp against double,
+// int, bool, string and NULL literals; IN and NOT IN with empty, absent,
+// duplicate and non-canonical members; IS NULL and IS NOT NULL. "absent"
+// is in no dictionary.
+std::vector<Condition> ConditionPool() {
+  const std::vector<Value> literals = {
+      Value::Double(0.5),      Value::Double(-0.0),
+      Value::Double(-2.5),     Value::Double(std::nan("")),
+      Value::Double(kInf),     Value::Double(-kInf),
+      Value::Double(9007199254740993.0),  // 2^53 + 1, rounds to 2^53
+      Value::Int(7),           Value::Int(0),
+      Value::Int(k2To53 + 1),  Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Boolean(true),    Value::Boolean(false),
+      Value::Str("Drama"),     Value::Str("absent"),
+      Value::Str("07"),        Value::Str(""),
+      Value::Null()};
+  const std::vector<std::vector<std::string>> sets = {
+      {},
+      {"absent"},
+      {"Drama", "Drama"},
+      {"Drama", "Comedy", "absent"},
+      {"07"},
+      {"7", "7"},
+      {""},
+      {"true"},
+      {"false", "true", "false"},
+      {"1", "-7", "0"},
+      {"0.5", "-0", "nan", "inf", "-inf", "1e+300"},
+      {"9223372036854775807", "-9223372036854775808", "9007199254740993"}};
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                           CompareOp::kGe, CompareOp::kEq, CompareOp::kNe};
+  std::vector<Condition> pool;
+  for (const char* column : {"d", "i", "b", "s"}) {
+    for (CompareOp op : ops) {
+      for (const Value& v : literals) {
+        pool.push_back(Condition::Compare(column, op, v));
+      }
+    }
+    for (const auto& set : sets) {
+      pool.push_back(Condition::InSet(column, set, /*negated=*/false));
+      pool.push_back(Condition::InSet(column, set, /*negated=*/true));
+    }
+    pool.push_back(Condition::IsNull(column));
+    pool.push_back(Condition::NotNull(column));
+  }
+  return pool;
+}
+
+// All rows, none, one, every third and a seeded random subset.
+std::vector<SelectionVector> Bases(size_t rows, uint64_t seed) {
+  std::vector<SelectionVector> bases;
+  bases.push_back(SelectionVector::All(rows));
+  bases.emplace_back();
+  bases.push_back(SelectionVector({static_cast<uint32_t>(rows / 2)}));
+  SelectionVector third, random;
+  Rng rng(seed);
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (r % 3 == 0) third.push_back(r);
+    if (rng.NextBernoulli(0.5)) random.push_back(r);
+  }
+  bases.push_back(std::move(third));
+  bases.push_back(std::move(random));
+  return bases;
+}
+
+// EvaluateOn keeps exactly the rows of `base` the oracle passes, in order,
+// in an exactly sized vector.
+void ExpectMatchesOracle(const Table& t, const Conjunction& conj,
+                         const SelectionVector& base) {
+  std::vector<const Column*> columns;
+  for (const Condition& c : conj.conditions()) {
+    columns.push_back(t.ColumnByName(c.column)->get());
+  }
+  std::vector<uint32_t> expected;
+  for (uint32_t row : base.rows()) {
+    bool all = true;
+    for (size_t i = 0; i < columns.size() && all; ++i) {
+      all = OracleMatches(conj.conditions()[i], *columns[i], row);
+    }
+    if (all) expected.push_back(row);
+  }
+  const SelectionVector got = *conj.EvaluateOn(t, base);
+  ASSERT_EQ(got.rows(), expected)
+      << conj.ToSql() << " over " << base.size() << " of " << t.num_rows()
+      << " rows";
+  ASSERT_EQ(got.rows().capacity(), got.rows().size()) << conj.ToSql();
+}
+
+TEST(PredicateKernelTest, EveryConditionMatchesTheOracle) {
+  const std::vector<Condition> pool = ConditionPool();
+  for (size_t rows : {1, 2, 7, 300, 3000}) {
+    const TablePtr t = RandomTable(rows, 100 + rows);
+    for (const SelectionVector& base : Bases(rows, rows)) {
+      for (const Condition& c : pool) {
+        ExpectMatchesOracle(*t, Conjunction({c}), base);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(PredicateKernelTest, ConjunctionsMatchTheOracle) {
+  const std::vector<Condition> pool = ConditionPool();
+  Rng rng(7);
+  for (size_t rows : {1, 5, 64, 3000}) {
+    const TablePtr t = RandomTable(rows, 200 + rows);
+    const std::vector<SelectionVector> bases = Bases(rows, rows + 1);
+    for (int trial = 0; trial < 200; ++trial) {
+      Conjunction conj;
+      const size_t size = rng.NextBounded(5);  // 0-4 conditions
+      for (size_t i = 0; i < size; ++i) {
+        conj.Add(pool[rng.NextBounded(pool.size())]);
+      }
+      for (const SelectionVector& base : bases) {
+        ExpectMatchesOracle(*t, conj, base);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace
