@@ -9,6 +9,7 @@
 // then review the tests/golden/*.json diff and commit it with the change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,7 +17,9 @@
 
 #include "core/navigation.h"
 #include "core/render.h"
+#include "monet/column_stats.h"
 #include "workloads/gaussian.h"
+#include "workloads/hollywood.h"
 #include "workloads/lofar.h"
 
 namespace blaeu::core {
@@ -65,6 +68,48 @@ SessionOptions FixedOptions() {
   return opt;
 }
 
+/// The leaf below the root holding the most tuples (-1 if the map is a
+/// single region).
+int LargestLeaf(const DataMap& map) {
+  int biggest = -1;
+  size_t biggest_count = 0;
+  for (int leaf : map.LeafIds()) {
+    const MapRegion& r = map.region(leaf);
+    if (r.parent >= 0 && r.tuple_count > biggest_count) {
+      biggest = leaf;
+      biggest_count = r.tuple_count;
+    }
+  }
+  return biggest;
+}
+
+/// What the highlight action shows on the current map: the highlight of
+/// every non-key column, then the per-region frequency bars of every
+/// string column, in the REPL's `detail` layout.
+std::string HighlightDump(const Session& s, const monet::Table& table) {
+  const std::vector<size_t> keys = monet::DetectPrimaryKeyColumns(table);
+  std::string out;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (std::find(keys.begin(), keys.end(), c) != keys.end()) continue;
+    auto h = s.Highlight(table.schema().field(c).name);
+    EXPECT_TRUE(h.ok());
+    if (h.ok()) out += RenderHighlight(*h);
+  }
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const monet::Field& field = table.schema().field(c);
+    if (field.type != monet::DataType::kString) continue;
+    auto d = s.HighlightDetail(field.name);
+    EXPECT_TRUE(d.ok());
+    if (!d.ok()) continue;
+    out += "Detail '" + field.name + "':\n";
+    for (const RegionDetail& r : d->regions) {
+      out += "-- region " + std::to_string(r.region_id) + " (" +
+             std::to_string(r.tuple_count) + " tuples) --\n" + r.rendering;
+    }
+  }
+  return out;
+}
+
 TEST(GoldenMapTest, GaussianMixtureInitialMap) {
   workloads::MixtureSpec spec;
   spec.rows = 600;
@@ -92,15 +137,7 @@ TEST(GoldenMapTest, GaussianMixtureZoomSequence) {
   auto session = Session::Start(data.table, "mixture", FixedOptions());
   ASSERT_TRUE(session.ok());
   Session s = std::move(session).ValueOrDie();
-  int biggest = -1;
-  size_t biggest_count = 0;
-  for (int leaf : s.current().map.LeafIds()) {
-    const MapRegion& r = s.current().map.region(leaf);
-    if (r.parent >= 0 && r.tuple_count > biggest_count) {
-      biggest = leaf;
-      biggest_count = r.tuple_count;
-    }
-  }
+  const int biggest = LargestLeaf(s.current().map);
   ASSERT_GE(biggest, 0);
   ASSERT_TRUE(s.Zoom(biggest).ok());
   CheckGolden("gaussian_zoom_map.json", CanonicalMapJson(s.current().map));
@@ -119,6 +156,39 @@ TEST(GoldenMapTest, LofarInitialMap) {
   ASSERT_TRUE(session.ok());
   Session s = std::move(session).ValueOrDie();
   CheckGolden("lofar_map.json", CanonicalMapJson(s.current().map));
+}
+
+TEST(GoldenMapTest, HollywoodInitialMap) {
+  auto data = workloads::MakeHollywood();
+  auto session = Session::Start(data.table, "hollywood", FixedOptions());
+  ASSERT_TRUE(session.ok());
+  Session s = std::move(session).ValueOrDie();
+  CheckGolden("hollywood_map.json", CanonicalMapJson(s.current().map));
+}
+
+TEST(GoldenMapTest, HighlightRenderings) {
+  // Pins every per-value count the highlight action shows (the most
+  // frequent values, distinct counts, moments and frequency bars of each
+  // column type) at the root and after zooming into the largest leaf.
+  workloads::LofarSpec lofar;
+  lofar.rows = 4000;
+  lofar.seed = 42;
+  const std::pair<std::string, monet::TablePtr> tables[] = {
+      {"hollywood", workloads::MakeHollywood().table},
+      {"lofar", workloads::MakeLofar(lofar).table}};
+  std::string dump;
+  for (const auto& [name, table] : tables) {
+    auto session = Session::Start(table, name, FixedOptions());
+    ASSERT_TRUE(session.ok());
+    Session s = std::move(session).ValueOrDie();
+    dump += "== " + name + " root ==\n" + HighlightDump(s, *table);
+    const int biggest = LargestLeaf(s.current().map);
+    ASSERT_GE(biggest, 0);
+    ASSERT_TRUE(s.Zoom(biggest).ok());
+    dump += "== " + name + " zoom " + std::to_string(biggest) + " ==\n" +
+            HighlightDump(s, *table);
+  }
+  CheckGolden("highlight.txt", dump);
 }
 
 TEST(GoldenMapTest, CanonicalJsonExcludesTimingFields) {
