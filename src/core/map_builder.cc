@@ -154,12 +154,6 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     res.ReportTo(metrics);
   };
 
-  // The map-wide thread budget flows into every stage.
-  PreprocessOptions pre_options = options.preprocess;
-  pre_options.num_threads = options.num_threads;
-  tree::CartOptions tree_options = options.tree;
-  tree_options.num_threads = options.num_threads;
-
   BLAEU_ASSIGN_OR_RETURN(TablePtr view, table.ProjectNames(columns));
 
   // 1. Sample the selection (paper: a few thousand tuples per map). A
@@ -191,7 +185,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   Result<PreprocessedData> pre_or = [&]() -> Result<PreprocessedData> {
     obs::Span span(tracer, "core.map.preprocess");
     span.SetAttr("threads", threads);
-    auto result = Preprocess(*view, sample, pre_options);
+    auto result = Preprocess(*view, sample, options.num_threads);
     res.stages.push_back({"preprocess", span.ElapsedSeconds()});
     if (result.ok()) {
       span.SetAttr("feature_rows", result.ValueOrDie().features.rows());
@@ -263,7 +257,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     BLAEU_ASSIGN_OR_RETURN(
         tree::CartModel model,
         tree::CartModel::Train(*view, pre.rows, clustering.labels,
-                               tree_options));
+                               options.tree, options.num_threads));
     map.tree_fidelity = model.Fidelity(*view, pre.rows, clustering.labels);
     res.stages.push_back({"describe", span.ElapsedSeconds()});
     span.SetAttr("fidelity", map.tree_fidelity);

@@ -34,16 +34,13 @@ struct MapOptions {
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).
   size_t fixed_k = 0;
-  PreprocessOptions preprocess;
   tree::CartOptions tree;
   uint64_t seed = 42;
   /// Thread budget for the whole build: preprocessing, the k sweep, CART
   /// split search and region counting all draw from the process-wide pool
   /// (common/parallel.h). 0 = process default (BLAEU_NUM_THREADS, else
-  /// hardware_concurrency); 1 = fully serial.
-  /// Overrides the num_threads of `preprocess` and `tree`. The map produced
-  /// — regions, predicates, tuple counts, silhouette — is bit-identical at
-  /// any value.
+  /// hardware_concurrency); 1 = fully serial. The map produced — regions,
+  /// predicates, tuple counts, silhouette — is bit-identical at any value.
   size_t num_threads = 0;
   /// Observability sinks. Null means the process-global instances: spans go
   /// to obs::Tracer::Global() (a no-op until enabled) and metrics to

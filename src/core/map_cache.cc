@@ -37,17 +37,14 @@ uint64_t FingerprintTable(const monet::Table& table) {
 }
 
 // Output-affecting knobs only, enumerated explicitly. Deliberately
-// excluded: thread counts, observability sinks, and
-// preprocess.use_dictionary — the dictionary fast paths are byte-identical
-// to the string paths (dictionaries are derived data), so two runs
-// differing only in that flag must share a cache entry.
+// excluded: the thread count and the observability sinks, which never
+// change the map, so two runs differing only in them share a cache entry.
 uint64_t FingerprintMapOptions(const MapOptions& o) {
   uint64_t h = kFnvOffset;
   h = HashMix(h, o.sample_size);
   h = HashMix(h, o.k_min);
   h = HashMix(h, o.k_max);
   h = HashMix(h, o.fixed_k);
-  h = HashMix(h, o.preprocess.max_categories);
   h = HashMix(h, o.tree.max_depth);
   h = HashMix(h, o.tree.min_samples_leaf);
   h = HashMix(h, o.tree.min_samples_split);

@@ -13,8 +13,8 @@
 //     two distinct tables sharing a name/version (standalone sessions);
 //   - selection_fp: SelectionVector::Fingerprint() over the row ids;
 //   - columns_fp: FNV over the projected column names, order-sensitive;
-//   - options_fp: every knob of MapOptions / PreprocessOptions / CartOptions
-//     that can change the output. Thread budgets and observability sinks are
+//   - options_fp: every knob of MapOptions and its CartOptions that can
+//     change the output. Thread budgets and observability sinks are
 //     deliberately excluded — the map is bit-identical at any thread count
 //     (the PR 7 contract), so entries are shared across them;
 //   - seed: the per-map seed. Sessions derive it from (session seed,
@@ -66,9 +66,9 @@ uint64_t FingerprintStrings(const std::vector<std::string>& strings);
 uint64_t FingerprintTable(const monet::Table& table);
 
 /// Fingerprint of every output-affecting knob of MapOptions (including the
-/// nested PreprocessOptions and CartOptions). Excludes num_threads and the
-/// tracer/metrics sinks, which never change the map, and the seed, which is
-/// a separate key component.
+/// nested CartOptions). Excludes num_threads and the tracer/metrics sinks,
+/// which never change the map, and the seed, which is a separate key
+/// component.
 uint64_t FingerprintMapOptions(const MapOptions& options);
 
 /// \brief The full identity of one map build (see the contract above).

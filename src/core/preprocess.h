@@ -8,9 +8,11 @@
 // So the pipeline is fixed: detected primary-key columns are always dropped
 // (monet::DetectPrimaryKeyColumns), and so are constant and all-NULL ones.
 // String and bool columns, and numeric ones that look categorical (at most
-// 10 distinct values, monet::LooksCategorical), are dummy coded: one 0/1
-// feature per kept category. Every other numeric column is z-scored. The
-// map builder measures Euclidean distance between the resulting vectors.
+// monet::kCategoricalMaxDistinct distinct values, monet::LooksCategorical),
+// are dummy coded: one 0/1 feature for each of their 12 most frequent
+// categories (monet::CountValues), the rarer ones sharing the all-zero
+// encoding. Every other numeric column is z-scored. The map builder
+// measures Euclidean distance between the resulting vectors.
 #pragma once
 
 #include <string>
@@ -22,23 +24,6 @@
 #include "stats/matrix.h"
 
 namespace blaeu::core {
-
-/// Preprocessing options.
-struct PreprocessOptions {
-  /// Cap on dummy features per categorical column; rarer categories share
-  /// an all-zero encoding. Keeps wide categorical columns from dominating.
-  size_t max_categories = 12;
-  /// Thread budget for the per-column planning and per-row fill loops
-  /// (common/parallel.h: 0 = process default, 1 = serial). The feature
-  /// matrix is bit-identical at any value.
-  size_t num_threads = 0;
-  /// Test knob: route categorical planning and filling through the
-  /// dictionary-code fast paths (default) or the generic string paths. The
-  /// output is byte-identical either way — the flag exists so tests can
-  /// assert exactly that. Not part of the map-options fingerprint
-  /// (core/map_cache.cc FingerprintMapOptions): it cannot change any output.
-  bool use_dictionary = true;
-};
 
 /// \brief Description of one feature of the preprocessed matrix.
 struct FeatureInfo {
@@ -59,11 +44,13 @@ struct PreprocessedData {
 
 /// Runs the preprocessing pipeline over the rows in `sel`: drops the
 /// primary keys, then plans every remaining column over the selection and
-/// fills one feature row per selected tuple. Bit-identical at any thread
-/// count. Missing values: numeric NaNs are imputed at the (normalized)
-/// mean and missing categoricals get all-zero dummies.
+/// fills one feature row per selected tuple. Missing values: numeric NaNs
+/// are imputed at the (normalized) mean and missing categoricals get
+/// all-zero dummies. `num_threads` is the thread budget of the per-column
+/// planning and per-row fill loops (common/parallel.h: 0 = process default,
+/// 1 = serial); the feature matrix is bit-identical at any value.
 Result<PreprocessedData> Preprocess(const monet::Table& table,
                                     const monet::SelectionVector& sel,
-                                    const PreprocessOptions& options = {});
+                                    size_t num_threads = 0);
 
 }  // namespace blaeu::core

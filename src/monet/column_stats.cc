@@ -12,191 +12,153 @@ namespace blaeu::monet {
 
 namespace {
 
-/// Sorts (value, count) pairs the way every frequency ranking in the system
-/// does: count descending, then value ascending.
-void RankTops(std::vector<std::pair<std::string, size_t>>* tops) {
-  std::sort(tops->begin(), tops->end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-}
-
-/// Accumulates the numeric moments (sum/min/max) shared by both stats
-/// implementations.
-struct Moments {
-  double sum = 0, sum_sq = 0;
-  size_t n = 0;
-  bool first = true;
-
-  void Add(double x, ColumnStats* s) {
-    sum += x;
-    sum_sq += x * x;
-    ++n;
-    if (first) {
-      s->min = s->max = x;
-      first = false;
-    } else {
-      s->min = std::min(s->min, x);
-      s->max = std::max(s->max, x);
-    }
-  }
-
-  void Finish(ColumnStats* s) const {
-    if (n == 0) return;
-    s->mean = sum / static_cast<double>(n);
-    double var = sum_sq / static_cast<double>(n) - s->mean * s->mean;
-    s->stddev = var > 0 ? std::sqrt(var) : 0.0;
-  }
-};
-
-/// Stats for a dictionary-encoded string column: one dense counter per
-/// dictionary code — no per-cell string materialization or hashing.
-ColumnStats StringStatsImpl(const Column& col,
-                            const std::vector<uint32_t>& rows,
-                            bool want_tops) {
-  ColumnStats s;
-  s.count = rows.size();
-  const std::vector<int32_t>& codes = col.codes();
-  const Dictionary& dict = *col.dictionary();
-  std::vector<size_t> counts(dict.size(), 0);
-  for (uint32_t r : rows) {
-    const int32_t c = codes[r];
-    if (c == Dictionary::kNullCode) {
-      ++s.null_count;
-    } else {
-      ++counts[static_cast<size_t>(c)];
-    }
-  }
-  std::vector<std::pair<std::string, size_t>> tops;
-  for (size_t code = 0; code < counts.size(); ++code) {
-    if (counts[code] == 0) continue;
-    ++s.distinct;
-    if (want_tops) {
-      tops.emplace_back(dict.value(static_cast<int32_t>(code)), counts[code]);
-    }
-  }
-  if (want_tops) {
-    RankTops(&tops);
-    if (tops.size() > 16) tops.resize(16);
-    s.top_values = std::move(tops);
-  }
-  return s;
-}
-
-ColumnStats ComputeStatsImpl(const Column& col,
-                             const std::vector<uint32_t>& rows) {
-  if (col.type() == DataType::kString) {
-    return StringStatsImpl(col, rows, /*want_tops=*/true);
-  }
-  ColumnStats s;
-  s.count = rows.size();
-  std::unordered_map<std::string, size_t> counter;
-  Moments m;
-  for (uint32_t r : rows) {
-    if (col.IsNull(r)) {
-      ++s.null_count;
-      continue;
-    }
-    Value v = col.GetValue(r);
-    ++counter[v.ToString()];
-    m.Add(col.GetNumeric(r), &s);
-  }
-  s.distinct = counter.size();
-  m.Finish(&s);
-  std::vector<std::pair<std::string, size_t>> tops(counter.begin(),
-                                                   counter.end());
-  RankTops(&tops);
-  if (tops.size() > 16) tops.resize(16);
-  s.top_values = std::move(tops);
-  return s;
-}
+/// Doubles are counted per bit pattern until more than this many patterns
+/// have been seen. Past it the column is continuous: each pattern would be
+/// rendered anyway, so rendering each cell directly saves the pattern hash.
+constexpr size_t kMaxBitPatterns = 64;
 
 }  // namespace
 
-ColumnStats ComputeColumnStats(const Column& col) {
-  std::vector<uint32_t> all(col.size());
-  for (size_t i = 0; i < col.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  return ComputeStatsImpl(col, all);
+ValueCounts CountValues(const Column& col, const SelectionVector& sel,
+                        size_t max_distinct) {
+  ValueCounts out;
+  out.count = sel.size();
+  std::vector<std::pair<std::string, size_t>> ranked;
+  bool stopped = false;  // more than max_distinct values seen
+  switch (col.type()) {
+    case DataType::kString: {
+      const std::vector<int32_t>& codes = col.codes();
+      const Dictionary& dict = *col.dictionary();
+      std::vector<size_t> counts(dict.size(), 0);
+      for (uint32_t r : sel.rows()) {
+        const int32_t c = codes[r];
+        if (c == Dictionary::kNullCode) {
+          ++out.null_count;
+        } else {
+          ++counts[static_cast<size_t>(c)];
+        }
+      }
+      for (size_t code = 0; code < counts.size(); ++code) {
+        if (counts[code] > 0) {
+          ranked.emplace_back(dict.value(static_cast<int32_t>(code)),
+                              counts[code]);
+        }
+      }
+      break;
+    }
+    case DataType::kBool: {
+      size_t counts[2] = {0, 0};
+      for (uint32_t r : sel.rows()) {
+        if (col.IsNull(r)) {
+          ++out.null_count;
+        } else {
+          ++counts[col.bools()[r] ? 1 : 0];
+        }
+      }
+      if (counts[1] > 0) ranked.emplace_back("true", counts[1]);
+      if (counts[0] > 0) ranked.emplace_back("false", counts[0]);
+      break;
+    }
+    case DataType::kInt64: {
+      std::unordered_map<int64_t, size_t> counts;
+      for (uint32_t r : sel.rows()) {
+        if (col.IsNull(r)) {
+          ++out.null_count;
+        } else if (!stopped) {
+          ++counts[col.ints()[r]];
+          stopped = counts.size() > max_distinct;
+        }
+      }
+      if (stopped) break;
+      for (const auto& [v, n] : counts) {
+        ranked.emplace_back(std::to_string(v), n);
+      }
+      break;
+    }
+    case DataType::kDouble: {
+      // One counter per rendering, reached through the bit pattern while
+      // there are few patterns. Pointers into an unordered_map's values
+      // survive its rehashes.
+      std::unordered_map<std::string, size_t> counts;
+      std::unordered_map<uint64_t, size_t*> by_bits;
+      for (uint32_t r : sel.rows()) {
+        if (col.IsNull(r)) {
+          ++out.null_count;
+          continue;
+        }
+        if (stopped) continue;
+        const double d = col.doubles()[r];
+        if (by_bits.size() > kMaxBitPatterns) {
+          ++counts[FormatDouble(d)];
+        } else {
+          uint64_t bits;
+          std::memcpy(&bits, &d, sizeof(bits));
+          auto [it, inserted] = by_bits.try_emplace(bits, nullptr);
+          if (!inserted) {
+            ++*it->second;
+            continue;
+          }
+          it->second = &counts[FormatDouble(d)];
+          ++*it->second;
+          // Past the last pattern counted, expect about one rendering per
+          // row, and size the map once instead of rehashing it as it grows.
+          if (by_bits.size() > kMaxBitPatterns) counts.reserve(sel.size());
+        }
+        stopped = counts.size() > max_distinct;
+      }
+      if (stopped) break;
+      ranked.assign(counts.begin(), counts.end());
+      break;
+    }
+  }
+  if (stopped || ranked.size() > max_distinct) {
+    out.distinct = max_distinct + 1;
+    return out;
+  }
+  out.distinct = ranked.size();
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  out.ranked = std::move(ranked);
+  return out;
 }
 
 ColumnStats ComputeColumnStats(const Column& col,
                                const SelectionVector& sel) {
-  return ComputeStatsImpl(col, sel.rows());
-}
-
-ColumnStats ComputeColumnStatsBounded(const Column& col,
-                                      const SelectionVector& sel,
-                                      size_t distinct_cap) {
-  const std::vector<uint32_t>& rows = sel.rows();
-  if (col.type() == DataType::kString) {
-    // The dense code counter is already cheap; distinct comes out exact.
-    return StringStatsImpl(col, rows, /*want_tops=*/false);
-  }
+  ValueCounts counts = CountValues(col, sel, kAllValues);
   ColumnStats s;
-  s.count = rows.size();
-  Moments m;
-  if (col.type() == DataType::kBool) {
-    bool saw[2] = {false, false};
-    for (uint32_t r : rows) {
-      if (col.IsNull(r)) {
-        ++s.null_count;
-        continue;
-      }
-      saw[col.bools()[r] ? 1 : 0] = true;
-      m.Add(col.bools()[r] ? 1.0 : 0.0, &s);
-    }
-    s.distinct = (saw[0] ? 1 : 0) + (saw[1] ? 1 : 0);
-    m.Finish(&s);
-    return s;
-  }
-  // Numeric: distinct values are keyed by their rendering (the unbounded
-  // implementation's semantics — %.6g can merge nearby values, so keying by
-  // bit pattern alone would over-count). The two-stage trick keeps rendering
-  // off the per-row path: only never-seen bit patterns are rendered, and
-  // once the rendering count exceeds the cap all tracking stops.
-  bool overflowed = false;
-  std::unordered_set<uint64_t> seen_bits;
-  std::unordered_set<std::string> renderings;
-  const bool is_int = col.type() == DataType::kInt64;
-  for (uint32_t r : rows) {
-    if (col.IsNull(r)) {
-      ++s.null_count;
-      continue;
-    }
+  s.count = counts.count;
+  s.null_count = counts.null_count;
+  s.distinct = counts.distinct;
+  if (counts.ranked.size() > 16) counts.ranked.resize(16);
+  s.top_values = std::move(counts.ranked);
+  if (col.type() == DataType::kString) return s;
+  double sum = 0, sum_sq = 0;
+  size_t n = 0;
+  for (uint32_t r : sel.rows()) {
+    if (col.IsNull(r)) continue;
     const double x = col.GetNumeric(r);
-    m.Add(x, &s);
-    if (overflowed) continue;
-    uint64_t bits;
-    if (is_int) {
-      bits = static_cast<uint64_t>(col.ints()[r]);
+    sum += x;
+    sum_sq += x * x;
+    if (n++ == 0) {
+      s.min = s.max = x;
     } else {
-      double d = col.doubles()[r];
-      std::memcpy(&bits, &d, sizeof(bits));
-    }
-    if (!seen_bits.insert(bits).second) continue;
-    if (is_int) {
-      // std::to_string is injective on int64: the bit pattern IS the value.
-      if (seen_bits.size() > distinct_cap) overflowed = true;
-    } else {
-      renderings.insert(FormatDouble(col.doubles()[r]));
-      if (renderings.size() > distinct_cap) overflowed = true;
-    }
-    if (overflowed) {
-      seen_bits.clear();
-      renderings.clear();
+      s.min = std::min(s.min, x);
+      s.max = std::max(s.max, x);
     }
   }
-  s.distinct = overflowed ? distinct_cap + 1
-                          : (is_int ? seen_bits.size() : renderings.size());
-  m.Finish(&s);
+  if (n == 0) return s;
+  s.mean = sum / static_cast<double>(n);
+  const double var = sum_sq / static_cast<double>(n) - s.mean * s.mean;
+  s.stddev = var > 0 ? std::sqrt(var) : 0.0;
   return s;
 }
 
 namespace {
 
-/// Early-exit uniqueness check, equivalent to
-/// ComputeColumnStats(col).IsUniqueKey() but without building frequency
-/// tables: bails on the first NULL or the first repeated value.
+/// True when the column has no NULL and no repeated value; bails on the
+/// first NULL or the first repeated value.
 bool IsUniqueNonNull(const Column& col) {
   if (col.empty() || col.null_count() > 0) return false;
   if (col.type() == DataType::kString) {
@@ -241,8 +203,7 @@ std::vector<size_t> DetectPrimaryKeyColumns(const Table& table) {
   return out;
 }
 
-bool LooksCategorical(const Column& col, const ColumnStats& stats,
-                      size_t max_distinct) {
+bool LooksCategorical(const Column& col, const ValueCounts& counts) {
   if (col.type() == DataType::kString || col.type() == DataType::kBool) {
     return true;
   }
@@ -250,9 +211,9 @@ bool LooksCategorical(const Column& col, const ColumnStats& stats,
   // values actually repeat (3+ rows per distinct value on average) — a
   // 6-row table with 6 distinct incomes is continuous, a 100-row table with
   // 7 years is categorical.
-  size_t non_null = stats.count - stats.null_count;
-  return stats.distinct > 0 && stats.distinct <= max_distinct &&
-         stats.distinct * 3 <= non_null;
+  const size_t non_null = counts.count - counts.null_count;
+  return counts.distinct > 0 && counts.distinct <= kCategoricalMaxDistinct &&
+         counts.distinct * 3 <= non_null;
 }
 
 }  // namespace blaeu::monet

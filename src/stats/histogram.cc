@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/string_util.h"
+#include "monet/column_stats.h"
 
 namespace blaeu::stats {
 
@@ -90,52 +90,12 @@ std::string FrequencyTable::ToAscii(size_t width) const {
 FrequencyTable CategoricalFrequencies(const Column& col,
                                       const SelectionVector& sel,
                                       size_t max_entries) {
+  monet::ValueCounts counts = monet::CountValues(col, sel, monet::kAllValues);
   FrequencyTable t;
-  if (col.type() == DataType::kString) {
-    // One dense counter slot per dictionary code; strings render once per
-    // distinct value when the table is assembled.
-    const std::vector<int32_t>& codes = col.codes();
-    const monet::Dictionary& dict = *col.dictionary();
-    std::vector<size_t> counts(dict.size(), 0);
-    for (uint32_t r : sel.rows()) {
-      const int32_t c = codes[r];
-      if (c == monet::Dictionary::kNullCode) {
-        ++t.null_count;
-      } else {
-        ++counts[static_cast<size_t>(c)];
-      }
-    }
-    for (size_t code = 0; code < counts.size(); ++code) {
-      if (counts[code] > 0) {
-        ++t.distinct;
-        t.entries.emplace_back(dict.value(static_cast<int32_t>(code)),
-                               counts[code]);
-      }
-    }
-    std::sort(t.entries.begin(), t.entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    if (t.entries.size() > max_entries) t.entries.resize(max_entries);
-    return t;
-  }
-  std::unordered_map<std::string, size_t> counts;
-  for (uint32_t r : sel.rows()) {
-    if (col.IsNull(r)) {
-      ++t.null_count;
-      continue;
-    }
-    ++counts[col.GetValue(r).ToString()];
-  }
-  t.distinct = counts.size();
-  t.entries.assign(counts.begin(), counts.end());
-  std::sort(t.entries.begin(), t.entries.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (t.entries.size() > max_entries) t.entries.resize(max_entries);
+  t.null_count = counts.null_count;
+  t.distinct = counts.distinct;
+  if (counts.ranked.size() > max_entries) counts.ranked.resize(max_entries);
+  t.entries = std::move(counts.ranked);
   return t;
 }
 

@@ -50,6 +50,7 @@ struct TrainContext {
   const std::vector<int>* labels;  // parallel to the *original* rows vector
   size_t num_classes;
   CartOptions options;
+  size_t num_threads;
 };
 
 /// Class histogram of a row subset. `idx` indexes into ctx.labels.
@@ -148,9 +149,9 @@ void BestNumericSplit(const TrainContext& ctx,
   }
 }
 
-/// Best categorical split: greedy set growing over categories ordered by
-/// their class profile (start from the best single category, keep adding
-/// while impurity improves).
+/// Best categorical split of a string or bool column: greedy set growing
+/// over categories ordered by their class profile (start from the best
+/// single category, keep adding while impurity improves).
 void BestCategoricalSplit(const TrainContext& ctx,
                           const std::vector<uint32_t>& rows,
                           const std::vector<size_t>& idx, size_t col_idx,
@@ -179,7 +180,7 @@ void BestCategoricalSplit(const TrainContext& ctx,
     for (auto& [code, counts] : per_code) {
       per_category.emplace(dict.value(code), std::move(counts));
     }
-  } else if (col.type() == DataType::kBool) {
+  } else {  // kBool
     std::vector<size_t> counts[2];
     for (size_t i : idx) {
       uint32_t r = rows[i];
@@ -194,19 +195,6 @@ void BestCategoricalSplit(const TrainContext& ctx,
     }
     if (!counts[1].empty()) per_category.emplace("true", std::move(counts[1]));
     if (!counts[0].empty()) per_category.emplace("false", std::move(counts[0]));
-  } else {
-    for (size_t i : idx) {
-      uint32_t r = rows[i];
-      if (col.IsNull(r)) {
-        ++null_counts[(*ctx.labels)[i]];
-        ++nulls;
-        continue;
-      }
-      std::string key = col.GetValue(r).ToString();
-      auto [it, _] = per_category.try_emplace(key);
-      it->second.resize(ctx.num_classes, 0);
-      ++it->second[(*ctx.labels)[i]];
-    }
   }
   if (per_category.size() < 2 || per_category.size() > 64) return;
 
@@ -340,7 +328,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
     }
   };
   if (num_columns > 1 && idx.size() >= kParallelSplitMinRows &&
-      blaeu::EffectiveNumThreads(ctx.options.num_threads) > 1) {
+      blaeu::EffectiveNumThreads(ctx.num_threads) > 1) {
     // Search each column independently, then merge in ascending column
     // order with a strict improvement test. That reproduces the serial
     // scan exactly: the winner is the lowest column achieving the maximal
@@ -354,7 +342,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
             search_column(c, &specs[c]);
           }
         },
-        ctx.options.num_threads);
+        ctx.num_threads);
     for (size_t c = 0; c < num_columns; ++c) {
       if (specs[c].found &&
           specs[c].impurity_decrease > best.impurity_decrease) {
@@ -400,7 +388,8 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
 Result<CartModel> CartModel::Train(const Table& table,
                                    const std::vector<uint32_t>& rows,
                                    const std::vector<int>& labels,
-                                   const CartOptions& options) {
+                                   const CartOptions& options,
+                                   size_t num_threads) {
   if (rows.size() != labels.size()) {
     return Status::Invalid("rows/labels size mismatch");
   }
@@ -415,6 +404,7 @@ Result<CartModel> CartModel::Train(const Table& table,
   ctx.labels = &labels;
   ctx.num_classes = static_cast<size_t>(max_label) + 1;
   ctx.options = options;
+  ctx.num_threads = num_threads;
 
   std::vector<size_t> idx(rows.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;

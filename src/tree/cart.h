@@ -25,10 +25,6 @@ struct CartOptions {
   /// Candidate thresholds per numeric column (quantile-capped); 0 = all
   /// midpoints.
   size_t max_thresholds = 32;
-  /// Thread budget for the per-column split search at large nodes
-  /// (common/parallel.h: 0 = process default, 1 = serial). The trained tree
-  /// is identical at any value.
-  size_t num_threads = 0;
 };
 
 /// \brief One node of a trained tree.
@@ -56,11 +52,15 @@ struct CartNode {
 class CartModel {
  public:
   /// Trains on `rows` of `table` with `labels[i]` as the class of
-  /// `rows[i]`. Labels must be in [0, num_classes).
+  /// `rows[i]`. Labels must be in [0, num_classes). `num_threads` is the
+  /// thread budget of the per-column split search at large nodes
+  /// (common/parallel.h: 0 = process default, 1 = serial); the trained tree
+  /// is identical at any value.
   static Result<CartModel> Train(const monet::Table& table,
                                  const std::vector<uint32_t>& rows,
                                  const std::vector<int>& labels,
-                                 const CartOptions& options = {});
+                                 const CartOptions& options = {},
+                                 size_t num_threads = 0);
 
   /// Predicted class of one row of a table with the training schema.
   int Predict(const monet::Table& table, size_t row) const;

@@ -1,15 +1,14 @@
 // Dictionary-encoded string columns: interning, gather, null handling, CSV
-// load equivalence, and the property that the dictionary fast paths through
-// preprocessing are byte-identical to the generic string paths.
+// load equivalence, and the dummy features preprocessing fills from
+// dictionary codes.
 #include "monet/dictionary.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
-#include "core/map_builder.h"
 #include "core/preprocess.h"
-#include "core/render.h"
 #include "monet/csv.h"
 #include "monet/predicate.h"
 #include "monet/table.h"
@@ -126,47 +125,39 @@ TEST(DictionaryColumnTest, PredicateOnAbsentLiteral) {
   EXPECT_EQ(in->rows(), (std::vector<uint32_t>{2}));
 }
 
-// -- Dictionary-path vs string-path equivalence ---------------------------
+// -- Dummy coding from dictionary codes -----------------------------------
 
-TEST(DictionaryEquivalenceTest, PreprocessMatricesAreBitIdentical) {
+TEST(DictionaryPreprocessTest, DummyIsOneExactlyWhenTheCellRendersAsIt) {
+  // Preprocessing fills string dummies from dictionary codes and other
+  // categorical dummies from rendered cells; both must match the
+  // definition: a dummy feature is 1.0 exactly when the cell renders as the
+  // feature's category.
   auto data = workloads::MakeHollywood({});  // categorical-heavy workload
   const Table& table = *data.table;
-  SelectionVector all = SelectionVector::All(table.num_rows());
-  core::PreprocessOptions fast;
-  core::PreprocessOptions slow = fast;
-  slow.use_dictionary = false;
-  auto a = core::Preprocess(table, all, fast);
-  auto b = core::Preprocess(table, all, slow);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->feature_info.size(), b->feature_info.size());
-  for (size_t f = 0; f < a->feature_info.size(); ++f) {
-    EXPECT_EQ(a->feature_info[f].category, b->feature_info[f].category);
-  }
-  ASSERT_EQ(a->features.rows(), b->features.rows());
-  ASSERT_EQ(a->features.cols(), b->features.cols());
-  for (size_t i = 0; i < a->features.rows(); ++i) {
-    for (size_t j = 0; j < a->features.cols(); ++j) {
-      ASSERT_EQ(a->features.At(i, j), b->features.At(i, j))
-          << "row " << i << " col " << j;
+  auto pre = core::Preprocess(table, SelectionVector::All(table.num_rows()));
+  ASSERT_TRUE(pre.ok());
+  std::vector<DataType> dummy_types;
+  for (size_t f = 0; f < pre->feature_info.size(); ++f) {
+    const core::FeatureInfo& info = pre->feature_info[f];
+    if (!info.is_categorical) continue;
+    const Column& col = *table.column(info.source_column);
+    dummy_types.push_back(col.type());
+    for (size_t i = 0; i < pre->rows.size(); ++i) {
+      const uint32_t r = pre->rows[i];
+      const bool is_category =
+          !col.IsNull(r) && col.GetValue(r).ToString() == info.category;
+      ASSERT_EQ(pre->features.At(i, f), is_category ? 1.0 : 0.0)
+          << info.source_name << "=" << info.category << ", row " << r;
     }
   }
-}
-
-TEST(DictionaryEquivalenceTest, MapJsonIsByteIdentical) {
-  workloads::HollywoodSpec spec;
-  spec.rows = 600;
-  auto data = workloads::MakeHollywood(spec);
-  core::MapOptions fast;
-  fast.sample_size = 300;
-  fast.k_max = 4;
-  core::MapOptions slow = fast;
-  slow.preprocess.use_dictionary = false;
-  auto a = core::BuildMap(*data.table, fast);
-  auto b = core::BuildMap(*data.table, slow);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(core::CanonicalMapJson(*a), core::CanonicalMapJson(*b));
+  // Hollywood dummy codes string columns (genre, studio) and an int one
+  // (year), so both fill paths ran.
+  EXPECT_NE(std::count(dummy_types.begin(), dummy_types.end(),
+                       DataType::kString),
+            0);
+  EXPECT_NE(std::count(dummy_types.begin(), dummy_types.end(),
+                       DataType::kInt64),
+            0);
 }
 
 }  // namespace

@@ -119,14 +119,12 @@ TEST(PreprocessTest, CategoryCapSharesOtherBucket) {
                     .ok());
   }
   auto t = *b.Finish();
-  PreprocessOptions opt;
-  opt.max_categories = 5;
-  auto pre = *Preprocess(*t, SelectionVector::All(40), opt);
+  auto pre = *Preprocess(*t, SelectionVector::All(40));
   size_t dummies = 0;
   for (const auto& f : pre.feature_info) {
     if (f.is_categorical) ++dummies;
   }
-  EXPECT_EQ(dummies, 5u);
+  EXPECT_EQ(dummies, 12u);
 }
 
 TEST(PreprocessTest, SelectionRespected) {
