@@ -50,7 +50,7 @@ struct TrainContext {
   const std::vector<int>* labels;  // parallel to the *original* rows vector
   size_t num_classes;
   CartOptions options;
-  size_t num_threads;
+  size_t num_threads = 0;
 };
 
 /// Class histogram of a row subset. `idx` indexes into ctx.labels.
