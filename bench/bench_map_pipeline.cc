@@ -100,10 +100,9 @@ void BM_MapSampled(benchmark::State& state) {
   opt.fixed_k = 4;
   uint64_t seed = 1;
   for (auto _ : state) {
-    // ScopedTimer feeds the global latency histogram the stage-breakdown
+    // The span feeds the global latency histogram the stage-breakdown
     // report prints alongside the google-benchmark numbers.
-    ScopedTimer latency(&obs::MetricsRegistry::Global(),
-                        "bench.map_sampled_seconds");
+    obs::Span span("bench.map_sampled");
     opt.seed = seed++;
     auto map = core::BuildMap(
         *data.table, monet::SelectionVector::All(data.table->num_rows()),
@@ -145,8 +144,7 @@ void BM_MapCategorical(benchmark::State& state) {
   opt.fixed_k = 4;
   uint64_t seed = 1;
   for (auto _ : state) {
-    ScopedTimer latency(&obs::MetricsRegistry::Global(),
-                        "bench.map_categorical_seconds");
+    obs::Span span("bench.map_categorical");
     opt.seed = seed++;
     auto map = core::BuildMap(
         *data.table, monet::SelectionVector::All(data.table->num_rows()),
@@ -324,9 +322,10 @@ void EmitNavigationBench() {
   opt.seed = 7;
 
   auto run_path = [&](bool cached, double* descend_ms, double* replay_ms,
-                      core::SessionStats* stats_out) -> bool {
+                      obs::MetricsRegistry* metrics) -> bool {
     core::SessionOptions session_opt = opt;
     session_opt.cache_enabled = cached;
+    session_opt.map.metrics = metrics;
     auto session = core::Session::Start(data.table, "lofar", session_opt);
     if (!session.ok()) {
       std::fprintf(stderr, "navigation bench start failed: %s\n",
@@ -369,15 +368,14 @@ void EmitNavigationBench() {
       }
     }
     *replay_ms = replay.ElapsedMillis();
-    *stats_out = s.stats();
     return true;
   };
 
   double cold_descend = 0, cold_replay = 0;
   double warm_descend = 0, warm_replay = 0;
-  core::SessionStats cold_stats, warm_stats;
-  if (!run_path(false, &cold_descend, &cold_replay, &cold_stats)) return;
-  if (!run_path(true, &warm_descend, &warm_replay, &warm_stats)) return;
+  obs::MetricsRegistry cold_metrics, warm_metrics;
+  if (!run_path(false, &cold_descend, &cold_replay, &cold_metrics)) return;
+  if (!run_path(true, &warm_descend, &warm_replay, &warm_metrics)) return;
 
   JsonWriter w;
   w.BeginObject();
@@ -388,14 +386,14 @@ void EmitNavigationBench() {
   w.Key("cold").BeginObject();
   w.KV("descend_ms", cold_descend);
   w.KV("replay_ms", cold_replay);
-  w.KV("maps_built", cold_stats.maps_built);
-  w.KV("cache_hits", cold_stats.cache_hits);
+  w.KV("maps_built", cold_metrics.counter("core.map.builds")->value());
+  w.KV("cache_hits", cold_metrics.counter("core.cache.hits")->value());
   w.EndObject();
   w.Key("warm").BeginObject();
   w.KV("descend_ms", warm_descend);
   w.KV("replay_ms", warm_replay);
-  w.KV("maps_built", warm_stats.maps_built);
-  w.KV("cache_hits", warm_stats.cache_hits);
+  w.KV("maps_built", warm_metrics.counter("core.map.builds")->value());
+  w.KV("cache_hits", warm_metrics.counter("core.cache.hits")->value());
   w.EndObject();
   const double speedup = warm_replay > 0.0 ? cold_replay / warm_replay : 0.0;
   w.KV("warm_replay_speedup", speedup);

@@ -20,7 +20,7 @@
 //   history             show the breadcrumb trail
 //   rollback            undo the last action
 //   json                dump the current map as JSON
-//   stats               per-session and process-wide metrics (JSON)
+//   stats               tables, sessions, cache size and metrics (JSON)
 //   stats --format=openmetrics      Prometheus text exposition of the metrics
 //   stats --format=html [path]      self-contained HTML perf report
 //   flightlog [n]       last n flight-recorder events (default: everything)
@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
   std::printf("Loaded '%s': %zu rows x %zu columns\n", name.c_str(),
               table->num_rows(), table->num_columns());
 
-  // Trace every map build of the session; the `trace` command dumps the
+  // Trace every span of the session (map builds and their stages, cache
+  // lookups, k sweeps and CLARA runs); the `trace` command dumps the
   // accumulated spans as a chrome://tracing file.
   obs::Tracer::Global().set_enabled(true);
 

@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "cluster/pam.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/distance.h"
 
 namespace blaeu::cluster {
@@ -28,7 +28,7 @@ Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
       ->Add(static_cast<int64_t>(options.num_samples));
   registry.counter("cluster.clara.rows_assigned")
       ->Add(static_cast<int64_t>(n * options.num_samples));
-  ScopedTimer latency(registry.histogram("cluster.clara.run_seconds"));
+  obs::Span span("cluster.clara.run");
 
   Rng rng(options.seed);
   PamOptions pam_options;

@@ -4,8 +4,8 @@
 
 #include "cluster/pam.h"
 #include "common/parallel.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "stats/silhouette.h"
 
 namespace blaeu::cluster {
@@ -24,7 +24,7 @@ Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
   registry.counter("cluster.kselect.sweeps")->Increment();
   registry.counter("cluster.kselect.candidates")
       ->Add(static_cast<int64_t>(count));
-  ScopedTimer latency(registry.histogram("cluster.kselect.sweep_seconds"));
+  obs::Span span("cluster.kselect.sweep");
 
   // One task per candidate k (clustering + scoring are independent across
   // k), then a serial ascending-k pick that reproduces the sequential

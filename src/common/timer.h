@@ -1,10 +1,8 @@
-// Wall-clock timing helpers used by benches and latency reporting.
+// Wall-clock stopwatch for benches and examples. Library code times its
+// stages with obs::Span (obs/trace.h), which also observes them.
 #pragma once
 
 #include <chrono>
-#include <string>
-
-#include "obs/metrics.h"
 
 namespace blaeu {
 
@@ -27,37 +25,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// \brief RAII stopwatch that reports its elapsed seconds into a
-/// MetricsRegistry histogram when it goes out of scope.
-///
-///   {
-///     ScopedTimer t(&obs::MetricsRegistry::Global(), "core.map.build_seconds");
-///     ...work...
-///   }  // histogram records the elapsed time here
-class ScopedTimer {
- public:
-  /// Reports into `histogram` (no-op when null).
-  explicit ScopedTimer(obs::Histogram* histogram) : histogram_(histogram) {}
-
-  /// Reports into `registry`'s histogram `name` (no-op when registry null).
-  ScopedTimer(obs::MetricsRegistry* registry, const std::string& name)
-      : histogram_(registry != nullptr ? registry->histogram(name) : nullptr) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) histogram_->Observe(timer_.ElapsedSeconds());
-  }
-
-  /// Elapsed seconds so far (the destructor reports the final figure).
-  double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
-
- private:
-  obs::Histogram* histogram_;
-  Timer timer_;
 };
 
 }  // namespace blaeu

@@ -94,25 +94,21 @@ std::string Explorer::StatsReport() const {
   w.EndArray();
   w.Key("sessions").BeginArray();
   for (const auto& [name, session] : sessions_) {
-    const SessionStats& s = session->stats();
     w.BeginObject();
     w.KV("table", name);
     w.KV("states", session->history_size());
-    w.KV("maps_built", s.maps_built);
-    w.KV("map_build_seconds", s.map_build_seconds);
-    w.KV("last_build_seconds", s.last_build_seconds);
-    w.KV("actions", s.actions);
-    w.KV("rollbacks", s.rollbacks);
-    w.KV("cache_hits", s.cache_hits);
-    w.KV("cache_misses", s.cache_misses);
     w.EndObject();
   }
   w.EndArray();
   if (options_.cache != nullptr) {
     w.Key("cache").RawValue(options_.cache->StatsJson());
   }
-  // The process-wide registry: counters/histograms from every layer.
-  w.Key("metrics").RawValue(obs::MetricsRegistry::Global().ToJson());
+  // The registry the sessions report to: counters/histograms from every
+  // layer they ran.
+  const obs::MetricsRegistry& metrics = options_.map.metrics != nullptr
+                                            ? *options_.map.metrics
+                                            : obs::MetricsRegistry::Global();
+  w.Key("metrics").RawValue(metrics.ToJson());
   w.EndObject();
   return w.str();
 }

@@ -55,10 +55,11 @@ class Explorer {
   Status CloseSession(const std::string& name);
 
   /// JSON snapshot of the explorer's observable state: loaded tables, open
-  /// sessions with their per-session stats (maps built, map-build seconds,
-  /// actions, rollbacks), and the process-wide metrics registry. This is
-  /// what the REPL's `stats` command prints and what a serving layer would
-  /// expose on a /stats endpoint.
+  /// sessions with their number of states, the cache's size, and the
+  /// metrics registry the sessions report to (the injected
+  /// `options.map.metrics`, else the process-global one), which holds the
+  /// map, cache and stage totals. This is what the REPL's `stats` command
+  /// prints and what a serving layer would expose on a /stats endpoint.
   std::string StatsReport() const;
 
   /// JSON dump of the last `n` flight-recorder events (0 = everything still

@@ -52,9 +52,9 @@ struct DataMap {
   double build_seconds = 0.0;   ///< wall-clock build latency
   /// What producing this map cost for THIS interaction (obs/resource.h). A
   /// map served from the cache reports cache_hits = 1 and zero work; a cold
-  /// build reports the sampled row count, distance evaluations, per-stage
-  /// times etc. Not part of the map's identity: canonical JSON and the
-  /// golden fixtures exclude it.
+  /// build reports the sampled row count, distance evaluations, tree size
+  /// etc. Not part of the map's identity: canonical JSON and the golden
+  /// fixtures exclude it.
   obs::ResourceProfile resources;
 
   const MapRegion& root() const { return regions.front(); }

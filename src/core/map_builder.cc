@@ -133,7 +133,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   obs::MetricsRegistry* metrics = options.metrics != nullptr
                                       ? options.metrics
                                       : &obs::MetricsRegistry::Global();
-  obs::Span build_span(tracer, "core.map.build");
+  obs::Span build_span(tracer, "core.map.build", metrics);
   build_span.SetAttr("selection_rows", sel.size());
   build_span.SetAttr("columns", columns.size());
   const size_t threads = EffectiveNumThreads(options.num_threads);
@@ -149,7 +149,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     res.distance_evaluations = dist_evals.load(std::memory_order_relaxed);
     res.cart_nodes = static_cast<int64_t>(m->regions.size());
     res.peak_scratch_bytes = scratch.peak();
-    m->build_seconds = res.total_seconds = build_span.ElapsedSeconds();
+    m->build_seconds = build_span.ElapsedSeconds();
     m->resources = res;
     res.ReportTo(metrics);
   };
@@ -162,7 +162,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   Rng rng(options.seed);
   SelectionVector sample;
   {
-    obs::Span span(tracer, "core.map.sample");
+    obs::Span span(tracer, "core.map.sample", metrics);
     const size_t k = options.sample_size;
     if (sampler != nullptr && k > 0 && sel.size() > 4 * k) {
       sample = monet::SampleFromSelection(sampler->SampleAtMost(sel, 4 * k),
@@ -172,7 +172,6 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     } else {
       sample = sel;
     }
-    res.stages.push_back({"sample", span.ElapsedSeconds()});
     span.SetAttr("rows_in", sel.size());
     span.SetAttr("rows_sampled", sample.size());
   }
@@ -183,10 +182,9 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   // one-region map instead of an error: the user can still highlight,
   // inspect and roll back.
   Result<PreprocessedData> pre_or = [&]() -> Result<PreprocessedData> {
-    obs::Span span(tracer, "core.map.preprocess");
+    obs::Span span(tracer, "core.map.preprocess", metrics);
     span.SetAttr("threads", threads);
     auto result = Preprocess(*view, sample, options.num_threads);
-    res.stages.push_back({"preprocess", span.ElapsedSeconds()});
     if (result.ok()) {
       span.SetAttr("feature_rows", result.ValueOrDie().features.rows());
       span.SetAttr("feature_cols", result.ValueOrDie().features.cols());
@@ -236,11 +234,10 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   // 3. Cluster the vectors.
   cluster::KSelectResult swept;
   {
-    obs::Span span(tracer, "core.map.cluster");
+    obs::Span span(tracer, "core.map.cluster", metrics);
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(swept,
                            RunClustering(pre.features, options, &dist_evals));
-    res.stages.push_back({"cluster", span.ElapsedSeconds()});
     span.SetAttr("k", swept.best.num_clusters());
     span.SetAttr("silhouette", swept.best_score);
   }
@@ -252,14 +249,13 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
   // 4. Describe the clusters with a decision tree on the original columns.
   Result<tree::CartModel> model_or = [&]() -> Result<tree::CartModel> {
-    obs::Span span(tracer, "core.map.describe");
+    obs::Span span(tracer, "core.map.describe", metrics);
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(
         tree::CartModel model,
         tree::CartModel::Train(*view, pre.rows, clustering.labels,
                                options.tree, options.num_threads));
     map.tree_fidelity = model.Fidelity(*view, pre.rows, clustering.labels);
-    res.stages.push_back({"describe", span.ElapsedSeconds()});
     span.SetAttr("fidelity", map.tree_fidelity);
     return model;
   }();
@@ -268,15 +264,14 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
   // 5. Assemble the region hierarchy from the tree.
   {
-    obs::Span span(tracer, "core.map.assemble");
+    obs::Span span(tracer, "core.map.assemble", metrics);
     BuildRegions(model, model.root(), -1, monet::Conjunction(), &map);
-    res.stages.push_back({"assemble", span.ElapsedSeconds()});
     span.SetAttr("regions", map.regions.size());
   }
 
   // 6. Tuple counts over the FULL selection (RegionRows).
   {
-    obs::Span span(tracer, "core.map.count");
+    obs::Span span(tracer, "core.map.count", metrics);
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(std::vector<SelectionVector> region_rows,
                            RegionRows(*view, map, sel, options.num_threads));
@@ -292,7 +287,6 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     }
     // Charged until region_rows dies at the end of this block.
     obs::ScratchCharge counted(&scratch, counted_bytes);
-    res.stages.push_back({"count", span.ElapsedSeconds()});
     span.SetAttr("rows_counted", sel.size());
   }
 

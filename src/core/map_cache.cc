@@ -87,9 +87,7 @@ MapCache::MapCache(size_t budget_bytes, obs::MetricsRegistry* metrics,
     : budget_bytes_(budget_bytes),
       metrics_(metrics != nullptr ? metrics : &obs::MetricsRegistry::Global()),
       tracer_(tracer != nullptr ? tracer : &obs::Tracer::Global()),
-      flight_(flight != nullptr ? flight : &obs::FlightRecorder::Global()) {
-  counters_.budget_bytes = budget_bytes_;
-}
+      flight_(flight != nullptr ? flight : &obs::FlightRecorder::Global()) {}
 
 size_t MapCache::BudgetFromEnv(size_t configured) {
   const char* env = std::getenv("BLAEU_CACHE_BYTES");
@@ -107,7 +105,7 @@ uint64_t MapCache::NextSessionId() {
 
 std::shared_ptr<const DataMap> MapCache::Lookup(const MapCacheKey& key,
                                                 uint64_t session_id) {
-  obs::Span span(tracer_, "core.cache.lookup");
+  obs::Span span(tracer_, "core.cache.lookup", metrics_);
   std::shared_ptr<const DataMap> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -118,9 +116,6 @@ std::shared_ptr<const DataMap> MapCache::Lookup(const MapCacheKey& key,
       entries_.splice(entries_.begin(), entries_, it->second);
       it->second->session_id = session_id;
       found = it->second->map;
-      counters_.hits++;
-    } else {
-      counters_.misses++;
     }
   }
   span.SetAttr("hit", found != nullptr ? 1 : 0);
@@ -148,11 +143,10 @@ void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
     auto it = index_.find(hash);
     // An existing entry under this hash (same key, or an astronomically
     // unlikely collision) is replaced rather than duplicated.
-    if (it != index_.end()) RemoveLocked(it->second, /*invalidation=*/false);
+    if (it != index_.end()) RemoveLocked(it->second);
     bytes_ += entry.bytes;
     entries_.push_front(std::move(entry));
     index_[hash] = entries_.begin();
-    counters_.inserts++;
     EnforceBudgetLocked();
     PublishGaugesLocked();
   }
@@ -166,7 +160,7 @@ void MapCache::EvictSession(uint64_t session_id) {
     for (auto it = entries_.begin(); it != entries_.end();) {
       auto next = std::next(it);
       if (it->session_id == session_id) {
-        RemoveLocked(it, /*invalidation=*/true);
+        RemoveLocked(it);
         dropped++;
       }
       it = next;
@@ -182,7 +176,7 @@ void MapCache::EvictSession(uint64_t session_id) {
 }
 
 void MapCache::EvictTable(const std::string& table_name) {
-  obs::Span span(tracer_, "core.cache.invalidate");
+  obs::Span span(tracer_, "core.cache.invalidate", metrics_);
   span.SetAttr("table", table_name);
   int64_t dropped = 0;
   {
@@ -190,7 +184,7 @@ void MapCache::EvictTable(const std::string& table_name) {
     for (auto it = entries_.begin(); it != entries_.end();) {
       auto next = std::next(it);
       if (it->key.table_name == table_name) {
-        RemoveLocked(it, /*invalidation=*/true);
+        RemoveLocked(it);
         dropped++;
       }
       it = next;
@@ -216,14 +210,12 @@ void MapCache::Clear() {
 
 void MapCache::EnforceBudgetLocked() {
   while (bytes_ > budget_bytes_ && !entries_.empty()) {
-    RemoveLocked(std::prev(entries_.end()), /*invalidation=*/false);
-    counters_.evictions++;
+    RemoveLocked(std::prev(entries_.end()));
     metrics_->counter("core.cache.evictions")->Increment();
   }
 }
 
-void MapCache::RemoveLocked(std::list<Entry>::iterator it, bool invalidation) {
-  if (invalidation) counters_.invalidations++;
+void MapCache::RemoveLocked(std::list<Entry>::iterator it) {
   bytes_ -= it->bytes;
   index_.erase(it->key.Hash());
   entries_.erase(it);
@@ -237,7 +229,7 @@ void MapCache::PublishGaugesLocked() {
 
 MapCacheStats MapCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  MapCacheStats out = counters_;
+  MapCacheStats out;
   out.entries = entries_.size();
   out.bytes = bytes_;
   out.budget_bytes = budget_bytes_;
@@ -248,12 +240,7 @@ std::string MapCache::StatsJson() const {
   MapCacheStats s = stats();
   JsonWriter w;
   w.BeginObject();
-  w.KV("hits", s.hits)
-      .KV("misses", s.misses)
-      .KV("inserts", s.inserts)
-      .KV("evictions", s.evictions)
-      .KV("invalidations", s.invalidations)
-      .KV("entries", s.entries)
+  w.KV("entries", s.entries)
       .KV("bytes", s.bytes)
       .KV("budget_bytes", s.budget_bytes);
   w.EndObject();

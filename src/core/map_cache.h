@@ -29,7 +29,7 @@
 // Counters: core.cache.hits, core.cache.misses, core.cache.inserts,
 // core.cache.evictions, core.cache.invalidations. Gauges: core.cache.bytes,
 // core.cache.entries. Spans: core.cache.lookup (attr hit=0|1),
-// core.cache.invalidate.
+// core.cache.invalidate, each observing its <name>_seconds histogram.
 #pragma once
 
 #include <cstdint>
@@ -94,13 +94,9 @@ struct MapCacheKey {
   uint64_t Hash() const;
 };
 
-/// \brief Point-in-time cache statistics.
+/// \brief Point-in-time cache size. The cache's traffic (hits, misses,
+/// inserts, evictions, invalidations) is counted in its registry only.
 struct MapCacheStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t inserts = 0;
-  int64_t evictions = 0;      ///< entries dropped to respect the budget
-  int64_t invalidations = 0;  ///< entries dropped by EvictTable/EvictSession
   size_t entries = 0;
   size_t bytes = 0;
   size_t budget_bytes = 0;
@@ -154,7 +150,7 @@ class MapCache {
 
   MapCacheStats stats() const;
 
-  /// JSON object with the stats above (for Explorer::StatsReport()).
+  /// JSON object with the sizes above (for Explorer::StatsReport()).
   std::string StatsJson() const;
 
  private:
@@ -167,7 +163,7 @@ class MapCache {
 
   /// Drops LRU entries until bytes_ <= budget_bytes_ (lock held).
   void EnforceBudgetLocked();
-  void RemoveLocked(std::list<Entry>::iterator it, bool invalidation);
+  void RemoveLocked(std::list<Entry>::iterator it);
   void PublishGaugesLocked();
 
   const size_t budget_bytes_;
@@ -179,7 +175,6 @@ class MapCache {
   std::list<Entry> entries_;  ///< most-recently-used first
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
   size_t bytes_ = 0;
-  MapCacheStats counters_;  ///< hit/miss/... tallies (sizes derived live)
 };
 
 using MapCachePtr = std::shared_ptr<MapCache>;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json_writer.h"
-#include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "stats/histogram.h"
 
@@ -76,7 +75,6 @@ Result<Session> Session::Start(TablePtr table, std::string table_name,
 
 Result<DataMap> Session::MakeMap(const SelectionVector& sel,
                                  const std::vector<std::string>& columns) {
-  Timer build_timer;
   MapOptions map_options = options_.map;
   const uint64_t sel_fp = sel.Fingerprint();
   const uint64_t cols_fp = FingerprintStrings(columns);
@@ -95,16 +93,8 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
   key.options_fp = options_fp_;
   key.seed = map_options.seed;
 
-  auto finish = [&](size_t* build_counter) {
-    (*build_counter)++;
-    stats_.actions++;
-    stats_.last_build_seconds = build_timer.ElapsedSeconds();
-    stats_.map_build_seconds += stats_.last_build_seconds;
-  };
-
   if (cache_ != nullptr) {
     if (std::shared_ptr<const DataMap> hit = cache_->Lookup(key, session_id_)) {
-      finish(&stats_.cache_hits);
       // The map is bit-identical to a cold build, but what THIS interaction
       // cost is not: a warm map did no sampling, no distance evaluations and
       // no counting. Report a fresh profile so resource accounting reflects
@@ -112,10 +102,8 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
       DataMap warm = *hit;
       warm.resources = obs::ResourceProfile{};
       warm.resources.cache_hits = 1;
-      warm.resources.total_seconds = stats_.last_build_seconds;
       return warm;
     }
-    stats_.cache_misses++;
   }
 
   BLAEU_ASSIGN_OR_RETURN(
@@ -124,7 +112,6 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
     map.resources.cache_misses = 1;
     cache_->Insert(key, session_id_, std::make_shared<const DataMap>(map));
   }
-  finish(&stats_.maps_built);
   return map;
 }
 
@@ -341,7 +328,6 @@ Status Session::Rollback() {
     return Status::Invalid("already at the initial state");
   }
   history_.pop_back();
-  stats_.rollbacks++;
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.rollback",
       {{"depth", std::to_string(history_.size() - 1)}});
@@ -354,7 +340,6 @@ Status Session::RollbackTo(size_t index) {
                               " out of range");
   }
   history_.resize(index + 1);
-  stats_.rollbacks++;
   ResolveFlight(options_)->Record(
       obs::FlightEventKind::kNavigation, "core.session.rollback_to",
       {{"index", std::to_string(index)}});

@@ -98,17 +98,6 @@ struct ScatterDetailResult {
   std::vector<RegionDetail> regions;
 };
 
-/// \brief Per-session usage and latency statistics (obs integration).
-struct SessionStats {
-  size_t maps_built = 0;          ///< BuildMap calls over the session's life
-  double map_build_seconds = 0.0; ///< total wall-clock spent building maps
-  double last_build_seconds = 0.0;
-  size_t actions = 0;             ///< states pushed (zoom/select/project)
-  size_t rollbacks = 0;
-  size_t cache_hits = 0;          ///< maps served from the cache
-  size_t cache_misses = 0;        ///< maps actually built (cache enabled)
-};
-
 /// \brief An interactive exploration session over one table.
 ///
 /// The session owns a state stack. Actions push states; Rollback pops them.
@@ -178,9 +167,6 @@ class Session {
   /// Returns to state `index` (0-based), discarding everything after it.
   Status RollbackTo(size_t index);
 
-  /// Usage/latency counters accumulated since the session started.
-  const SessionStats& stats() const { return stats_; }
-
   /// The session's map cache (null when caching is disabled).
   const MapCachePtr& cache() const { return cache_; }
   /// Process-unique id tagging this session's cache entries.
@@ -227,7 +213,6 @@ class Session {
   uint64_t session_id_ = 0;
   uint64_t table_fp_ = 0;   ///< schema-shape fingerprint (cache key guard)
   uint64_t options_fp_ = 0; ///< fingerprint of the output-affecting options
-  SessionStats stats_;
 };
 
 }  // namespace blaeu::core

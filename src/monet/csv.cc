@@ -5,8 +5,8 @@
 #include <sstream>
 
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace blaeu::monet {
 
@@ -129,7 +129,7 @@ Status AppendToken(Column* col, const std::string& token,
 Result<TablePtr> ReadCsv(std::istream& in, const CsvOptions& options) {
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("monet.csv.reads")->Increment();
-  ScopedTimer latency(registry.histogram("monet.csv.read_seconds"));
+  obs::Span span("monet.csv.read");
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {

@@ -1,8 +1,8 @@
 #include "monet/query.h"
 
-#include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace blaeu::monet {
 
@@ -31,7 +31,7 @@ Result<TablePtr> SelectProjectQuery::ExecuteOn(const Table& table) const {
   registry.counter("monet.query.executions")->Increment();
   registry.counter("monet.query.rows_scanned")
       ->Add(static_cast<int64_t>(table.num_rows()));
-  ScopedTimer latency(registry.histogram("monet.query.seconds"));
+  obs::Span span("monet.query.execute");
   BLAEU_ASSIGN_OR_RETURN(SelectionVector sel, where.Evaluate(table));
   registry.counter("monet.query.rows_returned")
       ->Add(static_cast<int64_t>(sel.size()));

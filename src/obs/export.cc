@@ -148,33 +148,16 @@ std::string ToHtmlReport(const MetricsSnapshot& snapshot,
       "</style>\n</head>\n<body>\n<h1>" +
       HtmlEscape(title) + "</h1>\n";
 
-  // Stage waterfall from the per-stage latency histograms, in pipeline
-  // order (any unknown stage name falls to the end alphabetically).
-  const char* kPipelineOrder[] = {"sample",   "preprocess", "cluster",
-                                  "describe", "assemble",   "count"};
-  const std::string prefix = "core.map.stage.";
-  const std::string suffix = "_seconds";
+  // Stage waterfall from the map stages' span histograms, in pipeline order.
   std::vector<std::pair<std::string, HistogramSnapshot>> stages;
-  for (const auto& [name, h] : snapshot.histograms) {
-    if (name.rfind(prefix, 0) != 0 || h.count == 0) continue;
-    std::string stage = name.substr(prefix.size());
-    if (stage.size() > suffix.size() &&
-        stage.compare(stage.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      stage = stage.substr(0, stage.size() - suffix.size());
+  for (const char* stage : {"sample", "preprocess", "cluster", "describe",
+                            "assemble", "count"}) {
+    auto it = snapshot.histograms.find(std::string("core.map.") + stage +
+                                       "_seconds");
+    if (it != snapshot.histograms.end() && it->second.count > 0) {
+      stages.emplace_back(stage, it->second);
     }
-    stages.emplace_back(stage, h);
   }
-  std::sort(stages.begin(), stages.end(), [&](const auto& a, const auto& b) {
-    auto rank = [&](const std::string& s) {
-      for (size_t i = 0; i < 6; ++i) {
-        if (s == kPipelineOrder[i]) return i;
-      }
-      return size_t{6};
-    };
-    size_t ra = rank(a.first), rb = rank(b.first);
-    return ra != rb ? ra < rb : a.first < b.first;
-  });
   if (!stages.empty()) {
     double max_p50 = 0.0;
     for (const auto& [_, h] : stages) max_p50 = std::max(max_p50, h.p50);

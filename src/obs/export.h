@@ -35,9 +35,10 @@ std::string ToOpenMetrics(const MetricsSnapshot& snapshot,
 std::string ToOpenMetrics(const MetricsRegistry& registry,
                           const MetricLabels& labels = {});
 
-/// Self-contained HTML perf report: a stage waterfall built from the
-/// core.map.stage.*_seconds histograms plus full counter/gauge/histogram
-/// tables. No external assets; open the file anywhere.
+/// Self-contained HTML perf report: a waterfall of the map stages'
+/// core.map.<stage>_seconds histograms, in pipeline order, plus full
+/// counter/gauge/histogram tables. No external assets; open the file
+/// anywhere.
 std::string ToHtmlReport(const MetricsSnapshot& snapshot,
                          const std::string& title);
 std::string ToHtmlReport(const MetricsRegistry& registry,

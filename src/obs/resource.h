@@ -1,7 +1,8 @@
 // Per-map resource accounting: what one BuildMap actually cost, beyond wall
 // clock — rows scanned, feature cells materialized, distance evaluations,
-// description-tree size, cache traffic and peak scratch memory, plus the
-// per-stage wall-time split.
+// description-tree size, cache traffic and peak scratch memory. Stage times
+// are not here: each stage's span observes its own core.map.<stage>_seconds
+// (obs/trace.h).
 //
 // The profile travels with the map (DataMap::resources), so a serving layer
 // can answer "what did THIS interaction cost" per response, and is
@@ -13,8 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -64,12 +63,6 @@ class ScratchCharge {
   size_t bytes_;
 };
 
-/// \brief Wall time of one pipeline stage.
-struct StageCost {
-  std::string name;      ///< "sample", "preprocess", "cluster", ...
-  double seconds = 0.0;
-};
-
 /// \brief What one map build cost. All counts are zero for a map served
 /// from the cache (except cache_hits).
 struct ResourceProfile {
@@ -92,18 +85,11 @@ struct ResourceProfile {
   /// High-water mark of instrumented scratch allocations (feature matrix,
   /// per-region row sets).
   int64_t peak_scratch_bytes = 0;
-  /// End-to-end build wall time; stages[] splits it.
-  double total_seconds = 0.0;
-  std::vector<StageCost> stages;
-
-  /// {"rows_scanned":...,...,"stages":{"sample":...,...}}
-  std::string ToJson() const;
 
   /// Aggregates this profile into `registry`: counters
   /// core.map.{rows_scanned,rows_counted,cells_materialized,
-  /// distance_evaluations,cart_nodes}, histograms core.map.build_seconds
-  /// (total_seconds) and core.map.scratch_peak_bytes, and one histogram
-  /// core.map.stage.<name>_seconds per stage.
+  /// distance_evaluations,cart_nodes} and the histogram
+  /// core.map.scratch_peak_bytes.
   void ReportTo(MetricsRegistry* registry) const;
 };
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/json_writer.h"
+#include "obs/metrics.h"
 
 namespace blaeu::obs {
 
@@ -142,7 +143,10 @@ std::string Tracer::ToChromeTrace() const {
   return w.str();
 }
 
-Span::Span(Tracer* tracer, std::string name) : start_(Clock::now()) {
+Span::Span(Tracer* tracer, std::string name, MetricsRegistry* metrics)
+    : histogram_(metrics != nullptr ? metrics->histogram(name + "_seconds")
+                                    : nullptr),
+      start_(Clock::now()) {
   if (tracer == nullptr || !tracer->enabled()) return;
   tracer_ = tracer;
   // Parent: innermost open span of the same tracer on this thread.
@@ -159,7 +163,11 @@ Span::Span(Tracer* tracer, std::string name) : start_(Clock::now()) {
   tls_open_spans.push_back({tracer_, id_, depth});
 }
 
+Span::Span(std::string name)
+    : Span(&Tracer::Global(), std::move(name), &MetricsRegistry::Global()) {}
+
 Span::~Span() {
+  if (histogram_ != nullptr) histogram_->Observe(ElapsedSeconds());
   if (tracer_ == nullptr) return;
   // RAII spans close LIFO per thread; pop our entry (and tolerate a caller
   // that let spans escape strict nesting by searching from the top).

@@ -1,8 +1,11 @@
 // Hierarchical tracing: RAII spans over the map pipeline and query layer.
 //
-// A Span measures one timed region; nesting is lexical, so a span opened
-// while another span of the same tracer is live on the same thread becomes
-// its child. Finished spans accumulate in the Tracer and export as either
+// A Span is the one way a stage is timed. When it closes, it observes its
+// duration as the histogram `<span name>_seconds` of the registry it was
+// given, and, when its tracer is enabled, it records itself there too.
+// Nesting is lexical, so a span opened while another span of the same
+// tracer is live on the same thread becomes its child. Finished spans
+// accumulate in the Tracer and export as either
 //   - structured JSON (nested children, via blaeu::JsonWriter), or
 //   - Chrome trace-event format, loadable in chrome://tracing / Perfetto.
 //
@@ -25,6 +28,9 @@
 #include <vector>
 
 namespace blaeu::obs {
+
+class Histogram;
+class MetricsRegistry;
 
 /// Small stable integer id of the calling thread (Chrome trace wants
 /// integers, and std::thread::id does not serialize usefully). Shared by
@@ -96,14 +102,16 @@ class Tracer {
 
 /// \brief RAII handle for one timed region.
 ///
-/// A null or disabled tracer makes every member but ElapsedSeconds() a
-/// no-op, so call sites do not need their own `if (tracing)` guards.
+/// A null or disabled tracer makes the trace half a no-op (SetAttr too), so
+/// call sites do not need their own `if (tracing)` guards; the histogram is
+/// observed whenever a registry was given.
 class Span {
  public:
-  /// Opens a span on `tracer` (no-op when null or disabled).
-  Span(Tracer* tracer, std::string name);
-  /// Opens a span on the global tracer.
-  explicit Span(std::string name) : Span(&Tracer::Global(), std::move(name)) {}
+  /// Opens a span on `tracer` (not recorded when null or disabled) that
+  /// observes `<name>_seconds` in `metrics` on close (nothing when null).
+  Span(Tracer* tracer, std::string name, MetricsRegistry* metrics = nullptr);
+  /// Opens a span on the global tracer and the global registry.
+  explicit Span(std::string name);
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -124,7 +132,7 @@ class Span {
   }
   void SetAttr(const std::string& key, double value);
 
-  /// True when this span is actually recording.
+  /// True when this span is recording in its tracer.
   bool active() const { return tracer_ != nullptr; }
 
   /// Seconds since the span opened, whether or not it records.
@@ -134,8 +142,9 @@ class Span {
 
  private:
   using Clock = std::chrono::steady_clock;
+  Histogram* histogram_ = nullptr;  ///< looked up before start_ is taken
   Clock::time_point start_;
-  Tracer* tracer_ = nullptr;  ///< null when inactive
+  Tracer* tracer_ = nullptr;  ///< null when not recording
   int id_ = -1;
   std::vector<std::pair<std::string, std::string>> attrs_;
 };

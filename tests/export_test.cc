@@ -14,8 +14,8 @@ namespace {
 
 TEST(OpenMetricsNameTest, SanitizesDotsAndIllegalCharacters) {
   EXPECT_EQ(OpenMetricsName("core.map.builds"), "blaeu_core_map_builds");
-  EXPECT_EQ(OpenMetricsName("core.map.stage.count_seconds"),
-            "blaeu_core_map_stage_count_seconds");
+  EXPECT_EQ(OpenMetricsName("core.map.count_seconds"),
+            "blaeu_core_map_count_seconds");
   EXPECT_EQ(OpenMetricsName("weird-name with spaces"),
             "blaeu_weird_name_with_spaces");
 }
@@ -79,9 +79,10 @@ TEST(ToOpenMetricsTest, EmptyRegistryIsJustEof) {
 
 TEST(ToHtmlReportTest, ContainsWaterfallAndTables) {
   MetricsRegistry registry;
-  registry.histogram("core.map.stage.sample_seconds")->Observe(0.001);
-  registry.histogram("core.map.stage.preprocess_seconds")->Observe(0.015);
-  registry.histogram("core.map.stage.cluster_seconds")->Observe(0.002);
+  registry.histogram("core.map.sample_seconds")->Observe(0.001);
+  registry.histogram("core.map.preprocess_seconds")->Observe(0.015);
+  registry.histogram("core.map.cluster_seconds")->Observe(0.002);
+  registry.histogram("core.map.build_seconds")->Observe(0.020);
   registry.counter("core.map.builds")->Increment();
   registry.gauge("core.cache.bytes")->Set(42.0);
   std::string html = ToHtmlReport(registry, "test report");
@@ -96,6 +97,8 @@ TEST(ToHtmlReportTest, ContainsWaterfallAndTables) {
   ASSERT_NE(cluster_pos, std::string::npos);
   EXPECT_LT(sample_pos, preprocess_pos);
   EXPECT_LT(preprocess_pos, cluster_pos);
+  // The whole build is not a stage.
+  EXPECT_EQ(html.find(">build<"), std::string::npos);
   EXPECT_NE(html.find("core.map.builds"), std::string::npos);
   EXPECT_NE(html.find("core.cache.bytes"), std::string::npos);
   // Self-contained: no external scripts or stylesheets.

@@ -166,13 +166,21 @@ TEST(MapBuilderTest, DegenerateTinySelectionYieldsTrivialMap) {
 
 TEST(MapBuilderTest, InvalidInputsRejected) {
   auto data = Mixture(100, 2, 14);
+  obs::MetricsRegistry metrics;
+  MapOptions opt;
+  opt.metrics = &metrics;
   EXPECT_FALSE(
-      BuildMap(*data.table, SelectionVector::All(100), {}).ok());
+      BuildMap(*data.table, SelectionVector::All(100), {}, opt).ok());
   EXPECT_FALSE(BuildMap(*data.table, SelectionVector(),
-                        ColumnNames(*data.table))
+                        ColumnNames(*data.table), opt)
                    .ok());
   EXPECT_FALSE(
-      BuildMap(*data.table, SelectionVector::All(100), {"ghost"}).ok());
+      BuildMap(*data.table, SelectionVector::All(100), {"ghost"}, opt).ok());
+  // The unknown column fails after the build span opened: that build is
+  // counted and timed alike.
+  EXPECT_EQ(metrics.counter("core.map.builds")->value(), 1);
+  EXPECT_EQ(metrics.histogram("core.map.build_seconds")->Snapshot().count,
+            static_cast<uint64_t>(metrics.counter("core.map.builds")->value()));
 }
 
 TEST(MapBuilderTest, KSweepPicksPlantedK) {
@@ -210,17 +218,25 @@ TEST(MapBuilderTest, EmptyKRangeIsRejectedOnSmallAndLargeSelections) {
 
 TEST(MapBuilderTest, ClaraBuildRunsOneKSweep) {
   // A default build sweeps k = 2..6 once, through SweepK, so the global
-  // kselect counters see it.
+  // kselect counters see it, and the sweep's and each CLARA run's spans
+  // observe their histograms there.
   auto data = Mixture(2000, 3, 25);
   obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  auto observations = [&](const char* name) {
+    return global.histogram(name)->Snapshot().count;
+  };
   const int64_t sweeps = global.counter("cluster.kselect.sweeps")->value();
   const int64_t candidates =
       global.counter("cluster.kselect.candidates")->value();
+  const uint64_t sweep_seconds = observations("cluster.kselect.sweep_seconds");
+  const uint64_t clara_seconds = observations("cluster.clara.run_seconds");
   auto map = *BuildMap(*data.table);
   EXPECT_EQ(map.algorithm, "clara");
   EXPECT_EQ(global.counter("cluster.kselect.sweeps")->value() - sweeps, 1);
   EXPECT_EQ(
       global.counter("cluster.kselect.candidates")->value() - candidates, 5);
+  EXPECT_EQ(observations("cluster.kselect.sweep_seconds") - sweep_seconds, 1u);
+  EXPECT_EQ(observations("cluster.clara.run_seconds") - clara_seconds, 5u);
 }
 
 TEST(MapBuilderTest, BuildRecordsStageSpans) {

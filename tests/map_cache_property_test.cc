@@ -105,10 +105,13 @@ TEST(MapCachePropertyTest, CachedSessionIsByteIdenticalToUncached) {
     SCOPED_TRACE("rows " + std::to_string(table_rows));
     auto table = MixtureTable(table_rows, /*seed=*/42);
     for (uint64_t trial = 0; trial < 3; ++trial) {
+      obs::MetricsRegistry cached_metrics, uncached_metrics;
       SessionOptions cached_opt = FastOptions(100 + trial);
       cached_opt.cache_enabled = true;
+      cached_opt.map.metrics = &cached_metrics;
       SessionOptions uncached_opt = cached_opt;
       uncached_opt.cache_enabled = false;
+      uncached_opt.map.metrics = &uncached_metrics;
 
       auto cached = Session::Start(table, "mixture", cached_opt);
       auto uncached = Session::Start(table, "mixture", uncached_opt);
@@ -136,8 +139,10 @@ TEST(MapCachePropertyTest, CachedSessionIsByteIdenticalToUncached) {
       }
       // The exercise must actually have exercised the cache: rollback +
       // revisit sequences produce hits with overwhelming probability here.
-      EXPECT_GT(a.stats().cache_hits + a.stats().cache_misses, 0u);
-      EXPECT_EQ(b.stats().cache_hits, 0u);
+      EXPECT_GT(cached_metrics.counter("core.cache.hits")->value() +
+                    cached_metrics.counter("core.cache.misses")->value(),
+                0);
+      EXPECT_EQ(uncached_metrics.counter("core.cache.hits")->value(), 0);
     }
   }
 }
@@ -170,7 +175,9 @@ TEST(MapCachePropertyTest, ConcurrentSessionsShareOneCacheCleanly) {
   // concurrently: same keys, cross-session hits, entry re-tagging, and
   // destructor-driven eviction all race here. TSan must stay silent.
   auto table = MixtureTable(1000, /*seed=*/42);
-  auto cache = std::make_shared<MapCache>();
+  obs::MetricsRegistry metrics;
+  auto cache =
+      std::make_shared<MapCache>(MapCache::kDefaultBudgetBytes, &metrics);
   // A "warm" session stays alive for the whole test so every worker's
   // initial map is a guaranteed cross-session hit on its entry.
   SessionOptions warm_opt = FastOptions();
@@ -221,7 +228,7 @@ TEST(MapCachePropertyTest, ConcurrentSessionsShareOneCacheCleanly) {
   // at least one cross-session hit is guaranteed (usually all four hit, but
   // a worker dying re-tags and releases the entry, so later workers may
   // legitimately rebuild it).
-  EXPECT_GT(cache->stats().hits, 0);
+  EXPECT_GT(metrics.counter("core.cache.hits")->value(), 0);
   // Each hit re-tagged the entry to the hitting worker, and each worker's
   // death released its entries — so nothing survives the workers.
   EXPECT_EQ(cache->stats().entries, 0u);

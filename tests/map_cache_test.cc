@@ -64,7 +64,8 @@ TEST(MapCacheTest, BudgetFromEnvOverrides) {
 }
 
 TEST(MapCacheTest, InsertLookupRoundTrip) {
-  MapCache cache;
+  obs::MetricsRegistry metrics;
+  MapCache cache(MapCache::kDefaultBudgetBytes, &metrics);
   MapCacheKey key;
   key.table_name = "t";
   key.selection_fp = 1;
@@ -74,11 +75,10 @@ TEST(MapCacheTest, InsertLookupRoundTrip) {
   MapCacheKey other = key;
   other.selection_fp = 2;
   EXPECT_EQ(cache.Lookup(other, 1), nullptr);
-  MapCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.misses, 1);
-  EXPECT_EQ(s.inserts, 1);
-  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(metrics.counter("core.cache.hits")->value(), 1);
+  EXPECT_EQ(metrics.counter("core.cache.misses")->value(), 1);
+  EXPECT_EQ(metrics.counter("core.cache.inserts")->value(), 1);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(MapCacheTest, LruEvictionRespectsByteBudget) {
@@ -86,7 +86,9 @@ TEST(MapCacheTest, LruEvictionRespectsByteBudget) {
   DataMap probe;
   probe.regions.resize(3);
   const size_t one = EstimateMapBytes(probe) + 256;  // entry + overhead
-  MapCache cache(3 * one);
+  obs::MetricsRegistry metrics;
+  obs::Counter* evictions = metrics.counter("core.cache.evictions");
+  MapCache cache(3 * one, &metrics);
   auto key_for = [](uint64_t i) {
     MapCacheKey k;
     k.table_name = "t";
@@ -98,15 +100,15 @@ TEST(MapCacheTest, LruEvictionRespectsByteBudget) {
     EXPECT_LE(cache.stats().bytes, 3 * one);
   }
   MapCacheStats s = cache.stats();
-  EXPECT_EQ(s.inserts, 8);
-  EXPECT_GT(s.evictions, 0);
+  EXPECT_EQ(metrics.counter("core.cache.inserts")->value(), 8);
+  EXPECT_GT(evictions->value(), 0);
   EXPECT_LE(s.bytes, s.budget_bytes);
   // The oldest entries are gone, the newest survive.
   EXPECT_EQ(cache.Lookup(key_for(0), 1), nullptr);
   EXPECT_NE(cache.Lookup(key_for(7), 1), nullptr);
   // A lookup refreshes recency: touch the LRU survivor, insert one more,
   // and the touched entry outlives the untouched one.
-  MapCacheStats before = cache.stats();
+  const int64_t evictions_before = evictions->value();
   uint64_t oldest_alive = 0;
   for (uint64_t i = 0; i < 8; ++i) {
     if (cache.Lookup(key_for(i), 1) != nullptr) {
@@ -117,7 +119,7 @@ TEST(MapCacheTest, LruEvictionRespectsByteBudget) {
   ASSERT_NE(cache.Lookup(key_for(oldest_alive), 1), nullptr);
   cache.Insert(key_for(100), 1, std::make_shared<const DataMap>(probe));
   EXPECT_NE(cache.Lookup(key_for(oldest_alive), 1), nullptr);
-  EXPECT_GT(cache.stats().evictions, before.evictions);
+  EXPECT_GT(evictions->value(), evictions_before);
 }
 
 TEST(MapCacheTest, OversizedEntryIsRejectedNotCached) {
@@ -133,24 +135,31 @@ TEST(MapCacheTest, OversizedEntryIsRejectedNotCached) {
 
 TEST(MapCacheTest, SessionCacheHitOnRollbackRevisit) {
   auto table = MixtureTable();
-  auto session = Session::Start(table, "mixture", FastOptions());
+  obs::MetricsRegistry metrics;
+  SessionOptions opt = FastOptions();
+  opt.map.metrics = &metrics;
+  obs::Counter* hits = metrics.counter("core.cache.hits");
+  obs::Counter* misses = metrics.counter("core.cache.misses");
+  auto session = Session::Start(table, "mixture", opt);
   ASSERT_TRUE(session.ok());
   Session s = std::move(session).ValueOrDie();
   ASSERT_NE(s.cache(), nullptr);
   std::vector<int> leaves = s.current().map.LeafIds();
   ASSERT_FALSE(leaves.empty());
   ASSERT_TRUE(s.Zoom(leaves[0]).ok());
-  size_t misses_before = s.stats().cache_misses;
+  const int64_t misses_before = misses->value();
   ASSERT_TRUE(s.Rollback().ok());
   ASSERT_TRUE(s.Zoom(leaves[0]).ok());  // identical navigation state
-  EXPECT_GE(s.stats().cache_hits, 1u);
-  EXPECT_EQ(s.stats().cache_misses, misses_before);
+  EXPECT_GE(hits->value(), 1);
+  EXPECT_EQ(misses->value(), misses_before);
 }
 
 TEST(MapCacheTest, DisabledCacheBuildsEveryTime) {
   auto table = MixtureTable();
+  obs::MetricsRegistry metrics;
   SessionOptions opt = FastOptions();
   opt.cache_enabled = false;
+  opt.map.metrics = &metrics;
   auto session = Session::Start(table, "mixture", opt);
   ASSERT_TRUE(session.ok());
   Session s = std::move(session).ValueOrDie();
@@ -159,12 +168,16 @@ TEST(MapCacheTest, DisabledCacheBuildsEveryTime) {
   ASSERT_TRUE(s.Zoom(leaves[0]).ok());
   ASSERT_TRUE(s.Rollback().ok());
   ASSERT_TRUE(s.Zoom(leaves[0]).ok());
-  EXPECT_EQ(s.stats().cache_hits, 0u);
-  EXPECT_EQ(s.stats().maps_built, 3u);  // start + zoom + re-zoom
+  EXPECT_EQ(metrics.counter("core.cache.hits")->value(), 0);
+  // start + zoom + re-zoom
+  EXPECT_EQ(metrics.counter("core.map.builds")->value(), 3);
 }
 
 TEST(MapCacheTest, ReloadingTableInvalidatesItsEntries) {
-  Explorer explorer(FastOptions());
+  obs::MetricsRegistry metrics;
+  SessionOptions opt = FastOptions();
+  opt.map.metrics = &metrics;
+  Explorer explorer(opt);
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(), "mixture").ok());
   auto session = explorer.OpenSession("mixture");
   ASSERT_TRUE(session.ok());
@@ -175,7 +188,7 @@ TEST(MapCacheTest, ReloadingTableInvalidatesItsEntries) {
   ASSERT_TRUE(explorer.LoadTable(MixtureTable(600, /*seed=*/7), "mixture").ok());
   MapCacheStats s = explorer.cache()->stats();
   EXPECT_EQ(s.entries, 0u);
-  EXPECT_GT(s.invalidations, 0);
+  EXPECT_GT(metrics.counter("core.cache.invalidations")->value(), 0);
   // The old session pointer is stale by contract; a fresh session works.
   auto reopened = explorer.OpenSession("mixture");
   ASSERT_TRUE(reopened.ok());
@@ -229,9 +242,7 @@ TEST(MapCacheTest, MovedFromSessionReleasesNothing) {
 TEST(MapCacheTest, StatsJsonListsAllFields) {
   MapCache cache;
   std::string json = cache.StatsJson();
-  for (const char* field :
-       {"hits", "misses", "inserts", "evictions", "invalidations", "entries",
-        "bytes", "budget_bytes"}) {
+  for (const char* field : {"entries", "bytes", "budget_bytes"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
 }
@@ -242,8 +253,27 @@ TEST(MapCacheTest, ExplorerStatsReportIncludesCacheSection) {
   ASSERT_TRUE(explorer.OpenSession("mixture").ok());
   std::string report = explorer.StatsReport();
   EXPECT_NE(report.find("\"cache\""), std::string::npos);
-  EXPECT_NE(report.find("cache_hits"), std::string::npos);
+  EXPECT_NE(
+      report.find("\"sessions\":[{\"table\":\"mixture\",\"states\":1}]"),
+      std::string::npos)
+      << report;
   EXPECT_NE(report.find("budget_bytes"), std::string::npos);
+}
+
+// The report prints the registry the explorer's sessions report to, so an
+// injected registry shows the explorer's work and nothing else.
+TEST(MapCacheTest, ExplorerStatsReportPrintsTheInjectedRegistry) {
+  obs::MetricsRegistry metrics;
+  SessionOptions opt = FastOptions();
+  opt.map.metrics = &metrics;
+  Explorer explorer(opt);
+  ASSERT_TRUE(explorer.LoadTable(MixtureTable(), "mixture").ok());
+  ASSERT_TRUE(explorer.OpenSession("mixture").ok());
+  std::string report = explorer.StatsReport();
+  EXPECT_NE(report.find("\"core.map.builds\":1,"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"core.cache.misses\":1,"), std::string::npos)
+      << report;
 }
 
 }  // namespace

@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/timer.h"
-
 namespace blaeu::obs {
 namespace {
 
@@ -148,18 +146,43 @@ TEST(MetricsRegistryTest, ToJsonShape) {
   EXPECT_NE(json.find("\"p99\":"), std::string::npos) << json;
 }
 
-TEST(ScopedTimerTest, ReportsIntoHistogramOnDestruction) {
+TEST(SpanTest, ObservesItsSecondsHistogramOnClose) {
+  // Given a registry, a closing span observes <name>_seconds there whether
+  // its tracer is null, disabled or enabled; only the enabled one records.
   MetricsRegistry reg;
-  {
-    ScopedTimer t(&reg, "scoped.seconds");
-    EXPECT_GE(t.ElapsedSeconds(), 0.0);
+  Tracer disabled;
+  Tracer enabled;
+  enabled.set_enabled(true);
+  Histogram* stage = reg.histogram("x.stage_seconds");
+  uint64_t closed = 0;
+  for (Tracer* tracer : {static_cast<Tracer*>(nullptr), &disabled, &enabled}) {
+    {
+      Span span(tracer, "x.stage", &reg);
+      EXPECT_EQ(stage->Snapshot().count, closed);  // not before it closes
+    }
+    EXPECT_EQ(stage->Snapshot().count, ++closed);
   }
-  HistogramSnapshot s = reg.histogram("scoped.seconds")->Snapshot();
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_GE(s.max, 0.0);
-  // Null registry / histogram: must be a safe no-op.
-  { ScopedTimer t(static_cast<Histogram*>(nullptr)); }
-  { ScopedTimer t(static_cast<MetricsRegistry*>(nullptr), "x"); }
+  HistogramSnapshot s = stage->Snapshot();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_GE(s.min, 0.0);
+  EXPECT_TRUE(disabled.Finished().empty());
+  ASSERT_EQ(enabled.Finished().size(), 1u);
+  EXPECT_EQ(enabled.Finished()[0].name, "x.stage");
+
+  // Without a registry a span is trace-only: it creates no histogram, not
+  // even in the global registry.
+  { Span span(&enabled, "obs_test.untimed"); }
+  EXPECT_EQ(enabled.Finished().size(), 2u);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().histograms.count(
+                "obs_test.untimed_seconds"),
+            0u);
+
+  // The one-argument form observes in the global registry.
+  Histogram* timed =
+      MetricsRegistry::Global().histogram("obs_test.timed_seconds");
+  const uint64_t before = timed->Snapshot().count;
+  { Span span("obs_test.timed"); }
+  EXPECT_EQ(timed->Snapshot().count, before + 1);
 }
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {
