@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -131,8 +132,11 @@ ColumnStats ComputeColumnStats(const Column& col,
   s.count = counts.count;
   s.null_count = counts.null_count;
   s.distinct = counts.distinct;
-  if (counts.ranked.size() > 16) counts.ranked.resize(16);
-  s.top_values = std::move(counts.ranked);
+  // Moved into an exact-size vector: the full ranking's buffer holds every
+  // distinct value.
+  const size_t kept = std::min<size_t>(counts.ranked.size(), 16);
+  s.top_values.assign(std::make_move_iterator(counts.ranked.begin()),
+                      std::make_move_iterator(counts.ranked.begin() + kept));
   if (col.type() == DataType::kString) return s;
   double sum = 0, sum_sq = 0;
   size_t n = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -94,8 +95,11 @@ FrequencyTable CategoricalFrequencies(const Column& col,
   FrequencyTable t;
   t.null_count = counts.null_count;
   t.distinct = counts.distinct;
-  if (counts.ranked.size() > max_entries) counts.ranked.resize(max_entries);
-  t.entries = std::move(counts.ranked);
+  // Moved into an exact-size vector: the full ranking's buffer holds every
+  // distinct value.
+  const size_t kept = std::min(counts.ranked.size(), max_entries);
+  t.entries.assign(std::make_move_iterator(counts.ranked.begin()),
+                   std::make_move_iterator(counts.ranked.begin() + kept));
   return t;
 }
 

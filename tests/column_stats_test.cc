@@ -37,6 +37,17 @@ TEST(ColumnStatsTest, TopValuesSortedByFrequency) {
   EXPECT_EQ(s.top_values[1].first, "b");
 }
 
+// The top list keeps the 16 values it shows, in a buffer of that size, not
+// in the full ranking's buffer of every distinct value.
+TEST(ColumnStatsTest, TopValuesHoldSixteenOfManyDistinct) {
+  Column col(DataType::kDouble);
+  for (int i = 0; i < 1000; ++i) col.AppendDouble(0.5 + i);
+  ColumnStats s = ComputeColumnStats(col, SelectionVector::All(1000));
+  EXPECT_EQ(s.distinct, 1000u);
+  EXPECT_EQ(s.top_values.size(), 16u);
+  EXPECT_LE(s.top_values.capacity(), 16u);
+}
+
 TEST(ColumnStatsTest, SelectionRestricted) {
   Column col(DataType::kInt64);
   for (int i = 0; i < 10; ++i) col.AppendInt(i);
