@@ -46,6 +46,7 @@
 #include "core/report.h"
 #include "core/suggest.h"
 #include "core/render.h"
+#include "monet/csv.h"
 #include "workloads/hollywood.h"
 #include "workloads/lofar.h"
 #include "workloads/oecd.h"

@@ -12,6 +12,7 @@
 
 #include "core/explorer.h"
 #include "core/render.h"
+#include "monet/csv.h"
 #include "workloads/hollywood.h"
 
 using namespace blaeu;

@@ -9,21 +9,6 @@
 
 namespace blaeu {
 
-std::vector<std::string> Split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
@@ -79,9 +64,9 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string CsvEscape(std::string_view field, char delim) {
+std::string CsvEscape(std::string_view field) {
   bool needs_quote =
-      field.find(delim) != std::string_view::npos ||
+      field.find(',') != std::string_view::npos ||
       field.find('"') != std::string_view::npos ||
       field.find('\n') != std::string_view::npos ||
       field.find('\r') != std::string_view::npos;

@@ -7,9 +7,6 @@
 
 namespace blaeu {
 
-/// Splits `s` on `delim`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char delim);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
@@ -33,7 +30,8 @@ std::string FormatDouble(double v, int precision = 6);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Escapes a CSV field (quotes it when it contains delimiter/quote/newline).
-std::string CsvEscape(std::string_view field, char delim = ',');
+/// Escapes a CSV field (quotes it when it contains a comma, a quote, a CR
+/// or a newline).
+std::string CsvEscape(std::string_view field);
 
 }  // namespace blaeu

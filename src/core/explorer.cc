@@ -1,6 +1,7 @@
 #include "core/explorer.h"
 
 #include "common/json_writer.h"
+#include "monet/csv.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -34,10 +35,8 @@ void Explorer::InstallTable(const std::string& name, monet::TablePtr table) {
        {"replaced", replacing ? "1" : "0"}});
 }
 
-Status Explorer::LoadCsv(const std::string& path, const std::string& name,
-                         const monet::CsvOptions& csv_options) {
-  BLAEU_ASSIGN_OR_RETURN(monet::TablePtr table,
-                         monet::ReadCsvFile(path, csv_options));
+Status Explorer::LoadCsv(const std::string& path, const std::string& name) {
+  BLAEU_ASSIGN_OR_RETURN(monet::TablePtr table, monet::ReadCsvFile(path));
   InstallTable(name, std::move(table));
   return Status::OK();
 }

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "core/navigation.h"
 #include "monet/catalog.h"
-#include "monet/csv.h"
 
 namespace blaeu::core {
 
@@ -29,11 +28,12 @@ class Explorer {
   /// rollback in one session can hit maps another session built).
   explicit Explorer(SessionOptions options = {});
 
-  /// Imports a CSV file into the catalog under `name`. Re-loading an
-  /// existing name replaces the table, bumps its version and invalidates
-  /// every cached map built on it.
-  Status LoadCsv(const std::string& path, const std::string& name,
-                 const monet::CsvOptions& csv_options = {});
+  /// Imports a CSV file into the catalog under `name`, read as
+  /// monet::ReadCsvFile does (one dialect: comma-separated, a header row,
+  /// types inferred over every cell). Re-loading an existing name replaces
+  /// the table, bumps its version and invalidates every cached map built
+  /// on it.
+  Status LoadCsv(const std::string& path, const std::string& name);
 
   /// Registers an existing table under `name` (same replace-and-invalidate
   /// semantics as LoadCsv).

@@ -116,6 +116,10 @@ Result<DataMap> Session::MakeMap(const SelectionVector& sel,
 }
 
 Status Session::SelectTheme(size_t theme_idx) {
+  return MapTheme(theme_idx, "select_theme");
+}
+
+Status Session::MapTheme(size_t theme_idx, const std::string& verb) {
   if (theme_idx >= themes_.size()) {
     return Status::IndexError("theme index " + std::to_string(theme_idx) +
                               " out of range (" +
@@ -134,9 +138,9 @@ Status Session::SelectTheme(size_t theme_idx) {
   state.columns = theme.names;
   state.where = std::move(where);
   state.map = std::move(map);
-  state.action = "select_theme(" + std::to_string(theme_idx) + ")";
+  state.action = verb + "(" + std::to_string(theme_idx) + ")";
   ResolveFlight(options_)->Record(
-      obs::FlightEventKind::kNavigation, "core.session.select_theme",
+      obs::FlightEventKind::kNavigation, "core.session." + verb,
       {{"theme", std::to_string(theme_idx)},
        {"rows", std::to_string(state.selection.size())},
        {"cached", state.map.resources.cache_hits > 0 ? "1" : "0"}});
@@ -175,28 +179,7 @@ Status Session::Zoom(int region_id) {
 }
 
 Status Session::Project(size_t theme_idx) {
-  if (theme_idx >= themes_.size()) {
-    return Status::IndexError("theme index " + std::to_string(theme_idx) +
-                              " out of range (" +
-                              std::to_string(themes_.size()) + " themes)");
-  }
-  const NavState& cur = current();
-  const Theme& theme = themes_.theme(theme_idx);
-  BLAEU_ASSIGN_OR_RETURN(DataMap map, MakeMap(cur.selection, theme.names));
-  NavState state;
-  state.selection = cur.selection;
-  state.theme_id = static_cast<int>(theme_idx);
-  state.columns = theme.names;
-  state.where = cur.where;
-  state.map = std::move(map);
-  state.action = "project(" + std::to_string(theme_idx) + ")";
-  ResolveFlight(options_)->Record(
-      obs::FlightEventKind::kNavigation, "core.session.project",
-      {{"theme", std::to_string(theme_idx)},
-       {"rows", std::to_string(state.selection.size())},
-       {"cached", state.map.resources.cache_hits > 0 ? "1" : "0"}});
-  history_.push_back(std::move(state));
-  return Status::OK();
+  return MapTheme(theme_idx, "project");
 }
 
 Result<HighlightResult> Session::Highlight(const std::string& column) const {

@@ -198,6 +198,11 @@ class Session {
   Session(monet::TablePtr table, std::string table_name,
           SessionOptions options, ThemeSet themes);
 
+  /// SelectTheme and Project: pushes the map of the current selection (the
+  /// whole table before Start's first state) on theme `theme_idx`'s
+  /// columns. `verb` names the action and its flight event.
+  Status MapTheme(size_t theme_idx, const std::string& verb);
+
   /// Fetches the map for `sel` on `columns` from the cache, or builds it
   /// with the session sampler and caches it.
   Result<DataMap> MakeMap(const monet::SelectionVector& sel,

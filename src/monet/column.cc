@@ -38,7 +38,7 @@ void Column::AppendInt(int64_t v) {
   validity_.push_back(1);
 }
 
-void Column::AppendString(std::string v) {
+void Column::AppendString(std::string_view v) {
   assert(type_ == DataType::kString);
   codes_.push_back(dict_->Intern(v));
   validity_.push_back(1);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,7 +40,7 @@ class Column {
   /// Appends a typed non-null value. The overload must match type().
   void AppendDouble(double v);
   void AppendInt(int64_t v);
-  void AppendString(std::string v);
+  void AppendString(std::string_view v);
   void AppendBool(bool v);
   /// Appends a NULL.
   void AppendNull();

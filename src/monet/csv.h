@@ -2,42 +2,32 @@
 // Figure 4.
 #pragma once
 
-#include <istream>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
 #include "monet/table.h"
 
 namespace blaeu::monet {
 
-/// Options controlling CSV parsing.
-struct CsvOptions {
-  char delimiter = ',';
-  bool has_header = true;
-  /// Tokens treated as NULL (case-sensitive, compared after trimming).
-  std::vector<std::string> null_tokens = {"", "NA", "NULL", "null", "nan"};
-  /// Rows scanned for type inference (0 = all rows).
-  size_t inference_rows = 1000;
-};
+/// Parses CSV text in one fixed dialect: comma-separated, a header row
+/// (names trimmed), double-quote escaping (a quoted field may hold commas,
+/// `""` and newlines), CRs outside quotes dropped, and the cells "", "NA",
+/// "NULL", "null" and "nan" (after trimming) read as NULL. Each column gets
+/// the narrowest of bool < int64 < double < string that fits every non-null
+/// cell; bool mixed with numbers becomes string, and an all-NULL column is
+/// string. A column takes its first non-null cell's type, and a later cell
+/// that does not fit widens it and costs one more parse of the text.
+Result<TablePtr> ReadCsv(std::string_view text);
 
-/// Parses CSV from a stream. Column types are inferred per column over the
-/// first `inference_rows` data rows, choosing the narrowest of
-/// bool < int64 < double < string that fits every non-null token. Later
-/// rows that contradict the inferred type make the read fail with
-/// TypeError (no silent coercion).
-Result<TablePtr> ReadCsv(std::istream& in, const CsvOptions& options = {});
-
-/// Reads a CSV file from disk.
-Result<TablePtr> ReadCsvFile(const std::string& path,
-                             const CsvOptions& options = {});
+/// Reads a CSV file from disk into one buffer and parses it as ReadCsv.
+Result<TablePtr> ReadCsvFile(const std::string& path);
 
 /// Writes `table` as RFC-4180 CSV (header + rows, fields escaped).
-Status WriteCsv(const Table& table, std::ostream& out, char delimiter = ',');
+Status WriteCsv(const Table& table, std::ostream& out);
 
 /// Writes `table` to a file.
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter = ',');
+Status WriteCsvFile(const Table& table, const std::string& path);
 
 }  // namespace blaeu::monet

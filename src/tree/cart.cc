@@ -316,42 +316,31 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
     return node;
   }
 
+  // Search each column on its own, then merge in ascending column order
+  // with a strict improvement test: the winner is the lowest column
+  // achieving the maximal decrease, and within a column the earliest such
+  // candidate, at any thread count.
+  std::vector<SplitSpec> specs(ctx.table->num_columns());
+  ParallelFor(
+      0, specs.size(), 1,
+      [&](size_t col_lo, size_t col_hi) {
+        for (size_t c = col_lo; c < col_hi; ++c) {
+          specs[c].impurity_decrease = kMinImpurityDecrease;
+          DataType type = ctx.table->schema().field(c).type;
+          if (type == DataType::kString || type == DataType::kBool) {
+            BestCategoricalSplit(ctx, rows, idx, c, parent_impurity,
+                                 &specs[c]);
+          } else {
+            BestNumericSplit(ctx, rows, idx, c, parent_impurity, &specs[c]);
+          }
+        }
+      },
+      idx.size() >= kParallelSplitMinRows ? ctx.num_threads : 1);
   SplitSpec best;
   best.impurity_decrease = kMinImpurityDecrease;
-  const size_t num_columns = ctx.table->num_columns();
-  auto search_column = [&](size_t col, SplitSpec* spec) {
-    DataType type = ctx.table->schema().field(col).type;
-    if (type == DataType::kString || type == DataType::kBool) {
-      BestCategoricalSplit(ctx, rows, idx, col, parent_impurity, spec);
-    } else {
-      BestNumericSplit(ctx, rows, idx, col, parent_impurity, spec);
-    }
-  };
-  if (num_columns > 1 && idx.size() >= kParallelSplitMinRows &&
-      blaeu::EffectiveNumThreads(ctx.num_threads) > 1) {
-    // Search each column independently, then merge in ascending column
-    // order with a strict improvement test. That reproduces the serial
-    // scan exactly: the winner is the lowest column achieving the maximal
-    // decrease, and within a column the earliest such candidate.
-    std::vector<SplitSpec> specs(num_columns);
-    ParallelFor(
-        0, num_columns, 1,
-        [&](size_t col_lo, size_t col_hi) {
-          for (size_t c = col_lo; c < col_hi; ++c) {
-            specs[c].impurity_decrease = kMinImpurityDecrease;
-            search_column(c, &specs[c]);
-          }
-        },
-        ctx.num_threads);
-    for (size_t c = 0; c < num_columns; ++c) {
-      if (specs[c].found &&
-          specs[c].impurity_decrease > best.impurity_decrease) {
-        best = std::move(specs[c]);
-      }
-    }
-  } else {
-    for (size_t col = 0; col < num_columns; ++col) {
-      search_column(col, &best);
+  for (SplitSpec& spec : specs) {
+    if (spec.found && spec.impurity_decrease > best.impurity_decrease) {
+      best = std::move(spec);
     }
   }
   if (!best.found) return node;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/preprocess.h"
 #include "monet/csv.h"
@@ -84,14 +83,13 @@ TEST(DictionaryColumnTest, TakeSharesDictionaryAndCopiesCodes) {
 }
 
 TEST(DictionaryColumnTest, CsvLoadInternsStrings) {
-  std::istringstream in(
+  auto table = ReadCsv(
       "city,pop\n"
       "lyon,500\n"
       "paris,2100\n"
       "lyon,500\n"
       ",0\n"
       "paris,2100\n");
-  auto table = ReadCsv(in, {});
   ASSERT_TRUE(table.ok());
   const Column& city = *(*table)->column(0);
   ASSERT_EQ(city.type(), DataType::kString);

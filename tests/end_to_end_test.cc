@@ -150,8 +150,7 @@ TEST(EndToEndTest, HollywoodViaCsvRoundTrip) {
   auto data = workloads::MakeHollywood();
   std::ostringstream csv;
   ASSERT_TRUE(monet::WriteCsv(*data.table, csv).ok());
-  std::istringstream in(csv.str());
-  auto reread = *monet::ReadCsv(in);
+  auto reread = *monet::ReadCsv(csv.str());
   ASSERT_EQ(reread->num_rows(), 900u);
   ASSERT_EQ(reread->num_columns(), 12u);
 

@@ -215,8 +215,7 @@ TEST_P(CsvRoundTripTest, WriteReadIdentity) {
 
   std::ostringstream out;
   ASSERT_TRUE(monet::WriteCsv(*data.table, out).ok());
-  std::istringstream in(out.str());
-  auto reread = *monet::ReadCsv(in);
+  auto reread = *monet::ReadCsv(out.str());
   ASSERT_EQ(reread->num_rows(), data.table->num_rows());
   ASSERT_EQ(reread->num_columns(), data.table->num_columns());
   for (size_t r = 0; r < rows; r += 7) {

@@ -3,8 +3,6 @@
 // clustering inputs.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/rng.h"
 #include "core/map_builder.h"
 #include "core/navigation.h"
@@ -14,7 +12,6 @@
 namespace blaeu {
 namespace {
 
-using monet::CsvOptions;
 using monet::DataType;
 using monet::ReadCsv;
 using monet::Schema;
@@ -30,8 +27,7 @@ TEST(CsvRobustnessTest, RandomJunkNeverCrashes) {
     for (size_t i = 0; i < len; ++i) {
       junk.push_back(alphabet[rng.NextBounded(sizeof(alphabet) - 1)]);
     }
-    std::istringstream in(junk);
-    auto result = ReadCsv(in);  // must return, never crash
+    auto result = ReadCsv(junk);  // must return, never crash
     if (result.ok()) {
       EXPECT_GT((*result)->num_columns(), 0u);
     }
@@ -41,14 +37,12 @@ TEST(CsvRobustnessTest, RandomJunkNeverCrashes) {
 TEST(CsvRobustnessTest, PathologicalButValidInputs) {
   // Single cell.
   {
-    std::istringstream in("x\n1\n");
-    auto t = *ReadCsv(in);
+    auto t = *ReadCsv("x\n1\n");
     EXPECT_EQ(t->num_rows(), 1u);
   }
   // Header only: zero data rows.
   {
-    std::istringstream in("a,b,c\n");
-    auto t = *ReadCsv(in);
+    auto t = *ReadCsv("a,b,c\n");
     EXPECT_EQ(t->num_rows(), 0u);
     EXPECT_EQ(t->num_columns(), 3u);
   }
@@ -63,14 +57,12 @@ TEST(CsvRobustnessTest, PathologicalButValidInputs) {
       header += "c" + std::to_string(i);
       row += std::to_string(i);
     }
-    std::istringstream in(header + "\n" + row + "\n");
-    auto t = *ReadCsv(in);
+    auto t = *ReadCsv(header + "\n" + row + "\n");
     EXPECT_EQ(t->num_columns(), 500u);
   }
   // Quoted field containing the delimiter and escaped quotes at EOF.
   {
-    std::istringstream in("a\n\"x,\"\"y\"\"\"");
-    auto t = *ReadCsv(in);
+    auto t = *ReadCsv("a\n\"x,\"\"y\"\"\"");
     EXPECT_EQ(t->GetValue(0, 0).AsString(), "x,\"y\"");
   }
 }

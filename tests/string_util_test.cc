@@ -6,13 +6,6 @@
 namespace blaeu {
 namespace {
 
-TEST(SplitTest, BasicAndEmptyFields) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
-}
-
 TEST(TrimTest, RemovesOuterWhitespaceOnly) {
   EXPECT_EQ(Trim("  a b  "), "a b");
   EXPECT_EQ(Trim("\t\nx\r "), "x");
