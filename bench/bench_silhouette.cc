@@ -1,14 +1,11 @@
-// Experiment C3: the Monte-Carlo silhouette (paper §3: "it computes the
-// silhouette scores in a Monte-Carlo fashion: it extracts a few sub-samples
-// ... and averages the results").
-//
-// Reports latency of the exact O(n^2) silhouette vs the Monte-Carlo
-// estimator, with the absolute estimation error as a counter, across table
-// sizes and sub-sample budgets.
+// Experiment C3: the exact silhouette (paper §3), the score of theme
+// detection's k sweep and of the map quality tests. Reports its latency
+// across table sizes; it costs O(n^2) distances, which is why a map scores
+// each k by the medoid silhouette of its clustering instead.
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
+#include <map>
 
 #include "common/rng.h"
 #include "stats/silhouette.h"
@@ -20,7 +17,6 @@ namespace {
 struct Fixture {
   stats::Matrix data;
   std::vector<int> labels;
-  double exact = 0.0;  // reference value, computed once
 };
 
 const Fixture& BlobsCached(size_t n) {
@@ -38,7 +34,6 @@ const Fixture& BlobsCached(size_t n) {
         f.data.At(i, d) = rng.NextGaussian(6.0 * c, 1.0);
       }
     }
-    f.exact = stats::MeanSilhouetteEuclidean(f.data, f.labels);
     it = cache->emplace(n, std::move(f)).first;
   }
   return it->second;
@@ -54,29 +49,8 @@ void BM_ExactSilhouette(benchmark::State& state) {
   state.counters["silhouette"] = value;
 }
 
-void BM_MonteCarloSilhouette(benchmark::State& state) {
-  const Fixture& f = BlobsCached(static_cast<size_t>(state.range(0)));
-  stats::MonteCarloSilhouetteOptions opt;
-  opt.num_subsamples = static_cast<size_t>(state.range(1));
-  opt.subsample_size = 200;
-  double value = 0;
-  for (auto _ : state) {
-    opt.seed++;
-    value = stats::MonteCarloSilhouette(f.data, f.labels, opt);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["silhouette"] = value;
-  state.counters["abs_error"] = std::fabs(value - f.exact);
-}
-
 BENCHMARK(BM_ExactSilhouette)
     ->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond)->Iterations(3);
-
-// (n, num_subsamples)
-BENCHMARK(BM_MonteCarloSilhouette)
-    ->Args({500, 5})->Args({1000, 5})->Args({2000, 5})->Args({4000, 5})
-    ->Args({4000, 2})->Args({4000, 10})
     ->Unit(benchmark::kMillisecond)->Iterations(3);
 
 }  // namespace

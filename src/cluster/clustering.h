@@ -18,6 +18,11 @@ struct ClusteringResult {
   std::vector<size_t> medoids;
   /// Objective value: sum over points of distance to their representative.
   double total_cost = 0.0;
+  /// Mean medoid silhouette (Van der Laan, Pollard & Bryan 2003): the mean
+  /// of 1 - d1/d2 over the non-medoid points, where d1 and d2 are a point's
+  /// distances to its nearest and second-nearest medoid. A point with
+  /// d2 = 0, and every point at k = 1, scores 0.
+  double medoid_silhouette = 0.0;
   /// Realized number of clusters.
   size_t num_clusters() const { return medoids.size(); }
 };

@@ -55,8 +55,8 @@ Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
 /// Serial SweepK over k in [max(2, k_min), min(k_max, n-1)], scoring each
 /// partition by its exact mean silhouette under `dist`. Candidates whose
 /// realized partition degenerates (fewer than k non-empty clusters) score
-/// -1. A caller that wants Monte-Carlo scoring or threads calls SweepK with
-/// its own ScoreFn, as the map builder does.
+/// -1. A caller that wants another score or threads calls SweepK with its
+/// own ScoreFn, as the map builder does with the medoid silhouette.
 Result<KSelectResult> SelectK(const stats::DistanceMatrix& dist,
                               const ClusterFn& cluster_fn,
                               const KSelectOptions& options = {});

@@ -14,26 +14,41 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Labels + cost for a fixed medoid set over a distance matrix.
-ClusteringResult AssignFromMatrix(const DistanceMatrix& dist,
-                                  const std::vector<size_t>& medoids) {
-  const size_t n = dist.size();
+/// Labels, cost and medoid silhouette for a fixed medoid set, with
+/// `dist(i, j)` the distance between points i and j. A point tied between
+/// medoids takes the first.
+template <typename Dist>
+ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
+                        const Dist& dist) {
   ClusteringResult out;
   out.medoids = medoids;
   out.labels.assign(n, 0);
-  out.total_cost = 0.0;
+  const size_t k = medoids.size();
+  const size_t* med = medoids.data();
+  double cost = 0.0, silhouette = 0.0;
+  size_t scored = 0;
   for (size_t i = 0; i < n; ++i) {
-    double best = kInf;
+    // Selects instead of branches: which medoid is nearest depends on the
+    // data, and a mispredicted branch costs more than a cheap distance.
+    double d1 = kInf, d2 = kInf;
     int best_m = 0;
-    for (size_t m = 0; m < medoids.size(); ++m) {
-      double d = dist.At(i, medoids[m]);
-      if (d < best) {
-        best = d;
-        best_m = static_cast<int>(m);
-      }
+    for (size_t m = 0; m < k; ++m) {
+      const double d = dist(i, med[m]);
+      best_m = d < d1 ? static_cast<int>(m) : best_m;
+      d2 = std::min(d2, std::max(d1, d));
+      d1 = std::min(d1, d);
     }
     out.labels[i] = best_m;
-    out.total_cost += best;
+    cost += d1;
+    // A medoid's d1 is 0, so its term would read 1 whatever the partition.
+    if (d1 == 0 && std::find(med, med + k, i) != med + k) continue;
+    // d2 is infinite at k = 1 and 0 on coincident medoids: both score 0.
+    if (d2 > 0 && d2 < kInf) silhouette += 1.0 - d1 / d2;
+    ++scored;
+  }
+  out.total_cost = cost;
+  if (scored > 0) {
+    out.medoid_silhouette = silhouette / static_cast<double>(scored);
   }
   return out;
 }
@@ -111,24 +126,7 @@ std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
 
 ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
                                  const RowDistanceFn& dist_fn) {
-  ClusteringResult out;
-  out.medoids = medoids;
-  out.labels.assign(n, 0);
-  out.total_cost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double best = kInf;
-    int best_m = 0;
-    for (size_t m = 0; m < medoids.size(); ++m) {
-      double d = dist_fn(i, medoids[m]);
-      if (d < best) {
-        best = d;
-        best_m = static_cast<int>(m);
-      }
-    }
-    out.labels[i] = best_m;
-    out.total_cost += best;
-  }
-  return out;
+  return Assign(n, medoids, dist_fn);
 }
 
 ClusteringResult PamSwap(const DistanceMatrix& dist,
@@ -230,7 +228,8 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
 
   // Canonical order: medoids sorted by index so labels are deterministic.
   std::sort(medoids.begin(), medoids.end());
-  return AssignFromMatrix(dist, medoids);
+  return Assign(n, medoids,
+                [&](size_t i, size_t j) { return dist.At(i, j); });
 }
 
 Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k,

@@ -56,7 +56,9 @@ ClusteringResult PamSwap(const stats::DistanceMatrix& dist,
                          const PamOptions& options = {});
 
 /// Assigns each of `n` points to its nearest medoid under `dist_fn`;
-/// returns labels (index into `medoids`) and the summed cost.
+/// returns labels (index into `medoids`), the summed cost and the medoid
+/// silhouette, all from the same n x k distances. PamSwap's result is this
+/// assignment over its matrix.
 ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
                                  const RowDistanceFn& dist_fn);
 

@@ -1,7 +1,6 @@
 // Deterministic random number generation. All stochastic components of the
-// library (sampling, PAM BUILD tie-breaks, CLARA draws, Monte-Carlo
-// silhouette, workload generators) draw from a blaeu::Rng so that every
-// experiment is reproducible from a single seed.
+// library (sampling, CLARA draws, workload generators) draw from a
+// blaeu::Rng so that every experiment is reproducible from a single seed.
 #pragma once
 
 #include <cstddef>

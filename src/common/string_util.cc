@@ -9,10 +9,18 @@
 
 namespace blaeu {
 
+namespace {
+
+/// std::isspace in the C locale (' ', \t, \n, \v, \f, \r), inline; the
+/// program never calls setlocale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsSpace(s[b])) ++b;
+  while (e > b && IsSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -58,10 +66,6 @@ std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
   return buf;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 std::string CsvEscape(std::string_view field) {

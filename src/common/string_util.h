@@ -7,7 +7,8 @@
 
 namespace blaeu {
 
-/// Removes leading and trailing ASCII whitespace.
+/// Removes leading and trailing C-locale whitespace (the six bytes
+/// std::isspace accepts there: space, \t, \n, \v, \f and \r).
 std::string_view Trim(std::string_view s);
 
 /// Joins `parts` with `sep`.
@@ -26,9 +27,6 @@ bool ParseInt(std::string_view s, int64_t* out);
 /// Formats a double compactly (up to `precision` significant digits, no
 /// trailing zeros).
 std::string FormatDouble(double v, int precision = 6);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// Escapes a CSV field (quotes it when it contains a comma, a quote, a CR
 /// or a newline).

@@ -44,7 +44,9 @@ struct DataMap {
   std::vector<std::string> active_columns;
 
   size_t num_clusters = 0;
-  double silhouette = 0.0;      ///< quality of the underlying clustering
+  /// Medoid silhouette of the clustering over the sampled tuples, which the
+  /// k sweep maximizes (cluster::ClusteringResult::medoid_silhouette).
+  double silhouette = 0.0;
   double tree_fidelity = 0.0;   ///< CART agreement with the clustering
   size_t sample_size = 0;       ///< tuples actually clustered
   size_t total_tuples = 0;      ///< size of the selection summarized

@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "monet/sampling.h"
 #include "stats/distance.h"
-#include "stats/silhouette.h"
 
 namespace blaeu::core {
 
@@ -20,33 +19,13 @@ using monet::TablePtr;
 
 namespace {
 
-/// Runs `fn` with the Euclidean distance between rows of `features`,
-/// counting its evaluations in a local and adding them to `evals` once:
-/// every k task of the sweep runs on a pool thread, and one shared atomic
-/// increment per distance would make them contend.
-template <typename Fn>
-auto WithCountedDistance(const stats::Matrix& features,
-                         std::atomic<int64_t>* evals, Fn&& fn) {
-  int64_t count = 0;
-  auto result = fn([&](size_t i, size_t j) {
-    ++count;
-    return stats::EuclideanDistance(features.RowPtr(i), features.RowPtr(j),
-                                    features.cols());
-  });
-  evals->fetch_add(count, std::memory_order_relaxed);
-  return result;
-}
-
-/// Monte-Carlo silhouette budget of the k sweep: 4 subsamples of 150
-/// tuples (one exact pass at 150 tuples or fewer).
-constexpr size_t kMonteCarloSubsamples = 4;
-constexpr size_t kMonteCarloSubsampleSize = 150;
-
 /// The map's clustering (paper §3): a CLARA k sweep over k in
 /// [max(2, k_min), min(k_max, n - 1)], or over [fixed_k, fixed_k], with
-/// each candidate scored by the Monte-Carlo silhouette. Unlike SelectK, a
-/// degenerate partition is not forced to -1: that rule would change which
-/// k wins. `features` has at least 4 rows (fewer make a trivial map).
+/// each candidate scored by the medoid silhouette of its final assignment
+/// over the whole sample, which costs no distance beyond CLARA's own.
+/// Unlike SelectK, a degenerate partition is not forced to -1: that rule
+/// would change which k wins. `features` has at least 4 rows (fewer make a
+/// trivial map).
 Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
                                              const MapOptions& options,
                                              std::atomic<int64_t>* evals) {
@@ -57,23 +36,26 @@ Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
   const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
   cluster::ClaraOptions clara;
   clara.seed = options.seed;
-  stats::MonteCarloSilhouetteOptions mc;
-  mc.num_subsamples = kMonteCarloSubsamples;
-  mc.subsample_size = kMonteCarloSubsampleSize;
-  mc.seed = options.seed + 7;
   return cluster::SweepK(
       lo, hi,
       [&](size_t k) {
-        return WithCountedDistance(
-            features, evals, [&](const cluster::RowDistanceFn& dist) {
-              return cluster::Clara(n, dist, k, clara);
-            });
+        // Every k task runs on a pool thread: each counts its distances in
+        // a local and adds them to `evals` once, as one shared atomic
+        // increment per distance would make them contend.
+        int64_t count = 0;
+        auto result = cluster::Clara(
+            n,
+            [&](size_t i, size_t j) {
+              ++count;
+              return stats::EuclideanDistance(
+                  features.RowPtr(i), features.RowPtr(j), features.cols());
+            },
+            k, clara);
+        evals->fetch_add(count, std::memory_order_relaxed);
+        return result;
       },
-      [&](size_t, const cluster::ClusteringResult& r) {
-        return WithCountedDistance(
-            features, evals, [&](const cluster::RowDistanceFn& dist) {
-              return stats::MonteCarloSilhouette(n, r.labels, dist, mc);
-            });
+      [](size_t, const cluster::ClusteringResult& r) {
+        return r.medoid_silhouette;
       },
       options.num_threads);
 }

@@ -27,9 +27,9 @@ struct MapOptions {
   /// thousand samples"). 0 disables sampling.
   size_t sample_size = 2000;
   /// Range of cluster counts swept with the silhouette criterion. Every
-  /// candidate is a CLARA run over the sample, scored by the Monte-Carlo
-  /// silhouette: the mean over 4 subsamples of 150 tuples (one exact pass
-  /// on samples of at most 150).
+  /// candidate is a CLARA run over the sample, scored by the medoid
+  /// silhouette of its assignment of the whole sample
+  /// (cluster::ClusteringResult::medoid_silhouette).
   size_t k_min = 2;
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).

@@ -74,8 +74,9 @@ struct ResourceProfile {
   int64_t rows_counted = 0;
   /// Cells of the preprocessed feature matrix (rows x features).
   int64_t cells_materialized = 0;
-  /// Metric-space distance evaluations (CLARA draws and assignment,
-  /// Monte-Carlo silhouette). Zero for a trivial map, which never clusters.
+  /// Metric-space distance evaluations: CLARA's sample matrices and
+  /// assignments, which also score each k. Zero for a trivial map, which
+  /// never clusters.
   int64_t distance_evaluations = 0;
   /// Nodes of the trained CART description tree (= map regions).
   int64_t cart_nodes = 0;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 namespace blaeu::stats {
 
@@ -57,78 +56,6 @@ double MeanSilhouette(const DistanceMatrix& dist,
 double MeanSilhouetteEuclidean(const Matrix& data,
                                const std::vector<int>& labels) {
   return MeanSilhouette(DistanceMatrix::Euclidean(data), labels);
-}
-
-namespace {
-
-/// Stratified sub-sample of point indices: proportional per-cluster quotas
-/// with a floor of 2 for clusters of size >= 2 (a silhouette needs within-
-/// cluster company).
-std::vector<size_t> StratifiedSubsample(const std::vector<int>& labels,
-                                        size_t target, Rng* rng) {
-  std::unordered_map<int, std::vector<size_t>> by_cluster;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    by_cluster[labels[i]].push_back(i);
-  }
-  const double n = static_cast<double>(labels.size());
-  std::vector<size_t> picks;
-  for (auto& [label, members] : by_cluster) {
-    size_t quota = static_cast<size_t>(
-        std::round(static_cast<double>(target) *
-                   static_cast<double>(members.size()) / n));
-    if (members.size() >= 2) quota = std::max<size_t>(quota, 2);
-    quota = std::min(quota, members.size());
-    for (size_t p : rng->SampleWithoutReplacement(members.size(), quota)) {
-      picks.push_back(members[p]);
-    }
-  }
-  return picks;
-}
-
-}  // namespace
-
-double MonteCarloSilhouette(
-    size_t num_rows, const std::vector<int>& labels,
-    const std::function<double(size_t, size_t)>& row_distance,
-    const MonteCarloSilhouetteOptions& options) {
-  assert(labels.size() == num_rows);
-  if (num_rows <= options.subsample_size) {
-    // Small input: one exact pass.
-    DistanceMatrix dist(num_rows);
-    for (size_t i = 0; i < num_rows; ++i) {
-      for (size_t j = i + 1; j < num_rows; ++j) {
-        dist.Set(i, j, row_distance(i, j));
-      }
-    }
-    return MeanSilhouette(dist, labels);
-  }
-  Rng rng(options.seed);
-  double total = 0.0;
-  for (size_t s = 0; s < options.num_subsamples; ++s) {
-    std::vector<size_t> picks =
-        StratifiedSubsample(labels, options.subsample_size, &rng);
-    const size_t m = picks.size();
-    DistanceMatrix dist(m);
-    std::vector<int> sub_labels(m);
-    for (size_t i = 0; i < m; ++i) sub_labels[i] = labels[picks[i]];
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = i + 1; j < m; ++j) {
-        dist.Set(i, j, row_distance(picks[i], picks[j]));
-      }
-    }
-    total += MeanSilhouette(dist, sub_labels);
-  }
-  return total / static_cast<double>(options.num_subsamples);
-}
-
-double MonteCarloSilhouette(const Matrix& data, const std::vector<int>& labels,
-                            const MonteCarloSilhouetteOptions& options) {
-  return MonteCarloSilhouette(
-      data.rows(), labels,
-      [&](size_t i, size_t j) {
-        return EuclideanDistance(data.RowPtr(i), data.RowPtr(j), data.cols());
-      },
-      options);
 }
 
 }  // namespace blaeu::stats

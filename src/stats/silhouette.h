@@ -1,14 +1,13 @@
-// Silhouette coefficient — Blaeu's clustering-quality score, used both for
-// user feedback and to choose the number of clusters k (paper §3). The
-// Monte-Carlo estimator mirrors the paper: "it extracts a few sub-samples
-// from the user's selection, computes the clustering quality of those, and
-// averages the results".
+// Silhouette coefficient (Rousseeuw 1987), Blaeu's clustering-quality
+// score (paper §3). The exact mean silhouette here chooses k for themes
+// and scores maps in the quality tests. A map chooses its k by the medoid
+// silhouette of each CLARA candidate instead
+// (cluster::ClusteringResult::medoid_silhouette), which needs no distance
+// beyond the clustering's own.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "common/rng.h"
 #include "stats/distance.h"
 #include "stats/matrix.h"
 
@@ -27,25 +26,5 @@ double MeanSilhouette(const DistanceMatrix& dist,
 /// Exact mean silhouette with Euclidean distance on `data`.
 double MeanSilhouetteEuclidean(const Matrix& data,
                                const std::vector<int>& labels);
-
-/// Options for the Monte-Carlo estimator.
-struct MonteCarloSilhouetteOptions {
-  size_t num_subsamples = 5;     ///< independent sub-samples averaged
-  size_t subsample_size = 200;   ///< points per sub-sample
-  uint64_t seed = 42;
-};
-
-/// Monte-Carlo mean silhouette: draws sub-samples (stratified so every
-/// cluster with >= 2 members keeps at least 2 representatives when the
-/// budget allows), computes the exact silhouette inside each, and averages.
-/// Cost O(num_subsamples * subsample_size^2) independent of n.
-double MonteCarloSilhouette(const Matrix& data, const std::vector<int>& labels,
-                            const MonteCarloSilhouetteOptions& options = {});
-
-/// Monte-Carlo silhouette under an arbitrary row-distance function.
-double MonteCarloSilhouette(
-    size_t num_rows, const std::vector<int>& labels,
-    const std::function<double(size_t, size_t)>& row_distance,
-    const MonteCarloSilhouetteOptions& options = {});
 
 }  // namespace blaeu::stats

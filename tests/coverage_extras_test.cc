@@ -1,6 +1,6 @@
 // Cross-cutting coverage: option combinations the per-module suites don't
-// reach (CLARA with explicit sample sizes, fixed k and Monte-Carlo scoring
-// in maps, the columns map splits name, small-sample sessions).
+// reach (CLARA with explicit sample sizes, fixed k in maps, the columns
+// map splits name, small-sample sessions).
 #include <gtest/gtest.h>
 
 #include "cluster/clara.h"

@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "stats/distance.h"
-#include "stats/silhouette.h"
 
 namespace blaeu::cluster {
 namespace {
@@ -37,15 +36,10 @@ uint64_t Bits(double v) {
   return bits;
 }
 
-/// Monte-Carlo silhouette scoring under `dist`: a caller's own ScoreFn for
-/// SweepK, as the map builder scores its CLARA sweep.
-ScoreFn MonteCarloScore(const DistanceMatrix& dist,
-                        const stats::MonteCarloSilhouetteOptions& mc) {
-  return [&dist, mc](size_t, const ClusteringResult& result) {
-    return stats::MonteCarloSilhouette(
-        dist.size(), result.labels,
-        [&](size_t i, size_t j) { return dist.At(i, j); }, mc);
-  };
+/// Medoid silhouette scoring: a caller's own ScoreFn for SweepK, as the
+/// map builder scores its CLARA sweep.
+double MedoidScore(size_t, const ClusteringResult& result) {
+  return result.medoid_silhouette;
 }
 
 /// Same k, labels and medoids, bit-equal scores.
@@ -97,21 +91,17 @@ TEST(KSelectTest, BestScoreMatchesScoresVector) {
                                         result.scores.begin()));
 }
 
-TEST(KSelectTest, MonteCarloAgreesOnWellSeparatedData) {
+TEST(KSelectTest, MedoidSilhouetteAgreesOnWellSeparatedData) {
   Matrix data = PlantedBlobs(4, 200, 4);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
   KSelectOptions exact;
   exact.k_min = 2;
   exact.k_max = 6;
-  stats::MonteCarloSilhouetteOptions mc;
-  mc.num_subsamples = 5;
-  mc.subsample_size = 150;
   auto exact_result = *SelectKWithPam(dist, exact);
-  auto mc_result = *SweepK(
-      2, 6, [&](size_t k) { return Pam(dist, k); }, MonteCarloScore(dist, mc),
-      1);
+  auto medoid_result = *SweepK(
+      2, 6, [&](size_t k) { return Pam(dist, k); }, MedoidScore, 1);
   EXPECT_EQ(exact_result.best_k, 4u);
-  EXPECT_EQ(mc_result.best_k, 4u);
+  EXPECT_EQ(medoid_result.best_k, 4u);
 }
 
 TEST(KSelectTest, KRangeClampedToN) {
@@ -148,9 +138,10 @@ TEST(KSelectTest, CustomClusterFn) {
 
 TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
   // SelectKWithPam seeds every k from one BUILD. It must pick exactly what
-  // one Pam per k picks. A Monte-Carlo or threaded sweep is SweepK with the
-  // caller's ScoreFn: seeded from one BUILD that its concurrent k tasks
-  // share read-only, it must match the serial one-Pam-per-k sweep too.
+  // one Pam per k picks. A medoid-silhouette or threaded sweep is SweepK
+  // with the caller's ScoreFn: seeded from one BUILD that its concurrent k
+  // tasks share read-only, it must match the serial one-Pam-per-k sweep
+  // too.
   Rng rng(12);
   Matrix noise(260, 3);
   for (size_t i = 0; i < noise.rows(); ++i) {
@@ -164,9 +155,7 @@ TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
     const ClusterFn per_k = [&](size_t k) { return Pam(dist, k); };
     ExpectSameSweep(*SelectKWithPam(dist, opt), *SelectK(dist, per_k, opt));
 
-    stats::MonteCarloSilhouetteOptions mc;
-    mc.subsample_size = 120;
-    const ScoreFn score = MonteCarloScore(dist, mc);
+    const ScoreFn score = MedoidScore;
     const std::vector<size_t> build = PamBuild(dist, opt.k_max);
     const ClusterFn shared = [&](size_t k) -> Result<ClusteringResult> {
       return PamSwap(dist,

@@ -6,9 +6,12 @@
 #include <set>
 #include <utility>
 
+#include "common/rng.h"
 #include "core/theme.h"
+#include "monet/sampling.h"
 #include "stats/metrics.h"
 #include "workloads/gaussian.h"
+#include "workloads/hollywood.h"
 #include "workloads/lofar.h"
 
 namespace blaeu::core {
@@ -239,6 +242,48 @@ TEST(MapBuilderTest, ClaraBuildRunsOneKSweep) {
   EXPECT_EQ(observations("cluster.clara.run_seconds") - clara_seconds, 5u);
 }
 
+TEST(MapBuilderTest, ScoringEachKCostsNoDistance) {
+  // A default build's distance evaluations are its CLARA runs alone. Each
+  // k in 2..6 draws 5 samples of 40 + 2k rows; each sample costs its
+  // C(40 + 2k, 2) triangle and an n x k assignment of all n sampled rows,
+  // and that assignment also scores k: 118,300 at n = 900 and 228,300 at
+  // n = 2,000.
+  const DataMap hollywood = *BuildMap(*workloads::MakeHollywood().table);
+  EXPECT_EQ(hollywood.sample_size, 900u);
+  EXPECT_EQ(hollywood.resources.distance_evaluations, 118300);
+  workloads::LofarSpec spec;
+  spec.rows = 8000;
+  const DataMap lofar = *BuildMap(*workloads::MakeLofar(spec).table);
+  EXPECT_EQ(lofar.sample_size, 2000u);
+  EXPECT_EQ(lofar.resources.distance_evaluations, 228300);
+}
+
+TEST(MapBuilderTest, SixteenRowsRarelyChooseTheLargestK) {
+  // On 16 rows every k up to 6 clusters all of them. A medoid's own
+  // silhouette term is 1 whatever the partition, so a mean that counted
+  // the medoids would favour the largest k: it chose k = 6 on 16 of these
+  // 60 Hollywood maps.
+  const workloads::Dataset data = workloads::MakeHollywood();
+  const monet::Table& table = *data.table;
+  const ThemeSet themes = *DetectThemes(table);
+  ASSERT_GE(themes.size(), 2u);
+  size_t maps = 0, largest_k = 0;
+  for (size_t t = 0; t < 2; ++t) {
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+      Rng rng(seed);
+      const SelectionVector sel = monet::SampleFromSelection(
+          SelectionVector::All(table.num_rows()), 16, &rng);
+      MapOptions opt;
+      opt.seed = seed;
+      const DataMap map = *BuildMap(table, sel, themes.theme(t).names, opt);
+      ++maps;
+      if (map.num_clusters == opt.k_max) ++largest_k;
+    }
+  }
+  EXPECT_EQ(maps, 60u);
+  EXPECT_LE(largest_k, 4u);
+}
+
 TEST(MapBuilderTest, BuildRecordsStageSpans) {
   auto data = Mixture(500, 3, 20);
   obs::Tracer tracer;
@@ -338,8 +383,9 @@ TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnGaussian) {
 }
 
 TEST(MapBuilderTest, ThreadCountDoesNotChangeTheMapOnLofar) {
-  // LOFAR path at a scaled-down operating point: sampling, CLARA k sweep,
-  // Monte-Carlo silhouette, CART description, incremental region counting.
+  // LOFAR path at a scaled-down operating point: sampling, CLARA k sweep
+  // scored by the medoid silhouette, CART description, incremental region
+  // counting.
   workloads::LofarSpec spec;
   spec.rows = 8000;
   spec.seed = 5;

@@ -95,10 +95,13 @@ GridQuality MeasureGrid(const workloads::Dataset& data,
 
 // Means of the same grid under the full-matrix PAM k sweep, which built
 // every map of up to 1,200 sampled rows before CLARA became the one map
-// clusterer. The CLARA sweep measured 0.4033 / 0.7368 on Hollywood, with
-// the same k on all 72 maps, and 0.2510 / 0.5969 on LOFAR, with the same k
-// on 77 of 96: LOFAR trades 0.023 of silhouette for 0.10 of ARI and builds
-// about 5x shorter, hence its wider silhouette bound.
+// clusterer. The CLARA sweep scored by a Monte-Carlo silhouette measured
+// 0.4033 / 0.7368 on Hollywood, with the same k on all 72 maps, and
+// 0.2510 / 0.5969 on LOFAR, with the same k on 77 of 96: LOFAR trades
+// 0.023 of silhouette for 0.10 of ARI and builds about 5x shorter, hence
+// its wider silhouette bound. Scored by the medoid silhouette, as now, the
+// sweep measures 0.3907 / 0.7356 on Hollywood and 0.2450 / 0.5964 on
+// LOFAR, keeping the Monte-Carlo sweep's k on 69 of 72 and 87 of 96 maps.
 constexpr double kHollywoodPamAri = 0.4045;
 constexpr double kHollywoodPamSilhouette = 0.7375;
 constexpr double kLofarPamAri = 0.1486;

@@ -131,6 +131,14 @@ void ExpectSameClustering(const ClusteringResult& got,
   EXPECT_EQ(got.medoids, want.medoids);
   EXPECT_EQ(got.labels, want.labels);
   EXPECT_EQ(Bits(got.total_cost), Bits(want.total_cost));
+  EXPECT_EQ(Bits(got.medoid_silhouette), Bits(want.medoid_silhouette));
+}
+
+/// Points on one axis, as a distance matrix.
+DistanceMatrix OnALine(const std::vector<double>& xs) {
+  Matrix data(xs.size(), 1);
+  for (size_t i = 0; i < xs.size(); ++i) data.At(i, 0) = xs[i];
+  return DistanceMatrix::Euclidean(data);
 }
 
 TEST(PamTest, RecoversPlantedClusters) {
@@ -263,6 +271,43 @@ TEST(PamTest, FastSwapMatchesNaiveSwapOnDuplicateRows) {
     SCOPED_TRACE("k " + std::to_string(k));
     ExpectSameClustering(*Pam(dist, k), NaivePam(dist, k));
   }
+}
+
+TEST(PamTest, MedoidSilhouetteByHand) {
+  struct Case {
+    const char* name;
+    std::vector<double> xs;
+    std::vector<size_t> medoids;
+    double want;
+  };
+  const Case cases[] = {
+      // The medoids at 0 and 4 are left out. The point at 1 scores
+      // 1 - 1/3; the one at 2 is tied between them (d1 = d2 = 2) and
+      // scores 0; the one at 7 scores 1 - 3/7.
+      {"medoids left out, a tie", {0, 1, 2, 4, 7}, {0, 3},
+       (2.0 / 3.0 + 0.0 + 4.0 / 7.0) / 3.0},
+      // Two coincident medoids at 0: the third point there has d2 = 0 and
+      // scores 0; the one at 6 scores 1 - 1/6.
+      {"coincident medoids", {0, 0, 0, 5, 6}, {0, 1, 3},
+       (0.0 + 5.0 / 6.0) / 2.0},
+      // k = 1: no second medoid, so every point scores 0.
+      {"k = 1", {0, 1, 3}, {1}, 0.0},
+  };
+  PamOptions no_swaps;
+  no_swaps.max_swap_iterations = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DistanceMatrix dist = OnALine(c.xs);
+    const ClusteringResult from_fn =
+        AssignToMedoids(c.xs.size(), c.medoids,
+                        [&](size_t i, size_t j) { return dist.At(i, j); });
+    EXPECT_DOUBLE_EQ(from_fn.medoid_silhouette, c.want);
+    // Without a SWAP pass, PamSwap returns its assignment over the matrix.
+    ExpectSameClustering(PamSwap(dist, c.medoids, no_swaps), from_fn);
+  }
+  // The tied point goes to the first medoid.
+  EXPECT_EQ(PamSwap(OnALine(cases[0].xs), cases[0].medoids, no_swaps).labels,
+            (std::vector<int>{0, 0, 0, 1, 1}));
 }
 
 TEST(ClusterSizesTest, CountsPerLabel) {

@@ -1,4 +1,4 @@
-// Unit tests for the silhouette coefficient (exact and Monte-Carlo).
+// Unit tests for the exact silhouette coefficient.
 #include "stats/silhouette.h"
 
 #include <gtest/gtest.h>
@@ -135,53 +135,6 @@ TEST(SilhouetteTest, ValuesMatchRowScanBitForBit) {
       EXPECT_EQ(Bits(got[i]), Bits(want[i])) << "point " << i;
     }
   }
-}
-
-TEST(MonteCarloSilhouetteTest, SmallInputMatchesExact) {
-  Rng rng(5);
-  Matrix data = TwoBlobs(20, 8.0, &rng);
-  std::vector<int> labels = BlobLabels(20);
-  MonteCarloSilhouetteOptions opt;
-  opt.subsample_size = 100;  // larger than n=40: exact path
-  double exact = MeanSilhouetteEuclidean(data, labels);
-  double mc = MonteCarloSilhouette(data, labels, opt);
-  EXPECT_DOUBLE_EQ(exact, mc);
-}
-
-TEST(MonteCarloSilhouetteTest, ApproximatesExactOnLargeInput) {
-  Rng rng(6);
-  Matrix data = TwoBlobs(400, 10.0, &rng);
-  std::vector<int> labels = BlobLabels(400);
-  double exact = MeanSilhouetteEuclidean(data, labels);
-  MonteCarloSilhouetteOptions opt;
-  opt.num_subsamples = 6;
-  opt.subsample_size = 120;
-  opt.seed = 7;
-  double mc = MonteCarloSilhouette(data, labels, opt);
-  EXPECT_NEAR(mc, exact, 0.05);
-}
-
-TEST(MonteCarloSilhouetteTest, DeterministicGivenSeed) {
-  Rng rng(8);
-  Matrix data = TwoBlobs(200, 6.0, &rng);
-  std::vector<int> labels = BlobLabels(200);
-  MonteCarloSilhouetteOptions opt;
-  opt.seed = 11;
-  double a = MonteCarloSilhouette(data, labels, opt);
-  double b = MonteCarloSilhouette(data, labels, opt);
-  EXPECT_DOUBLE_EQ(a, b);
-}
-
-TEST(MonteCarloSilhouetteTest, CustomDistanceFunction) {
-  // Distance oracle over indices: two groups {0,1}, {2,3} far apart.
-  std::vector<int> labels = {0, 0, 1, 1};
-  auto dist = [](size_t i, size_t j) {
-    bool same_group = (i < 2) == (j < 2);
-    if (i == j) return 0.0;
-    return same_group ? 0.1 : 10.0;
-  };
-  double s = MonteCarloSilhouette(4, labels, dist);
-  EXPECT_GT(s, 0.9);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 namespace blaeu {
 namespace {
 
@@ -11,6 +14,20 @@ TEST(TrimTest, RemovesOuterWhitespaceOnly) {
   EXPECT_EQ(Trim("\t\nx\r "), "x");
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim("   "), "");
+}
+
+TEST(TrimTest, TrimsExactlyWhatIsspaceAcceptsOnEveryByte) {
+  // The program runs in the C locale; Trim must agree with std::isspace
+  // there on all 256 byte values, at either end of a field.
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE("byte " + std::to_string(b));
+    const char c = static_cast<char>(b);
+    const bool space = std::isspace(b) != 0;
+    const std::string field = std::string(1, c) + "x" + std::string(1, c);
+    EXPECT_EQ(Trim(field), space ? std::string_view("x")
+                                 : std::string_view(field));
+    EXPECT_EQ(Trim(std::string(1, c)).empty(), space);
+  }
 }
 
 TEST(JoinTest, JoinsWithSeparator) {
@@ -49,12 +66,6 @@ TEST(FormatDoubleTest, CompactRendering) {
   EXPECT_EQ(FormatDouble(1.5), "1.5");
   EXPECT_EQ(FormatDouble(2.0), "2");
   EXPECT_EQ(FormatDouble(0.125, 3), "0.125");
-}
-
-TEST(StartsWithTest, PrefixChecks) {
-  EXPECT_TRUE(StartsWith("hello", "he"));
-  EXPECT_FALSE(StartsWith("he", "hello"));
-  EXPECT_TRUE(StartsWith("x", ""));
 }
 
 TEST(CsvEscapeTest, QuotesOnlyWhenNeeded) {
