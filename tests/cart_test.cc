@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/map_builder.h"
 
 namespace blaeu::tree {
 namespace {
@@ -148,6 +149,31 @@ TEST(CartTest, NullsRoutedConsistently) {
   // Nulls must land in some leaf (no crash) and predictions are stable.
   int p = model.Predict(*t, 0);
   EXPECT_EQ(p, model.Predict(*t, 6));
+}
+
+// A map's tree fidelity counts the sampled rows whose leaf's class is
+// their own cluster, wherever null_goes_left routed them. x holds 20 rows
+// at 10, then 20 at 0, then 10 NULLs, which the features place halfway:
+// they tie between the two medoids and take the first, the cluster at 10.
+// The root splits x at 5 with 20 rows a side, so the NULLs join the left
+// side, the cluster at 0, whose constant x cannot split again.
+TEST(CartTest, FidelityCountsNullRoutedRows) {
+  TableBuilder b(Schema({{"x", DataType::kDouble}}));
+  for (size_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(b.AppendRow({i < 20   ? Value::Double(10.0)
+                             : i < 40 ? Value::Double(0.0)
+                                      : Value::Null()})
+                    .ok());
+  }
+  TablePtr t = *b.Finish();
+  core::MapOptions opt;
+  opt.fixed_k = 2;
+  auto map = *core::BuildMap(*t, opt);
+  ASSERT_EQ(map.regions.size(), 3u);
+  EXPECT_EQ(map.regions[1].edge.ToSql(), "\"x\" <= 5");
+  // The SQL edges keep the NULL rows out of both leaves.
+  EXPECT_EQ(map.regions[1].tuple_count + map.regions[2].tuple_count, 40u);
+  EXPECT_DOUBLE_EQ(map.tree_fidelity, 0.8);
 }
 
 TEST(CartTest, BranchConditionsMatchSplit) {

@@ -168,6 +168,32 @@ TEST(ResourceProfileTest, CacheDisabledReportsNoCacheTraffic) {
   EXPECT_GT(s.current().map.resources.rows_scanned, 0);
 }
 
+// The scratch peak of a clustered build is its feature matrix (8 bytes a
+// cell) plus the count stage's row ids (4 bytes per row of every region),
+// which live at the same time; a build under 4 feature rows never counts,
+// so its peak is the feature matrix alone.
+TEST(ResourceProfileTest, ScratchPeakIsFeaturesPlusCountedRowIds) {
+  auto data = MakeMixture();
+  MapOptions opt;
+  opt.sample_size = 500;
+  opt.fixed_k = 3;
+  auto map = BuildMap(*data.table, opt);
+  ASSERT_TRUE(map.ok());
+  ASSERT_EQ(map->algorithm, "clara");
+  int64_t row_ids = 0;
+  for (const MapRegion& region : map->regions) {
+    row_ids += static_cast<int64_t>(region.tuple_count);
+  }
+  EXPECT_EQ(map->resources.peak_scratch_bytes,
+            map->resources.cells_materialized * 8 + row_ids * 4);
+  EXPECT_EQ(map->resources.peak_scratch_bytes, 26892);
+
+  auto tiny = BuildMap(*MakeMixture(3).table, opt);
+  ASSERT_TRUE(tiny.ok());
+  ASSERT_EQ(tiny->algorithm, "trivial");
+  EXPECT_EQ(tiny->resources.peak_scratch_bytes, 3 * 4 * 8);
+}
+
 TEST(ScratchCounterTest, TracksPeakNotCurrent) {
   obs::ScratchCounter counter;
   counter.Charge(100);
