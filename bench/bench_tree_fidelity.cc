@@ -43,9 +43,7 @@ void Sweep(const char* name, const monet::Table& table, size_t sample_rows) {
       auto model = tree::CartModel::Train(table, pre->rows,
                                           clustering->labels, opt);
       if (!model.ok()) continue;
-      double fidelity = model->Fidelity(table, pre->rows,
-                                        clustering->labels);
-      std::printf("%6zu %8zu %12.3f %10zu\n", k, depth, fidelity,
+      std::printf("%6zu %8zu %12.3f %10zu\n", k, depth, model->fidelity(),
                   model->NumLeaves());
     }
   }

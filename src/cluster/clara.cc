@@ -4,40 +4,39 @@
 #include <limits>
 
 #include "cluster/pam.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/distance.h"
 
 namespace blaeu::cluster {
 
+/// Kaufman and Rousseeuw's number of sub-samples.
+constexpr size_t kNumSamples = 5;
+
 Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
-                               size_t k, const ClaraOptions& options) {
+                               size_t k, uint64_t seed) {
   if (k == 0) return Status::Invalid("k must be >= 1");
   if (k > n) {
     return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
                            std::to_string(n));
   }
-  size_t sample_size =
-      options.sample_size > 0 ? options.sample_size : 40 + 2 * k;
-  sample_size = std::min(sample_size, n);
-  if (sample_size < k) sample_size = k;
+  // Kaufman and Rousseeuw's sub-sample size; k <= n, so it holds k points.
+  const size_t sample_size = std::min(40 + 2 * k, n);
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("cluster.clara.runs")->Increment();
   registry.counter("cluster.clara.samples")
-      ->Add(static_cast<int64_t>(options.num_samples));
+      ->Add(static_cast<int64_t>(kNumSamples));
   registry.counter("cluster.clara.rows_assigned")
-      ->Add(static_cast<int64_t>(n * options.num_samples));
+      ->Add(static_cast<int64_t>(n * kNumSamples));
   obs::Span span("cluster.clara.run");
 
-  Rng rng(options.seed);
-  PamOptions pam_options;
-  pam_options.max_swap_iterations = options.max_swap_iterations;
-
+  Rng rng(seed);
   ClusteringResult best;
   best.total_cost = std::numeric_limits<double>::infinity();
 
-  for (size_t s = 0; s < options.num_samples; ++s) {
+  for (size_t s = 0; s < kNumSamples; ++s) {
     std::vector<size_t> sample = rng.SampleWithoutReplacement(n, sample_size);
     std::sort(sample.begin(), sample.end());
     // Distance matrix restricted to the sample.
@@ -47,7 +46,7 @@ Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
         dist.Set(i, j, dist_fn(sample[i], sample[j]));
       }
     }
-    BLAEU_ASSIGN_OR_RETURN(ClusteringResult local, Pam(dist, k, pam_options));
+    BLAEU_ASSIGN_OR_RETURN(ClusteringResult local, Pam(dist, k));
     // Lift sample-local medoids to global indices and extend to all points.
     std::vector<size_t> medoids;
     medoids.reserve(k);

@@ -14,6 +14,33 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Cap on SWAP passes; each pass scans all (medoid, non-medoid) pairs.
+constexpr size_t kMaxSwapPasses = 50;
+
+/// Calls `visit(i, m1, d1, d2)` for every point i, with d1 and d2 its
+/// distances to its nearest and second-nearest medoid and m1 the nearest
+/// one's index into `medoids` (the first, on a tie); `dist(i, j)` is the
+/// distance between points i and j.
+template <typename Dist, typename Visit>
+void ForEachNearestTwo(size_t n, const std::vector<size_t>& medoids,
+                       const Dist& dist, const Visit& visit) {
+  const size_t k = medoids.size();
+  const size_t* med = medoids.data();
+  for (size_t i = 0; i < n; ++i) {
+    // Selects instead of branches: which medoid is nearest depends on the
+    // data, and a mispredicted branch costs more than a cheap distance.
+    double d1 = kInf, d2 = kInf;
+    int best_m = 0;
+    for (size_t m = 0; m < k; ++m) {
+      const double d = dist(i, med[m]);
+      best_m = d < d1 ? static_cast<int>(m) : best_m;
+      d2 = std::min(d2, std::max(d1, d));
+      d1 = std::min(d1, d);
+    }
+    visit(i, best_m, d1, d2);
+  }
+}
+
 /// Labels, cost and medoid silhouette for a fixed medoid set, with
 /// `dist(i, j)` the distance between points i and j. A point tied between
 /// medoids takes the first.
@@ -27,25 +54,16 @@ ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
   const size_t* med = medoids.data();
   double cost = 0.0, silhouette = 0.0;
   size_t scored = 0;
-  for (size_t i = 0; i < n; ++i) {
-    // Selects instead of branches: which medoid is nearest depends on the
-    // data, and a mispredicted branch costs more than a cheap distance.
-    double d1 = kInf, d2 = kInf;
-    int best_m = 0;
-    for (size_t m = 0; m < k; ++m) {
-      const double d = dist(i, med[m]);
-      best_m = d < d1 ? static_cast<int>(m) : best_m;
-      d2 = std::min(d2, std::max(d1, d));
-      d1 = std::min(d1, d);
-    }
+  ForEachNearestTwo(n, medoids, dist,
+                    [&](size_t i, int best_m, double d1, double d2) {
     out.labels[i] = best_m;
     cost += d1;
     // A medoid's d1 is 0, so its term would read 1 whatever the partition.
-    if (d1 == 0 && std::find(med, med + k, i) != med + k) continue;
+    if (d1 == 0 && std::find(med, med + k, i) != med + k) return;
     // d2 is infinite at k = 1 and 0 on coincident medoids: both score 0.
     if (d2 > 0 && d2 < kInf) silhouette += 1.0 - d1 / d2;
     ++scored;
-  }
+  });
   out.total_cost = cost;
   if (scored > 0) {
     out.medoid_silhouette = silhouette / static_cast<double>(scored);
@@ -130,8 +148,7 @@ ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
 }
 
 ClusteringResult PamSwap(const DistanceMatrix& dist,
-                         std::vector<size_t> medoids,
-                         const PamOptions& options) {
+                         std::vector<size_t> medoids) {
   const size_t n = dist.size();
   const size_t k = medoids.size();
   assert(k >= 1 && k <= n);
@@ -143,24 +160,14 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
   // medoids.
   std::vector<double> nearest(n), second(n);
   std::vector<size_t> nearest_idx(n);
+  auto at = [&](size_t i, size_t j) { return dist.At(i, j); };
   auto recompute_neighbors = [&]() {
-    for (size_t i = 0; i < n; ++i) {
-      double d1 = kInf, d2 = kInf;
-      size_t m1 = 0;
-      for (size_t m = 0; m < k; ++m) {
-        double d = dist.At(i, medoids[m]);
-        if (d < d1) {
-          d2 = d1;
-          d1 = d;
-          m1 = m;
-        } else if (d < d2) {
-          d2 = d;
-        }
-      }
+    ForEachNearestTwo(n, medoids, at,
+                      [&](size_t i, int m1, double d1, double d2) {
       nearest[i] = d1;
       second[i] = d2;
-      nearest_idx[i] = m1;
-    }
+      nearest_idx[i] = static_cast<size_t>(m1);
+    });
   };
   // FastPAM1 terms of point o for a candidate at distance d. Removing a
   // medoid other than o's: o moves to the candidate only if it is closer
@@ -178,7 +185,7 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
   std::vector<double> shared(n), removal(k * n), own(k);
 
   size_t swaps = 0;
-  for (size_t iter = 0; iter < options.max_swap_iterations; ++iter) {
+  for (size_t iter = 0; iter < kMaxSwapPasses; ++iter) {
     recompute_neighbors();
     std::fill(shared.begin(), shared.end(), 0.0);
     std::fill(removal.begin(), removal.end(), 0.0);
@@ -228,19 +235,17 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
 
   // Canonical order: medoids sorted by index so labels are deterministic.
   std::sort(medoids.begin(), medoids.end());
-  return Assign(n, medoids,
-                [&](size_t i, size_t j) { return dist.At(i, j); });
+  return Assign(n, medoids, at);
 }
 
-Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k,
-                             const PamOptions& options) {
+Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k) {
   const size_t n = dist.size();
   if (k == 0) return Status::Invalid("k must be >= 1");
   if (k > n) {
     return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
                            std::to_string(n));
   }
-  return PamSwap(dist, PamBuild(dist, k), options);
+  return PamSwap(dist, PamBuild(dist, k));
 }
 
 }  // namespace blaeu::cluster

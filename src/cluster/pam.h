@@ -10,18 +10,11 @@
 
 namespace blaeu::cluster {
 
-/// PAM options.
-struct PamOptions {
-  /// Cap on SWAP passes; each pass scans all (medoid, non-medoid) pairs.
-  size_t max_swap_iterations = 50;
-};
-
 /// \brief Exact PAM on a precomputed distance matrix: PamSwap from the
 /// medoids of PamBuild.
 ///
 /// Invalid when k == 0 or k > n.
-Result<ClusteringResult> Pam(const stats::DistanceMatrix& dist, size_t k,
-                             const PamOptions& options = {});
+Result<ClusteringResult> Pam(const stats::DistanceMatrix& dist, size_t k);
 
 /// \brief PAM's BUILD phase: greedily seeds min(k, n) medoids, in the
 /// order chosen (first: the point with minimal total distance; then: the
@@ -44,7 +37,8 @@ std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
 /// e.g. a prefix of PamBuild).
 ///
 /// Repeatedly applies the single best (medoid, candidate) exchange until
-/// none lowers the objective, using the FastPAM1 delta computation
+/// none lowers the objective, for at most 50 passes, using the FastPAM1
+/// delta computation
 /// (Schubert & Rousseeuw 2019): each candidate's swap deltas for all k
 /// medoids come from one shared gain plus one correction per medoid, so a
 /// SWAP pass costs O(n^2) instead of O(k n^2) while choosing exactly the
@@ -52,8 +46,7 @@ std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
 /// the same ascending point order per candidate sum; the accumulators
 /// hold n × (k+1) doubles.
 ClusteringResult PamSwap(const stats::DistanceMatrix& dist,
-                         std::vector<size_t> medoids,
-                         const PamOptions& options = {});
+                         std::vector<size_t> medoids);
 
 /// Assigns each of `n` points to its nearest medoid under `dist_fn`;
 /// returns labels (index into `medoids`), the summed cost and the medoid

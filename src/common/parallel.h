@@ -1,14 +1,13 @@
 // Parallel execution layer: a lazily-started process-wide thread pool plus
-// deterministic data-parallel loops (ParallelFor / ParallelMapReduce).
+// a deterministic data-parallel loop (ParallelFor).
 //
 // Determinism contract: a range [begin, end) with grain g is always split
 // into the SAME ceil(n/g) chunks — chunk c covers
 // [begin + c*g, min(end, begin + (c+1)*g)) — regardless of how many threads
 // execute them. Only the assignment of chunks to threads varies. Callers
-// whose chunks write disjoint state (or reduce in chunk order, as
-// ParallelMapReduce does) therefore produce bit-identical results at any
-// thread count, which is what lets the map pipeline parallelize without
-// perturbing its output.
+// whose chunks write disjoint state therefore produce bit-identical results
+// at any thread count, which is what lets the map pipeline parallelize
+// without perturbing its output.
 //
 // Thread budget resolution (EffectiveNumThreads): a per-call request of 0
 // means "the process default" — BLAEU_NUM_THREADS if set, otherwise
@@ -94,27 +93,5 @@ class ThreadPool {
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body,
                  size_t num_threads = 0, ThreadPool* pool = nullptr);
-
-/// Maps every chunk of [begin, end) through `map_chunk(chunk_begin,
-/// chunk_end) -> T` in parallel, then folds the per-chunk results in chunk
-/// order on the caller: acc = reduce(acc, chunk_result). Because both the
-/// chunking and the fold order are independent of the thread count, the
-/// result is bit-identical at any parallelism (floating-point included).
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelMapReduce(size_t begin, size_t end, size_t grain, T init,
-                    const MapFn& map_chunk, const ReduceFn& reduce,
-                    size_t num_threads = 0, ThreadPool* pool = nullptr) {
-  if (end <= begin) return init;
-  if (grain == 0) grain = 1;
-  const size_t num_chunks = (end - begin + grain - 1) / grain;
-  std::vector<T> partial(num_chunks);
-  ParallelFor(
-      begin, end, grain,
-      [&](size_t lo, size_t hi) { partial[(lo - begin) / grain] = map_chunk(lo, hi); },
-      num_threads, pool);
-  T acc = std::move(init);
-  for (T& p : partial) acc = reduce(std::move(acc), std::move(p));
-  return acc;
-}
 
 }  // namespace blaeu

@@ -16,8 +16,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IndexError";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -19,7 +19,6 @@ enum class StatusCode {
   kTypeError,       ///< value or column used with an incompatible type
   kIndexError,      ///< out-of-bounds row/column/region index
   kIOError,         ///< CSV or file-system failure
-  kNotImplemented,
   kInternal,        ///< invariant violation inside the library
 };
 
@@ -54,9 +53,6 @@ class Status {
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -59,14 +59,6 @@ Result<Session*> Explorer::OpenSession(const std::string& name) {
   return raw;
 }
 
-Result<Session*> Explorer::GetSession(const std::string& name) {
-  auto it = sessions_.find(name);
-  if (it == sessions_.end()) {
-    return Status::KeyError("no open session on '" + name + "'");
-  }
-  return it->second.get();
-}
-
 Status Explorer::CloseSession(const std::string& name) {
   auto it = sessions_.find(name);
   if (it == sessions_.end()) {

@@ -48,9 +48,6 @@ class Explorer {
   /// pointer stays valid until the session is closed or the explorer dies.
   Result<Session*> OpenSession(const std::string& name);
 
-  /// The open session for `name`, if any.
-  Result<Session*> GetSession(const std::string& name);
-
   /// Closes the session on `name` (KeyError if none).
   Status CloseSession(const std::string& name);
 

@@ -34,8 +34,6 @@ Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
   const size_t k_max = std::min(options.k_max, n - 1);
   const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
   const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
-  cluster::ClaraOptions clara;
-  clara.seed = options.seed;
   return cluster::SweepK(
       lo, hi,
       [&](size_t k) {
@@ -50,7 +48,7 @@ Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
               return stats::EuclideanDistance(
                   features.RowPtr(i), features.RowPtr(j), features.cols());
             },
-            k, clara);
+            k, options.seed);
         evals->fetch_add(count, std::memory_order_relaxed);
         return result;
       },
@@ -124,13 +122,11 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
   // Resource accounting for this one build (obs/resource.h): the profile
   // travels with the map and aggregates into the registry at the end.
-  obs::ScratchCounter scratch;
   std::atomic<int64_t> dist_evals{0};
   obs::ResourceProfile res;
   auto finalize = [&](DataMap* m) {
     res.distance_evaluations = dist_evals.load(std::memory_order_relaxed);
     res.cart_nodes = static_cast<int64_t>(m->regions.size());
-    res.peak_scratch_bytes = scratch.peak();
     m->build_seconds = build_span.ElapsedSeconds();
     m->resources = res;
     res.ReportTo(metrics);
@@ -193,7 +189,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
   res.cells_materialized =
       static_cast<int64_t>(pre.features.rows() * pre.features.cols());
   // The feature matrix lives until the end of the build.
-  scratch.Charge(pre.features.rows() * pre.features.cols() * sizeof(double));
+  res.peak_scratch_bytes = res.cells_materialized *
+                           static_cast<int64_t>(sizeof(double));
 
   // Degenerate inputs (too few distinct tuples to split) yield a one-region
   // map rather than an error: the user can still highlight and inspect.
@@ -237,7 +234,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
         tree::CartModel model,
         tree::CartModel::Train(*view, pre.rows, clustering.labels,
                                options.tree, options.num_threads));
-    map.tree_fidelity = model.Fidelity(*view, pre.rows, clustering.labels);
+    map.tree_fidelity = model.fidelity();
     span.SetAttr("fidelity", map.tree_fidelity);
     return model;
   }();
@@ -257,18 +254,17 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(std::vector<SelectionVector> region_rows,
                            RegionRows(*view, map, sel, options.num_threads));
-    size_t counted_bytes = 0;
     for (MapRegion& region : map.regions) {
       region.tuple_count = region_rows[region.id].size();
-      counted_bytes += region.tuple_count * sizeof(uint32_t);
+      // region_rows lives beside the feature matrix until this block ends.
+      res.peak_scratch_bytes += static_cast<int64_t>(
+          region.tuple_count * sizeof(uint32_t));
       // Each non-root region evaluated its edge over its parent's row set.
       if (region.parent >= 0) {
         res.rows_counted +=
             static_cast<int64_t>(region_rows[region.parent].size());
       }
     }
-    // Charged until region_rows dies at the end of this block.
-    obs::ScratchCharge counted(&scratch, counted_bytes);
     span.SetAttr("rows_counted", sel.size());
   }
 

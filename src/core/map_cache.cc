@@ -153,13 +153,13 @@ void MapCache::Insert(const MapCacheKey& key, uint64_t session_id,
   metrics_->counter("core.cache.inserts")->Increment();
 }
 
-void MapCache::EvictSession(uint64_t session_id) {
+int64_t MapCache::EvictIf(const std::function<bool(const Entry&)>& drop) {
   int64_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end();) {
       auto next = std::next(it);
-      if (it->session_id == session_id) {
+      if (drop(*it)) {
         RemoveLocked(it);
         dropped++;
       }
@@ -169,6 +169,14 @@ void MapCache::EvictSession(uint64_t session_id) {
   }
   if (dropped > 0) {
     metrics_->counter("core.cache.invalidations")->Add(dropped);
+  }
+  return dropped;
+}
+
+void MapCache::EvictSession(uint64_t session_id) {
+  const int64_t dropped = EvictIf(
+      [&](const Entry& e) { return e.session_id == session_id; });
+  if (dropped > 0) {
     flight_->Record(obs::FlightEventKind::kCacheEvict, "core.cache.evict_session",
                     {{"session", std::to_string(session_id)},
                      {"entries_dropped", std::to_string(dropped)}});
@@ -178,34 +186,14 @@ void MapCache::EvictSession(uint64_t session_id) {
 void MapCache::EvictTable(const std::string& table_name) {
   obs::Span span(tracer_, "core.cache.invalidate", metrics_);
   span.SetAttr("table", table_name);
-  int64_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      auto next = std::next(it);
-      if (it->key.table_name == table_name) {
-        RemoveLocked(it);
-        dropped++;
-      }
-      it = next;
-    }
-    PublishGaugesLocked();
-  }
+  const int64_t dropped = EvictIf(
+      [&](const Entry& e) { return e.key.table_name == table_name; });
   span.SetAttr("entries_dropped", dropped);
   if (dropped > 0) {
-    metrics_->counter("core.cache.invalidations")->Add(dropped);
     flight_->Record(obs::FlightEventKind::kCacheEvict, "core.cache.invalidate",
                     {{"table", table_name},
                      {"entries_dropped", std::to_string(dropped)}});
   }
-}
-
-void MapCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  index_.clear();
-  bytes_ = 0;
-  PublishGaugesLocked();
 }
 
 void MapCache::EnforceBudgetLocked() {

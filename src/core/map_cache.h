@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -145,9 +146,6 @@ class MapCache {
   /// under the same name.
   void EvictTable(const std::string& table_name);
 
-  /// Drops everything.
-  void Clear();
-
   MapCacheStats stats() const;
 
   /// JSON object with the sizes above (for Explorer::StatsReport()).
@@ -161,6 +159,9 @@ class MapCache {
     std::shared_ptr<const DataMap> map;
   };
 
+  /// Drops every entry `drop` selects and counts them as invalidations;
+  /// returns how many.
+  int64_t EvictIf(const std::function<bool(const Entry&)>& drop);
   /// Drops LRU entries until bytes_ <= budget_bytes_ (lock held).
   void EnforceBudgetLocked();
   void RemoveLocked(std::list<Entry>::iterator it);

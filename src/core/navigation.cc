@@ -338,14 +338,6 @@ monet::SelectProjectQuery Session::CurrentQuery() const {
   return q;
 }
 
-Result<monet::SelectProjectQuery> Session::RegionQuery(int region_id) const {
-  const NavState& cur = current();
-  BLAEU_RETURN_NOT_OK(cur.map.ValidateRegionId(region_id));
-  monet::SelectProjectQuery q = CurrentQuery();
-  q.where = q.where.And(cur.map.region(region_id).predicate);
-  return q;
-}
-
 Result<TablePtr> Session::Inspect(int region_id, size_t max_rows) const {
   const NavState& cur = current();
   BLAEU_RETURN_NOT_OK(cur.map.ValidateRegionId(region_id));

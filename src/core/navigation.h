@@ -180,10 +180,6 @@ class Session {
   /// The implicit Select-Project query of the current state.
   monet::SelectProjectQuery CurrentQuery() const;
 
-  /// The implicit query of the current state further restricted to one
-  /// region of the current map.
-  Result<monet::SelectProjectQuery> RegionQuery(int region_id) const;
-
   /// Materializes up to `max_rows` tuples of a region for inspection.
   Result<monet::TablePtr> Inspect(int region_id, size_t max_rows = 10) const;
 

@@ -33,24 +33,17 @@ struct ColumnPlan {
   std::vector<int32_t> dict_ranks;
 };
 
-/// Everything Preprocess derives from (table, selection) before touching
-/// the feature matrix.
-struct PreprocessPlan {
-  std::vector<ColumnPlan> columns;        ///< in schema order
-  std::vector<FeatureInfo> feature_info;  ///< resulting feature layout
-  std::vector<size_t> used_columns;
-  std::vector<size_t> dropped_keys;
-};
-
 /// Fits per-column plans (type decision, category ranking, normalizer,
-/// primary-key removal) over the rows in `sel`.
-Result<PreprocessPlan> PlanPreprocess(const Table& table,
-                                      const SelectionVector& sel,
-                                      size_t num_threads) {
+/// primary-key removal) over the rows in `sel`, in schema order, and
+/// records in `out` the dropped keys, the used columns and the feature
+/// layout they give.
+Result<std::vector<ColumnPlan>> PlanColumns(const Table& table,
+                                            const SelectionVector& sel,
+                                            size_t num_threads,
+                                            PreprocessedData* out) {
   if (sel.empty()) return Status::Invalid("empty selection");
-  PreprocessPlan out;
   const std::vector<size_t> keys = monet::DetectPrimaryKeyColumns(table);
-  out.dropped_keys = keys;
+  out->dropped_keys = keys;
   auto is_key = [&](size_t c) {
     return std::find(keys.begin(), keys.end(), c) != keys.end();
   };
@@ -112,27 +105,28 @@ Result<PreprocessPlan> PlanPreprocess(const Table& table,
         }
       },
       num_threads);
+  std::vector<ColumnPlan> plans;
   for (size_t c = 0; c < num_columns; ++c) {
     if (!column_plans[c].has_value()) continue;
-    out.used_columns.push_back(c);
-    out.columns.push_back(std::move(*column_plans[c]));
+    out->used_columns.push_back(c);
+    plans.push_back(std::move(*column_plans[c]));
   }
-  if (out.columns.empty()) {
+  if (plans.empty()) {
     return Status::Invalid("no usable columns after preprocessing");
   }
 
   // Feature layout.
-  for (const ColumnPlan& plan : out.columns) {
+  for (const ColumnPlan& plan : plans) {
     const std::string& name = table.schema().field(plan.column).name;
     if (!plan.categorical) {
-      out.feature_info.push_back({plan.column, name, false, ""});
+      out->feature_info.push_back({plan.column, name, false, ""});
       continue;
     }
     for (const std::string& cat : plan.categories) {
-      out.feature_info.push_back({plan.column, name, true, cat});
+      out->feature_info.push_back({plan.column, name, true, cat});
     }
   }
-  return out;
+  return plans;
 }
 
 /// Per-column state resolved once per FillFeatures call, so the row loop
@@ -144,24 +138,20 @@ struct ColumnFill {
   const int32_t* codes = nullptr;
 };
 
-/// Fills one feature row per row of `sel` according to `plan`, which was
-/// fitted on the same table. Bit-identical at any thread count.
-PreprocessedData FillFeatures(const Table& table, const SelectionVector& sel,
-                              const PreprocessPlan& plan,
-                              size_t num_threads) {
-  PreprocessedData out;
-  out.rows = sel.rows();
-  out.feature_info = plan.feature_info;
-  out.used_columns = plan.used_columns;
-  out.dropped_keys = plan.dropped_keys;
-
+/// Fills `out`'s rows and one feature row per row of `sel` according to
+/// `plans` and `out`'s feature layout, which PlanColumns fitted on the same
+/// table. Bit-identical at any thread count.
+void FillFeatures(const Table& table, const SelectionVector& sel,
+                  const std::vector<ColumnPlan>& plans, size_t num_threads,
+                  PreprocessedData* out) {
+  out->rows = sel.rows();
   const size_t n = sel.size();
-  const size_t dims = plan.feature_info.size();
-  out.features = stats::Matrix(n, dims);
+  const size_t dims = out->feature_info.size();
+  out->features = stats::Matrix(n, dims);
 
   std::vector<ColumnFill> fills;
-  fills.reserve(plan.columns.size());
-  for (const ColumnPlan& cp : plan.columns) {
+  fills.reserve(plans.size());
+  for (const ColumnPlan& cp : plans) {
     ColumnFill fill;
     fill.cp = &cp;
     fill.col = table.column(cp.column).get();
@@ -176,7 +166,7 @@ PreprocessedData FillFeatures(const Table& table, const SelectionVector& sel,
       [&](size_t row_lo, size_t row_hi) {
         for (size_t i = row_lo; i < row_hi; ++i) {
           uint32_t r = sel[i];
-          double* row = out.features.MutableRowPtr(i);
+          double* row = out->features.MutableRowPtr(i);
           size_t f = 0;
           for (const ColumnFill& fill : fills) {
             const ColumnPlan& cp = *fill.cp;
@@ -216,7 +206,6 @@ PreprocessedData FillFeatures(const Table& table, const SelectionVector& sel,
         }
       },
       num_threads);
-  return out;
 }
 
 }  // namespace
@@ -224,9 +213,11 @@ PreprocessedData FillFeatures(const Table& table, const SelectionVector& sel,
 Result<PreprocessedData> Preprocess(const Table& table,
                                     const SelectionVector& sel,
                                     size_t num_threads) {
-  BLAEU_ASSIGN_OR_RETURN(PreprocessPlan plan,
-                         PlanPreprocess(table, sel, num_threads));
-  return FillFeatures(table, sel, plan, num_threads);
+  PreprocessedData out;
+  BLAEU_ASSIGN_OR_RETURN(std::vector<ColumnPlan> plans,
+                         PlanColumns(table, sel, num_threads, &out));
+  FillFeatures(table, sel, plans, num_threads, &out);
+  return out;
 }
 
 }  // namespace blaeu::core

@@ -2,15 +2,6 @@
 
 namespace blaeu::monet {
 
-Status Catalog::Register(const std::string& name, TablePtr table) {
-  if (table == nullptr) return Status::Invalid("null table");
-  auto [it, inserted] = tables_.emplace(name, std::move(table));
-  if (!inserted) {
-    return Status::Invalid("table '" + name + "' already registered");
-  }
-  return Status::OK();
-}
-
 void Catalog::RegisterOrReplace(const std::string& name, TablePtr table) {
   tables_[name] = std::move(table);
 }
@@ -21,15 +12,6 @@ Result<TablePtr> Catalog::Get(const std::string& name) const {
     return Status::KeyError("no table named '" + name + "'");
   }
   return it->second;
-}
-
-Status Catalog::Drop(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::KeyError("no table named '" + name + "'");
-  }
-  tables_.erase(it);
-  return Status::OK();
 }
 
 std::vector<std::string> Catalog::List() const {

@@ -16,9 +16,6 @@ namespace blaeu::monet {
 /// (no copy).
 class Catalog {
  public:
-  /// Registers `table` under `name`; Invalid if the name is taken.
-  Status Register(const std::string& name, TablePtr table);
-
   /// Replaces or creates the binding.
   void RegisterOrReplace(const std::string& name, TablePtr table);
 
@@ -29,13 +26,8 @@ class Catalog {
     return tables_.count(name) > 0;
   }
 
-  /// Removes a binding; KeyError if absent.
-  Status Drop(const std::string& name);
-
   /// Registered names, sorted.
   std::vector<std::string> List() const;
-
-  size_t size() const { return tables_.size(); }
 
  private:
   std::map<std::string, TablePtr> tables_;

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -45,48 +44,15 @@ Condition Condition::InSet(std::string column, std::vector<std::string> set,
   return c;
 }
 
-Condition Condition::IsNull(std::string column) {
-  Condition c;
-  c.column = std::move(column);
-  c.kind = Kind::kIsNull;
-  return c;
-}
-
-Condition Condition::NotNull(std::string column) {
-  Condition c;
-  c.column = std::move(column);
-  c.kind = Kind::kNotNull;
-  return c;
-}
-
 namespace {
-
-bool CompareString(const std::string& lhs, CompareOp op,
-                   const std::string& rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kLe:
-      return lhs <= rhs;
-    case CompareOp::kGt:
-      return lhs > rhs;
-    case CompareOp::kGe:
-      return lhs >= rhs;
-    case CompareOp::kEq:
-      return lhs == rhs;
-    case CompareOp::kNe:
-      return lhs != rhs;
-  }
-  return false;
-}
 
 /// \brief One condition compiled against its column: it writes the rows
 /// of in[0, n) that pass it to out, in order, and returns how many. `out`
 /// may be `in`, which then compacts in place.
 ///
 /// Everything but the per-row test is resolved once, when the condition is
-/// prepared: the column's typed payload, the literal as a double or a
-/// dictionary code, and set membership as a byte table over the codes.
+/// prepared: the column's typed payload, the literal as a double, and set
+/// membership as a byte table over the codes.
 using Kernel =
     std::function<size_t(const uint32_t* in, size_t n, uint32_t* out)>;
 
@@ -106,7 +72,7 @@ Kernel Filter(Keep keep) {
   };
 }
 
-/// A null literal or a literal of the wrong type: no row passes.
+/// A condition of a shape no map builds: no row passes.
 Kernel KeepNone() {
   return [](const uint32_t*, size_t, uint32_t*) -> size_t { return 0; };
 }
@@ -141,28 +107,9 @@ Kernel CompareKernel(const Column& col, const std::vector<T>& payload,
 }
 
 Kernel PrepareCompare(const Condition& c, const Column& col) {
-  if (c.value.is_null()) return KeepNone();
-  const uint8_t* valid = col.validity().data();
-  if (col.type() == DataType::kString) {
-    if (c.value.type() != DataType::kString) return KeepNone();
-    const std::string& rhs = c.value.AsString();
-    if (c.op == CompareOp::kEq || c.op == CompareOp::kNe) {
-      // An absent literal is kNullCode, never a valid cell's code: = keeps
-      // nothing and <> every non-NULL cell.
-      const int32_t code = col.dictionary()->Find(rhs);
-      const int32_t* codes = col.codes().data();
-      const bool eq = c.op == CompareOp::kEq;
-      return Filter([=](uint32_t row) {
-        return (valid[row] != 0) & ((codes[row] == code) == eq);
-      });
-    }
-    // Ordered string compares: no product path emits them.
-    const CompareOp op = c.op;
-    return Filter([&col, &rhs, op](uint32_t row) {
-      return !col.IsNull(row) && CompareString(col.StringAt(row), op, rhs);
-    });
+  if (c.value.is_null() || c.value.type() == DataType::kString) {
+    return KeepNone();
   }
-  if (c.value.type() == DataType::kString) return KeepNone();
   const double rhs = c.value.AsDouble();
   switch (col.type()) {
     case DataType::kDouble:
@@ -170,7 +117,6 @@ Kernel PrepareCompare(const Condition& c, const Column& col) {
     case DataType::kInt64:
       return CompareKernel(col, col.ints(), c.op, rhs);
     case DataType::kBool:
-      return CompareKernel(col, col.bools(), c.op, rhs);
     case DataType::kString:
       break;
   }
@@ -208,75 +154,31 @@ Kernel PrepareInSet(const Condition& c, const Column& col) {
         return (valid[row] != 0) & (bools[row] != 0 ? keep_true : keep_false);
       });
     }
-    case DataType::kInt64: {
-      // No product path emits the next two shapes; they test per cell.
-      std::unordered_set<int64_t> set;
-      for (const std::string& s : c.set) {
-        int64_t v;
-        // Only canonical renderings can ever match a cell's ToString.
-        if (ParseInt(s, &v) && std::to_string(v) == s) set.insert(v);
-      }
-      const int64_t* ints = col.ints().data();
-      return Filter(
-          [set = std::move(set), valid, ints, negated](uint32_t row) {
-            return valid[row] != 0 && (set.count(ints[row]) > 0) != negated;
-          });
-    }
-    case DataType::kDouble: {
-      // Rendering per row matches the string-set semantics exactly (%.6g is
-      // not injective, so value-keyed sets would diverge).
-      std::unordered_set<std::string> set(c.set.begin(), c.set.end());
-      const double* doubles = col.doubles().data();
-      return Filter(
-          [set = std::move(set), valid, doubles, negated](uint32_t row) {
-            return valid[row] != 0 &&
-                   (set.count(FormatDouble(doubles[row])) > 0) != negated;
-          });
-    }
+    case DataType::kInt64:
+    case DataType::kDouble:
+      break;
   }
   return KeepNone();
 }
 
 Kernel PrepareCondition(const Condition& c, const Column& col) {
-  const uint8_t* valid = col.validity().data();
-  switch (c.kind) {
-    case Condition::Kind::kIsNull:
-      return Filter([valid](uint32_t row) { return valid[row] == 0; });
-    case Condition::Kind::kNotNull:
-      return Filter([valid](uint32_t row) { return valid[row] != 0; });
-    case Condition::Kind::kCompare:
-      return PrepareCompare(c, col);
-    case Condition::Kind::kInSet:
-      return PrepareInSet(c, col);
-  }
-  return KeepNone();
+  return c.kind == Condition::Kind::kCompare ? PrepareCompare(c, col)
+                                             : PrepareInSet(c, col);
 }
 
 }  // namespace
 
 std::string Condition::ToSql() const {
   std::string quoted = "\"" + column + "\"";
-  switch (kind) {
-    case Kind::kIsNull:
-      return quoted + " IS NULL";
-    case Kind::kNotNull:
-      return quoted + " IS NOT NULL";
-    case Kind::kCompare: {
-      std::string rhs = value.type() == DataType::kString
-                            ? "'" + value.AsString() + "'"
-                            : value.ToString();
-      return quoted + " " + CompareOpSymbol(op) + " " + rhs;
-    }
-    case Kind::kInSet: {
-      std::string body;
-      for (size_t i = 0; i < set.size(); ++i) {
-        if (i > 0) body += ", ";
-        body += "'" + set[i] + "'";
-      }
-      return quoted + (negated ? " NOT IN (" : " IN (") + body + ")";
-    }
+  if (kind == Kind::kCompare) {
+    return quoted + " " + CompareOpSymbol(op) + " " + value.ToString();
   }
-  return "?";
+  std::string body;
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (i > 0) body += ", ";
+    body += "'" + set[i] + "'";
+  }
+  return quoted + (negated ? " NOT IN (" : " IN (") + body + ")";
 }
 
 Conjunction Conjunction::And(const Conjunction& other) const {

@@ -5,8 +5,8 @@
 // Evaluation is column-at-a-time, as in MonetDB: the conditions of a
 // conjunction apply one at a time, each to the rows that survived the ones
 // before it, in one tight loop over its column's typed payload. A NULL cell
-// fails every condition but IS NULL, and a NaN cell every comparison but
-// <>. Results are ascending and exactly sized (no spare capacity).
+// fails every condition, and a NaN cell every comparison but <>. Results
+// are ascending and exactly sized (no spare capacity).
 #pragma once
 
 #include <string>
@@ -26,13 +26,15 @@ const char* CompareOpSymbol(CompareOp op);
 
 /// \brief One atomic condition on a single column.
 ///
-/// Three shapes: scalar comparison (numeric or string), categorical set
-/// membership (`col IN {...}`, possibly negated), and null tests. A
-/// comparison with a NULL literal, or across string and non-string types,
-/// matches no row. A set member matches the cells it spells as
-/// Value::ToString does: `true`/`false`, canonical integers, `%.6g` doubles.
+/// Two shapes, the ones a map's tree spells (tree::CartModel::
+/// BranchCondition): a comparison of a double or int64 column with a
+/// numeric literal, and set membership (`col IN {...}`, possibly negated)
+/// of a string or bool column, whose members match the cells they spell
+/// (`true`/`false` for bools). Any other condition matches no row: a
+/// comparison with a NULL or string literal or on a string or bool column,
+/// and a set on a numeric column.
 struct Condition {
-  enum class Kind { kCompare, kInSet, kIsNull, kNotNull };
+  enum class Kind { kCompare, kInSet };
 
   std::string column;
   Kind kind = Kind::kCompare;
@@ -46,8 +48,6 @@ struct Condition {
   /// Set-membership factory.
   static Condition InSet(std::string column, std::vector<std::string> set,
                          bool negated = false);
-  static Condition IsNull(std::string column);
-  static Condition NotNull(std::string column);
 
   /// SQL rendering, e.g. `"income" >= 22` or `"genre" IN ('Drama','Comedy')`.
   std::string ToSql() const;

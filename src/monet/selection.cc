@@ -21,14 +21,6 @@ SelectionVector SelectionVector::Intersect(
   return SelectionVector(std::move(out));
 }
 
-SelectionVector SelectionVector::Union(const SelectionVector& other) const {
-  std::vector<uint32_t> out;
-  out.reserve(rows_.size() + other.rows_.size());
-  std::set_union(rows_.begin(), rows_.end(), other.rows_.begin(),
-                 other.rows_.end(), std::back_inserter(out));
-  return SelectionVector(std::move(out));
-}
-
 uint64_t SelectionVector::Fingerprint() const {
   // FNV-1a over the length followed by every row id, 4 bytes at a time.
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -38,15 +30,6 @@ uint64_t SelectionVector::Fingerprint() const {
   mix(static_cast<uint64_t>(rows_.size()));
   for (uint32_t r : rows_) mix(static_cast<uint64_t>(r) + 1);
   return h;
-}
-
-SelectionVector SelectionVector::Difference(
-    const SelectionVector& other) const {
-  std::vector<uint32_t> out;
-  out.reserve(rows_.size());
-  std::set_difference(rows_.begin(), rows_.end(), other.rows_.begin(),
-                      other.rows_.end(), std::back_inserter(out));
-  return SelectionVector(std::move(out));
 }
 
 }  // namespace blaeu::monet

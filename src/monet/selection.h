@@ -25,18 +25,11 @@ class SelectionVector {
   bool empty() const { return rows_.empty(); }
   uint32_t operator[](size_t i) const { return rows_[i]; }
   const std::vector<uint32_t>& rows() const { return rows_; }
-  std::vector<uint32_t>& mutable_rows() { return rows_; }
 
   void push_back(uint32_t row) { rows_.push_back(row); }
 
   /// Set intersection with another sorted selection.
   SelectionVector Intersect(const SelectionVector& other) const;
-
-  /// Set union with another sorted selection.
-  SelectionVector Union(const SelectionVector& other) const;
-
-  /// Rows of this selection NOT in `other` (both sorted).
-  SelectionVector Difference(const SelectionVector& other) const;
 
   bool operator==(const SelectionVector& other) const {
     return rows_ == other.rows_;

@@ -70,10 +70,6 @@ class TableBuilder {
   /// (numeric widening allowed).
   Status AppendRow(const std::vector<Value>& values);
 
-  /// Direct mutable access to column `i` for bulk typed appends. The caller
-  /// must keep all columns the same length before Finish().
-  Column* mutable_column(size_t i) { return columns_[i].get(); }
-
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0]->size(); }
 
   void Reserve(size_t n);

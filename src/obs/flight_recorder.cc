@@ -36,7 +36,6 @@ FlightRecorder& FlightRecorder::Global() {
 void FlightRecorder::Record(
     FlightEventKind kind, std::string name,
     std::vector<std::pair<std::string, std::string>> attrs) {
-  if (!enabled()) return;
   FlightEvent event;
   event.t_ns = NowNs();
   event.kind = kind;

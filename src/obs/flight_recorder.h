@@ -17,7 +17,6 @@
 // dump <path>` writes it as JSON.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -63,14 +62,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// The process-global recorder (never destroyed), enabled by default.
+  /// The process-global recorder (never destroyed).
   static FlightRecorder& Global();
-
-  /// Recording can be switched off entirely (one relaxed load per event).
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Appends one event, overwriting the oldest when full.
   void Record(FlightEventKind kind, std::string name,
@@ -109,7 +102,6 @@ class FlightRecorder {
 
   const size_t capacity_;
   const std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> enabled_{true};
 
   mutable std::mutex mu_;
   std::vector<FlightEvent> ring_;  ///< fixed size once full; ring semantics

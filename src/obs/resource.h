@@ -12,56 +12,11 @@
 // — the cold build's costs are not re-reported.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "obs/metrics.h"
 
 namespace blaeu::obs {
-
-/// \brief Peak-tracking byte counter for large scratch allocations (the
-/// "instrumented arena": code charges big transient buffers as they come
-/// and go; the high-water mark is the build's real memory bill beyond the
-/// map itself). Thread-safe; stages charge from pool threads.
-class ScratchCounter {
- public:
-  void Charge(size_t bytes) {
-    int64_t now = current_.fetch_add(static_cast<int64_t>(bytes),
-                                     std::memory_order_relaxed) +
-                  static_cast<int64_t>(bytes);
-    int64_t seen = peak_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !peak_.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
-    }
-  }
-  void Release(size_t bytes) {
-    current_.fetch_sub(static_cast<int64_t>(bytes), std::memory_order_relaxed);
-  }
-  int64_t current() const { return current_.load(std::memory_order_relaxed); }
-  int64_t peak() const { return peak_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> current_{0};
-  std::atomic<int64_t> peak_{0};
-};
-
-/// \brief RAII charge against a ScratchCounter (null counter = no-op).
-class ScratchCharge {
- public:
-  ScratchCharge(ScratchCounter* counter, size_t bytes)
-      : counter_(counter), bytes_(bytes) {
-    if (counter_ != nullptr) counter_->Charge(bytes_);
-  }
-  ~ScratchCharge() {
-    if (counter_ != nullptr) counter_->Release(bytes_);
-  }
-  ScratchCharge(const ScratchCharge&) = delete;
-  ScratchCharge& operator=(const ScratchCharge&) = delete;
-
- private:
-  ScratchCounter* counter_;
-  size_t bytes_;
-};
 
 /// \brief What one map build cost. All counts are zero for a map served
 /// from the cache (except cache_hits).
@@ -83,8 +38,9 @@ struct ResourceProfile {
   /// Whole-map cache traffic for the interaction that produced this map.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
-  /// High-water mark of instrumented scratch allocations (feature matrix,
-  /// per-region row sets).
+  /// Peak scratch memory: the feature matrix (8 bytes a cell), plus for a
+  /// clustered map the count stage's row ids (4 bytes per row of every
+  /// region), which live at the same time. Zero when preprocessing failed.
   int64_t peak_scratch_bytes = 0;
 
   /// Aggregates this profile into `registry`: counters

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include "common/json_writer.h"
 #include "obs/metrics.h"
@@ -65,55 +64,6 @@ std::vector<SpanRecord> Tracer::Finished() const {
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-}
-
-namespace {
-
-void WriteSpanTree(const std::vector<SpanRecord>& spans,
-                   const std::vector<std::vector<int>>& children, int id,
-                   JsonWriter* w) {
-  const SpanRecord& s = spans[id];
-  w->BeginObject();
-  w->KV("name", s.name);
-  w->KV("thread", static_cast<int64_t>(s.thread));
-  w->KV("start_us", static_cast<double>(s.start_ns) / 1e3);
-  w->KV("duration_us",
-        s.duration_ns < 0 ? -1.0 : static_cast<double>(s.duration_ns) / 1e3);
-  if (!s.attrs.empty()) {
-    w->Key("attrs").BeginObject();
-    for (const auto& [k, v] : s.attrs) w->KV(k, v);
-    w->EndObject();
-  }
-  if (!children[id].empty()) {
-    w->Key("children").BeginArray();
-    for (int child : children[id]) {
-      WriteSpanTree(spans, children, child, w);
-    }
-    w->EndArray();
-  }
-  w->EndObject();
-}
-
-}  // namespace
-
-std::string Tracer::ToJson() const {
-  std::vector<SpanRecord> spans = Finished();
-  std::vector<std::vector<int>> children(spans.size());
-  std::vector<int> roots;
-  for (const SpanRecord& s : spans) {
-    if (s.parent >= 0) {
-      children[s.parent].push_back(s.id);
-    } else {
-      roots.push_back(s.id);
-    }
-  }
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("spans").BeginArray();
-  for (int root : roots) WriteSpanTree(spans, children, root, &w);
-  w.EndArray();
-  w.EndObject();
-  return w.str();
 }
 
 std::string Tracer::ToChromeTrace() const {

@@ -5,9 +5,8 @@
 // given, and, when its tracer is enabled, it records itself there too.
 // Nesting is lexical, so a span opened while another span of the same
 // tracer is live on the same thread becomes its child. Finished spans
-// accumulate in the Tracer and export as either
-//   - structured JSON (nested children, via blaeu::JsonWriter), or
-//   - Chrome trace-event format, loadable in chrome://tracing / Perfetto.
+// accumulate in the Tracer and export in Chrome trace-event format,
+// loadable in chrome://tracing / Perfetto.
 //
 // The global tracer is disabled by default so instrumented hot paths cost
 // one branch when nobody is looking. Tests and benches construct their own
@@ -16,7 +15,7 @@
 //
 // Span names follow the metric convention (ROADMAP.md "Observability"):
 // "core.map.build" > "core.map.sample" > ... Attributes are key=value
-// strings ("rows=2000", "k=4") carried into both export formats.
+// strings ("rows=2000", "k=4") carried into the export.
 #pragma once
 
 #include <atomic>
@@ -71,10 +70,6 @@ class Tracer {
 
   /// Discards all recorded spans.
   void Clear();
-
-  /// Nested JSON: {"spans":[{"name":...,"start_us":...,"duration_us":...,
-  /// "attrs":{...},"children":[...]}]}
-  std::string ToJson() const;
 
   /// Chrome trace-event JSON: {"traceEvents":[{"ph":"X",...}]}. Load the
   /// string as a .json file in chrome://tracing or ui.perfetto.dev.

@@ -296,9 +296,12 @@ bool RowGoesLeft(const CartNode& node, const Column& col, uint32_t row) {
   return col.GetNumeric(row) <= node.threshold;
 }
 
+/// Grows the subtree of the rows `idx` and adds the majority-class count of
+/// each of its leaves to `*majority`.
 std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
                                const std::vector<uint32_t>& rows,
-                               const std::vector<size_t>& idx, size_t depth) {
+                               const std::vector<size_t>& idx, size_t depth,
+                               size_t* majority) {
   auto node = std::make_unique<CartNode>();
   std::vector<size_t> counts = CountClasses(ctx, idx);
   node->count = idx.size();
@@ -313,6 +316,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   bool pure = best_count == idx.size();
   if (depth >= ctx.options.max_depth || pure ||
       idx.size() < ctx.options.min_samples_split) {
+    *majority += best_count;
     return node;
   }
 
@@ -343,7 +347,10 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
       best = std::move(spec);
     }
   }
-  if (!best.found) return node;
+  if (!best.found) {
+    *majority += best_count;
+    return node;
+  }
 
   node->is_leaf = false;
   node->column = best.column;
@@ -365,10 +372,11 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   // min_samples_leaf checks, but a NULL-routing corner could).
   if (left_idx.empty() || right_idx.empty()) {
     node->is_leaf = true;
+    *majority += best_count;
     return node;
   }
-  node->left = Grow(ctx, rows, left_idx, depth + 1);
-  node->right = Grow(ctx, rows, right_idx, depth + 1);
+  node->left = Grow(ctx, rows, left_idx, depth + 1, majority);
+  node->right = Grow(ctx, rows, right_idx, depth + 1, majority);
   return node;
 }
 
@@ -397,35 +405,15 @@ Result<CartModel> CartModel::Train(const Table& table,
 
   std::vector<size_t> idx(rows.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::unique_ptr<CartNode> root = Grow(ctx, rows, idx, 0);
+  size_t majority = 0;
+  std::unique_ptr<CartNode> root = Grow(ctx, rows, idx, 0, &majority);
 
   std::vector<std::string> names;
   names.reserve(table.num_columns());
   for (const auto& f : table.schema().fields()) names.push_back(f.name);
-  return CartModel(std::move(root), std::move(names), ctx.num_classes);
-}
-
-int CartModel::Predict(const Table& table, size_t row) const {
-  const CartNode* node = root_.get();
-  while (!node->is_leaf) {
-    const Column& col = *table.column(node->column);
-    node = RowGoesLeft(*node, col, static_cast<uint32_t>(row))
-               ? node->left.get()
-               : node->right.get();
-  }
-  return node->label;
-}
-
-double CartModel::Fidelity(const Table& table,
-                           const std::vector<uint32_t>& rows,
-                           const std::vector<int>& labels) const {
-  assert(rows.size() == labels.size());
-  if (rows.empty()) return 0.0;
-  size_t hits = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (Predict(table, rows[i]) == labels[i]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(rows.size());
+  return CartModel(
+      std::move(root), std::move(names), ctx.num_classes,
+      static_cast<double>(majority) / static_cast<double>(rows.size()));
 }
 
 namespace {

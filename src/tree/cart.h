@@ -62,14 +62,10 @@ class CartModel {
                                  const CartOptions& options = {},
                                  size_t num_threads = 0);
 
-  /// Predicted class of one row of a table with the training schema.
-  int Predict(const monet::Table& table, size_t row) const;
-
-  /// Fraction of `rows` whose prediction matches `labels` — the fidelity of
-  /// the tree description to the clustering it approximates (experiment C5).
-  double Fidelity(const monet::Table& table,
-                  const std::vector<uint32_t>& rows,
-                  const std::vector<int>& labels) const;
+  /// Fraction of the training rows whose leaf's class is their label — the
+  /// fidelity of the tree description to the clustering it approximates
+  /// (experiment C5): each leaf's majority-class count, summed, over n.
+  double fidelity() const { return fidelity_; }
 
   const CartNode& root() const { return *root_; }
   size_t num_classes() const { return num_classes_; }
@@ -82,14 +78,16 @@ class CartModel {
 
  private:
   CartModel(std::unique_ptr<CartNode> root, std::vector<std::string> columns,
-            size_t num_classes)
+            size_t num_classes, double fidelity)
       : root_(std::move(root)),
         column_names_(std::move(columns)),
-        num_classes_(num_classes) {}
+        num_classes_(num_classes),
+        fidelity_(fidelity) {}
 
   std::unique_ptr<CartNode> root_;
   std::vector<std::string> column_names_;
   size_t num_classes_;
+  double fidelity_;
 };
 
 }  // namespace blaeu::tree

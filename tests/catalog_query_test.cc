@@ -18,22 +18,6 @@ TablePtr SmallTable() {
   return *b.Finish();
 }
 
-TEST(CatalogTest, RegisterGetDrop) {
-  Catalog cat;
-  ASSERT_TRUE(cat.Register("t", SmallTable()).ok());
-  EXPECT_TRUE(cat.Contains("t"));
-  EXPECT_EQ(cat.size(), 1u);
-  auto t = cat.Get("t");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ((*t)->num_rows(), 5u);
-  EXPECT_EQ(cat.Register("t", SmallTable()).code(),
-            StatusCode::kInvalidArgument);  // duplicate
-  ASSERT_TRUE(cat.Drop("t").ok());
-  EXPECT_FALSE(cat.Contains("t"));
-  EXPECT_EQ(cat.Drop("t").code(), StatusCode::kKeyError);
-  EXPECT_EQ(cat.Get("t").status().code(), StatusCode::kKeyError);
-}
-
 TEST(CatalogTest, RegisterOrReplaceOverwrites) {
   Catalog cat;
   cat.RegisterOrReplace("t", SmallTable());
@@ -46,11 +30,6 @@ TEST(CatalogTest, ListIsSorted) {
   cat.RegisterOrReplace("zeta", SmallTable());
   cat.RegisterOrReplace("alpha", SmallTable());
   EXPECT_EQ(cat.List(), (std::vector<std::string>{"alpha", "zeta"}));
-}
-
-TEST(CatalogTest, NullTableRejected) {
-  Catalog cat;
-  EXPECT_EQ(cat.Register("t", nullptr).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryTest, SqlRendering) {
@@ -69,7 +48,7 @@ TEST(QueryTest, SqlRendering) {
 
 TEST(QueryTest, ExecutesAgainstCatalog) {
   Catalog cat;
-  ASSERT_TRUE(cat.Register("t", SmallTable()).ok());
+  cat.RegisterOrReplace("t", SmallTable());
   SelectProjectQuery q;
   q.table_name = "t";
   q.columns = {"name"};
@@ -90,7 +69,7 @@ TEST(QueryTest, MissingTableFails) {
 
 TEST(QueryTest, MissingColumnFails) {
   Catalog cat;
-  ASSERT_TRUE(cat.Register("t", SmallTable()).ok());
+  cat.RegisterOrReplace("t", SmallTable());
   SelectProjectQuery q;
   q.table_name = "t";
   q.columns = {"nope"};

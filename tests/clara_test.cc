@@ -39,9 +39,7 @@ RowDistanceFn Euclid(const Matrix& data) {
 TEST(ClaraTest, RecoversPlantedClustersAtScale) {
   std::vector<int> truth;
   Matrix data = Blobs(4, 2500, 12.0, 1, &truth);  // 10k points
-  ClaraOptions opt;
-  opt.seed = 3;
-  auto result = *Clara(data.rows(), Euclid(data), 4, opt);
+  auto result = *Clara(data.rows(), Euclid(data), 4, 3);
   EXPECT_EQ(result.num_clusters(), 4u);
   EXPECT_GT(stats::AdjustedRandIndex(result.labels, truth), 0.97);
 }
@@ -51,9 +49,7 @@ TEST(ClaraTest, CostCloseToExactPamOnModerateInput) {
   Matrix data = Blobs(3, 80, 8.0, 2, &truth);  // 240 points: PAM feasible
   stats::DistanceMatrix dist = stats::DistanceMatrix::Euclidean(data);
   auto exact = *Pam(dist, 3);
-  ClaraOptions opt;
-  opt.num_samples = 5;
-  auto approx = *Clara(data.rows(), Euclid(data), 3, opt);
+  auto approx = *Clara(data.rows(), Euclid(data), 3, 42);
   EXPECT_LE(approx.total_cost, exact.total_cost * 1.10);  // within 10%
 }
 
@@ -61,7 +57,7 @@ TEST(ClaraTest, EveryPointAssignedToNearestMedoid) {
   std::vector<int> truth;
   Matrix data = Blobs(2, 500, 9.0, 4, &truth);
   auto dist_fn = Euclid(data);
-  auto result = *Clara(data.rows(), dist_fn, 2);
+  auto result = *Clara(data.rows(), dist_fn, 2, 42);
   for (size_t i = 0; i < data.rows(); i += 37) {
     double assigned = dist_fn(i, result.medoids[result.labels[i]]);
     for (size_t m : result.medoids) {
@@ -73,10 +69,8 @@ TEST(ClaraTest, EveryPointAssignedToNearestMedoid) {
 TEST(ClaraTest, DeterministicGivenSeed) {
   std::vector<int> truth;
   Matrix data = Blobs(3, 300, 7.0, 5, &truth);
-  ClaraOptions opt;
-  opt.seed = 77;
-  auto a = *Clara(data.rows(), Euclid(data), 3, opt);
-  auto b = *Clara(data.rows(), Euclid(data), 3, opt);
+  auto a = *Clara(data.rows(), Euclid(data), 3, 77);
+  auto b = *Clara(data.rows(), Euclid(data), 3, 77);
   EXPECT_EQ(a.labels, b.labels);
 }
 
@@ -84,29 +78,15 @@ TEST(ClaraTest, SampleSizeDefaultsToKaufmanRousseeuw) {
   // With n smaller than 40+2k CLARA degenerates into exact PAM: still valid.
   std::vector<int> truth;
   Matrix data = Blobs(2, 15, 10.0, 6, &truth);
-  auto result = *Clara(data.rows(), Euclid(data), 2);
+  auto result = *Clara(data.rows(), Euclid(data), 2, 42);
   EXPECT_GT(stats::AdjustedRandIndex(result.labels, truth), 0.95);
 }
 
 TEST(ClaraTest, InvalidKRejected) {
   std::vector<int> truth;
   Matrix data = Blobs(1, 5, 1.0, 7, &truth);
-  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 0).ok());
-  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 6).ok());
-}
-
-TEST(ClaraTest, MoreSamplesNeverHurtCostMuch) {
-  std::vector<int> truth;
-  Matrix data = Blobs(3, 400, 6.0, 8, &truth);
-  ClaraOptions one;
-  one.num_samples = 1;
-  one.seed = 9;
-  ClaraOptions five;
-  five.num_samples = 5;
-  five.seed = 9;
-  auto r1 = *Clara(data.rows(), Euclid(data), 3, one);
-  auto r5 = *Clara(data.rows(), Euclid(data), 3, five);
-  EXPECT_LE(r5.total_cost, r1.total_cost + 1e-9);
+  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 0, 42).ok());
+  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 6, 42).ok());
 }
 
 }  // namespace

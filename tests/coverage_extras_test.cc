@@ -1,43 +1,15 @@
 // Cross-cutting coverage: option combinations the per-module suites don't
-// reach (CLARA with explicit sample sizes, fixed k in maps, the columns
-// map splits name, small-sample sessions).
+// reach (fixed k in maps, the columns map splits name, small-sample
+// sessions).
 #include <gtest/gtest.h>
 
-#include "cluster/clara.h"
 #include "core/map_builder.h"
 #include "core/navigation.h"
-#include "stats/distance.h"
-#include "stats/metrics.h"
 #include "workloads/gaussian.h"
 #include "workloads/hollywood.h"
 
 namespace blaeu {
 namespace {
-
-TEST(ClaraOptionsTest, ExplicitSampleSizeHonored) {
-  workloads::MixtureSpec spec;
-  spec.rows = 2000;
-  spec.num_clusters = 3;
-  spec.dims = 3;
-  auto data = workloads::MakeGaussianMixture(spec);
-  stats::Matrix features(2000, 3);
-  for (size_t r = 0; r < 2000; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      features.At(r, c) = data.table->column(c)->doubles()[r];
-    }
-  }
-  auto dist_fn = [&](size_t i, size_t j) {
-    return stats::EuclideanDistance(features.RowPtr(i), features.RowPtr(j),
-                                    3);
-  };
-  cluster::ClaraOptions opt;
-  opt.sample_size = 200;  // much larger than the 40+2k default
-  opt.num_samples = 2;
-  auto result = *cluster::Clara(2000, dist_fn, 3, opt);
-  EXPECT_GT(
-      stats::AdjustedRandIndex(result.labels, data.truth.row_clusters),
-      0.95);
-}
 
 TEST(MapOptionsTest, FixedKOverridesSweep) {
   workloads::MixtureSpec spec;

@@ -101,23 +101,17 @@ TEST(DictionaryColumnTest, CsvLoadInternsStrings) {
 }
 
 TEST(DictionaryColumnTest, PredicateOnAbsentLiteral) {
-  // A literal that was never interned must behave like plain comparison:
-  // Eq matches nothing, Ne matches every non-null, IN skips it.
+  // A set member that was never interned matches no cell: IN skips it, and
+  // NOT IN keeps every non-null cell.
   TableBuilder b(Schema({{"s", DataType::kString}}));
   ASSERT_TRUE(b.AppendRow({Value::Str("a")}).ok());
   ASSERT_TRUE(b.AppendRow({Value::Null()}).ok());
   ASSERT_TRUE(b.AppendRow({Value::Str("b")}).ok());
   TablePtr t = *b.Finish();
-  auto eq = Conjunction({Condition::Compare("s", CompareOp::kEq,
-                                            Value::Str("missing"))})
-                .Evaluate(*t);
-  ASSERT_TRUE(eq.ok());
-  EXPECT_TRUE(eq->rows().empty());
-  auto ne = Conjunction({Condition::Compare("s", CompareOp::kNe,
-                                            Value::Str("missing"))})
-                .Evaluate(*t);
-  ASSERT_TRUE(ne.ok());
-  EXPECT_EQ(ne->rows(), (std::vector<uint32_t>{0, 2}));
+  auto not_in = Conjunction({Condition::InSet("s", {"missing"}, true)})
+                    .Evaluate(*t);
+  ASSERT_TRUE(not_in.ok());
+  EXPECT_EQ(not_in->rows(), (std::vector<uint32_t>{0, 2}));
   auto in = Conjunction({Condition::InSet("s", {"missing", "b"})}).Evaluate(*t);
   ASSERT_TRUE(in.ok());
   EXPECT_EQ(in->rows(), (std::vector<uint32_t>{2}));

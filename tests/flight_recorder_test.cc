@@ -70,17 +70,6 @@ TEST(FlightRecorderTest, TailTruncatesToNewest) {
   EXPECT_EQ(rec.Tail(100).size(), 6u);
 }
 
-TEST(FlightRecorderTest, DisabledRecordsNothing) {
-  FlightRecorder rec(8);
-  rec.set_enabled(false);
-  rec.Record(FlightEventKind::kNote, "ignored");
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  rec.set_enabled(true);
-  rec.Record(FlightEventKind::kNote, "kept");
-  EXPECT_EQ(rec.size(), 1u);
-}
-
 TEST(FlightRecorderTest, ClearKeepsCounters) {
   FlightRecorder rec(4);
   for (int i = 0; i < 6; ++i) rec.Record(FlightEventKind::kNote, "e");

@@ -144,18 +144,10 @@ TEST(SessionTest, QueryRoundTripsThroughCatalog) {
   spec.dims = 4;
   spec.with_categorical = true;
   auto data = workloads::MakeGaussianMixture(spec);  // same seed: same table
-  ASSERT_TRUE(catalog.Register("mixture", data.table).ok());
+  catalog.RegisterOrReplace("mixture", data.table);
   auto result = *s.CurrentQuery().Execute(catalog);
   EXPECT_EQ(result->num_rows(), s.current().selection.size());
   EXPECT_EQ(result->num_columns(), s.current().columns.size());
-}
-
-TEST(SessionTest, RegionQueryAddsRegionPredicate) {
-  Session s = StartMixtureSession();
-  std::vector<int> leaves = s.current().map.LeafIds();
-  auto q = *s.RegionQuery(leaves[0]);
-  EXPECT_FALSE(q.where.empty());
-  EXPECT_FALSE(s.RegionQuery(9999).ok());
 }
 
 TEST(SessionTest, InspectReturnsRegionTuples) {

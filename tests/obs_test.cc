@@ -253,26 +253,6 @@ TEST(TracerTest, ClearDiscardsSpans) {
   EXPECT_TRUE(tracer.Finished().empty());
 }
 
-TEST(TracerTest, ToJsonNestsChildren) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    Span root(&tracer, "outer");
-    root.SetAttr("k", 4);
-    Span child(&tracer, "inner");
-  }
-  std::string json = tracer.ToJson();
-  // Child objects appear inside the parent's "children" array.
-  size_t outer = json.find("\"name\":\"outer\"");
-  size_t children = json.find("\"children\":[", outer);
-  size_t inner = json.find("\"name\":\"inner\"", children);
-  ASSERT_NE(outer, std::string::npos) << json;
-  ASSERT_NE(children, std::string::npos) << json;
-  ASSERT_NE(inner, std::string::npos) << json;
-  EXPECT_NE(json.find("\"attrs\":{\"k\":\"4\"}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"duration_us\":"), std::string::npos) << json;
-}
-
 TEST(TracerTest, ToChromeTraceShape) {
   Tracer tracer;
   tracer.set_enabled(true);

@@ -74,7 +74,7 @@ ClusteringResult NaivePam(const DistanceMatrix& dist, size_t k) {
   // SWAP: apply the best strictly improving exchange until none is left.
   std::vector<double> second(n);
   std::vector<size_t> nearest_idx(n);
-  for (size_t iter = 0; iter < PamOptions().max_swap_iterations; ++iter) {
+  for (size_t iter = 0; iter < 50; ++iter) {  // Pam's cap on SWAP passes
     for (size_t i = 0; i < n; ++i) {
       nearest[i] = second[i] = kInf;
       for (size_t m = 0; m < k; ++m) {
@@ -293,21 +293,18 @@ TEST(PamTest, MedoidSilhouetteByHand) {
       // k = 1: no second medoid, so every point scores 0.
       {"k = 1", {0, 1, 3}, {1}, 0.0},
   };
-  PamOptions no_swaps;
-  no_swaps.max_swap_iterations = 0;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const DistanceMatrix dist = OnALine(c.xs);
-    const ClusteringResult from_fn =
+    const ClusteringResult assigned =
         AssignToMedoids(c.xs.size(), c.medoids,
                         [&](size_t i, size_t j) { return dist.At(i, j); });
-    EXPECT_DOUBLE_EQ(from_fn.medoid_silhouette, c.want);
-    // Without a SWAP pass, PamSwap returns its assignment over the matrix.
-    ExpectSameClustering(PamSwap(dist, c.medoids, no_swaps), from_fn);
+    EXPECT_DOUBLE_EQ(assigned.medoid_silhouette, c.want);
+    if (c.medoids.size() == 2) {
+      // The tied point goes to the first medoid.
+      EXPECT_EQ(assigned.labels, (std::vector<int>{0, 0, 0, 1, 1}));
+    }
   }
-  // The tied point goes to the first medoid.
-  EXPECT_EQ(PamSwap(OnALine(cases[0].xs), cases[0].medoids, no_swaps).labels,
-            (std::vector<int>{0, 0, 0, 1, 1}));
 }
 
 TEST(ClusterSizesTest, CountsPerLabel) {

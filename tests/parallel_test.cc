@@ -210,34 +210,5 @@ TEST(ParallelForTest, ActuallyUsesHelperThreads) {
   EXPECT_GT(ids.size(), 1u);
 }
 
-TEST(ParallelMapReduceTest, SumsBitIdenticallyAtAnyThreadCount) {
-  // Awkward magnitudes make float addition order-sensitive; the fixed
-  // chunking + fixed fold order must still give the exact same bits.
-  constexpr size_t kN = 10000;
-  auto sum_at = [](size_t threads) {
-    return ParallelMapReduce<double>(
-        0, kN, 13, 0.0,
-        [](size_t lo, size_t hi) {
-          double s = 0.0;
-          for (size_t i = lo; i < hi; ++i) {
-            s += 1.0 / (1.0 + static_cast<double>(i)) * 1e-7 +
-                 static_cast<double>(i % 97) * 1e3;
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; }, threads);
-  };
-  const double serial = sum_at(1);
-  EXPECT_EQ(serial, sum_at(2));
-  EXPECT_EQ(serial, sum_at(8));
-}
-
-TEST(ParallelMapReduceTest, EmptyRangeReturnsInit) {
-  const int result = ParallelMapReduce<int>(
-      4, 4, 2, 42, [](size_t, size_t) { return 1; },
-      [](int a, int b) { return a + b; }, 8);
-  EXPECT_EQ(result, 42);
-}
-
 }  // namespace
 }  // namespace blaeu

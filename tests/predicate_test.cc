@@ -52,23 +52,20 @@ TEST(ConditionTest, NullsFailComparisons) {
   EXPECT_FALSE(Keeps(*t, c, 3));  // NULL row
 }
 
-TEST(ConditionTest, NullTests) {
+// Maps compare numeric columns and test sets of strings or bools; any other
+// shape keeps no row, even one its SQL would keep.
+TEST(ConditionTest, ShapesNoMapBuildsKeepNoRow) {
   auto t = TestTable();
-  EXPECT_TRUE(Keeps(*t, Condition::IsNull("x"), 3));
-  EXPECT_FALSE(Keeps(*t, Condition::IsNull("x"), 0));
-  EXPECT_TRUE(Keeps(*t, Condition::NotNull("x"), 0));
-}
-
-TEST(ConditionTest, StringEqualityAndOrdering) {
-  auto t = TestTable();
-  Condition eq = Condition::Compare("genre", CompareOp::kEq,
-                                    Value::Str("Drama"));
-  EXPECT_TRUE(Keeps(*t, eq, 0));
-  EXPECT_FALSE(Keeps(*t, eq, 1));
-  // Cross-type comparison fails closed.
-  Condition cross = Condition::Compare("genre", CompareOp::kEq,
-                                       Value::Double(1.0));
-  EXPECT_FALSE(Keeps(*t, cross, 0));
+  EXPECT_FALSE(Keeps(
+      *t, Condition::Compare("genre", CompareOp::kEq, Value::Str("Drama")),
+      0));
+  EXPECT_FALSE(Keeps(
+      *t, Condition::Compare("genre", CompareOp::kEq, Value::Double(1.0)),
+      0));
+  EXPECT_FALSE(Keeps(
+      *t, Condition::Compare("x", CompareOp::kNe, Value::Str("Drama")), 0));
+  EXPECT_FALSE(Keeps(*t, Condition::InSet("n", {"10"}), 0));
+  EXPECT_FALSE(Keeps(*t, Condition::InSet("x", {"1"}), 0));
 }
 
 TEST(ConditionTest, InSetAndNegation) {
@@ -87,20 +84,17 @@ TEST(ConditionTest, SqlRendering) {
   EXPECT_EQ(
       Condition::Compare("x", CompareOp::kGe, Value::Double(22)).ToSql(),
       "\"x\" >= 22");
-  EXPECT_EQ(Condition::Compare("g", CompareOp::kEq, Value::Str("a")).ToSql(),
-            "\"g\" = 'a'");
   EXPECT_EQ(Condition::InSet("g", {"a", "b"}).ToSql(),
             "\"g\" IN ('a', 'b')");
   EXPECT_EQ(Condition::InSet("g", {"a"}, true).ToSql(),
             "\"g\" NOT IN ('a')");
-  EXPECT_EQ(Condition::IsNull("g").ToSql(), "\"g\" IS NULL");
 }
 
 TEST(ConjunctionTest, EvaluateAll) {
   auto t = TestTable();
   Conjunction conj;
   conj.Add(Condition::Compare("x", CompareOp::kGt, Value::Double(1.5)));
-  conj.Add(Condition::Compare("genre", CompareOp::kEq, Value::Str("Drama")));
+  conj.Add(Condition::InSet("genre", {"Drama"}));
   auto sel = *conj.Evaluate(*t);
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 2u);
@@ -133,10 +127,10 @@ TEST(ConjunctionTest, UnknownColumnIsKeyError) {
 TEST(ConjunctionTest, AndConcatenates) {
   Conjunction a, b;
   a.Add(Condition::Compare("x", CompareOp::kLt, Value::Double(1)));
-  b.Add(Condition::IsNull("g"));
+  b.Add(Condition::InSet("g", {"a"}));
   Conjunction c = a.And(b);
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.ToSql(), "\"x\" < 1 AND \"g\" IS NULL");
+  EXPECT_EQ(c.ToSql(), "\"x\" < 1 AND \"g\" IN ('a')");
 }
 
 TEST(CompareOpTest, Symbols) {
@@ -147,8 +141,7 @@ TEST(CompareOpTest, Symbols) {
 // ---------------------------------------------------------------------------
 // The kernels against the per-row oracle.
 
-template <typename T>
-bool OracleCompare(const T& lhs, CompareOp op, const T& rhs) {
+bool OracleCompare(double lhs, CompareOp op, double rhs) {
   switch (op) {
     case CompareOp::kLt:
       return lhs < rhs;
@@ -168,31 +161,24 @@ bool OracleCompare(const T& lhs, CompareOp op, const T& rhs) {
 
 // The per-row matcher the kernels replaced: true if `row` of `col`
 // satisfies `c`. A set member matches the cells it spells as ToString does.
+// A comparison applies to double and int64 columns and a set to string and
+// bool columns; any other shape matches no row.
 bool OracleMatches(const Condition& c, const Column& col, uint32_t row) {
-  const bool is_null = col.IsNull(row);
-  switch (c.kind) {
-    case Condition::Kind::kIsNull:
-      return is_null;
-    case Condition::Kind::kNotNull:
-      return !is_null;
-    case Condition::Kind::kCompare: {
-      if (is_null || c.value.is_null()) return false;
-      const bool string_col = col.type() == DataType::kString;
-      if (string_col != (c.value.type() == DataType::kString)) return false;
-      if (string_col) {
-        return OracleCompare(col.StringAt(row), c.op, c.value.AsString());
-      }
-      return OracleCompare(col.GetNumeric(row), c.op, c.value.AsDouble());
+  if (col.IsNull(row)) return false;
+  const bool numeric_col =
+      col.type() == DataType::kDouble || col.type() == DataType::kInt64;
+  if (c.kind == Condition::Kind::kCompare) {
+    if (!numeric_col || c.value.is_null() ||
+        c.value.type() == DataType::kString) {
+      return false;
     }
-    case Condition::Kind::kInSet: {
-      if (is_null) return false;
-      const std::string cell = col.GetValue(row).ToString();
-      const bool found =
-          std::find(c.set.begin(), c.set.end(), cell) != c.set.end();
-      return found != c.negated;
-    }
+    return OracleCompare(col.GetNumeric(row), c.op, c.value.AsDouble());
   }
-  return false;
+  if (numeric_col) return false;
+  const std::string cell = col.GetValue(row).ToString();
+  const bool found =
+      std::find(c.set.begin(), c.set.end(), cell) != c.set.end();
+  return found != c.negated;
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -231,10 +217,9 @@ TablePtr RandomTable(size_t rows, uint64_t seed) {
   return *b.Finish();
 }
 
-// Every condition shape on every column: each CompareOp against double,
-// int, bool, string and NULL literals; IN and NOT IN with empty, absent,
-// duplicate and non-canonical members; IS NULL and IS NOT NULL. "absent"
-// is in no dictionary.
+// Every condition on every column: each CompareOp against double, int,
+// bool, string and NULL literals; IN and NOT IN with empty, absent,
+// duplicate and non-canonical members. "absent" is in no dictionary.
 std::vector<Condition> ConditionPool() {
   const std::vector<Value> literals = {
       Value::Double(0.5),      Value::Double(-0.0),
@@ -274,8 +259,6 @@ std::vector<Condition> ConditionPool() {
       pool.push_back(Condition::InSet(column, set, /*negated=*/false));
       pool.push_back(Condition::InSet(column, set, /*negated=*/true));
     }
-    pool.push_back(Condition::IsNull(column));
-    pool.push_back(Condition::NotNull(column));
   }
   return pool;
 }

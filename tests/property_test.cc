@@ -138,7 +138,7 @@ TEST_P(ClaraPropertyTest, RecoversWellSeparatedMixtures) {
     return stats::EuclideanDistance(features.RowPtr(i), features.RowPtr(j),
                                     4);
   };
-  auto result = *cluster::Clara(1500, dist_fn, 3);
+  auto result = *cluster::Clara(1500, dist_fn, 3, 42);
   double ari =
       stats::AdjustedRandIndex(result.labels, data.truth.row_clusters);
   EXPECT_GT(ari, 0.9) << "separation " << separation;

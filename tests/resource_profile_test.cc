@@ -194,23 +194,6 @@ TEST(ResourceProfileTest, ScratchPeakIsFeaturesPlusCountedRowIds) {
   EXPECT_EQ(tiny->resources.peak_scratch_bytes, 3 * 4 * 8);
 }
 
-TEST(ScratchCounterTest, TracksPeakNotCurrent) {
-  obs::ScratchCounter counter;
-  counter.Charge(100);
-  {
-    obs::ScratchCharge charge(&counter, 400);
-    EXPECT_EQ(counter.current(), 500);
-    EXPECT_EQ(counter.peak(), 500);
-  }
-  EXPECT_EQ(counter.current(), 100);
-  EXPECT_EQ(counter.peak(), 500);
-  counter.Release(100);
-  EXPECT_EQ(counter.current(), 0);
-  EXPECT_EQ(counter.peak(), 500);
-  // Null counter: the RAII charge is a no-op, not a crash.
-  obs::ScratchCharge noop(nullptr, 1000);
-}
-
 // Flight recorder integration: a session's builds and navigation leave a
 // readable trail in an injected recorder.
 TEST(ResourceProfileTest, SessionLeavesFlightTrail) {

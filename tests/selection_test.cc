@@ -19,24 +19,9 @@ TEST(SelectionTest, Intersect) {
   EXPECT_EQ(a.Intersect(SelectionVector()).size(), 0u);
 }
 
-TEST(SelectionTest, Union) {
-  SelectionVector a({0, 2});
-  SelectionVector b({1, 2, 5});
-  EXPECT_EQ(a.Union(b).rows(), (std::vector<uint32_t>{0, 1, 2, 5}));
-}
-
-TEST(SelectionTest, Difference) {
-  SelectionVector a({0, 1, 2, 3});
-  SelectionVector b({1, 3});
-  EXPECT_EQ(a.Difference(b).rows(), (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(b.Difference(a).size(), 0u);
-}
-
 TEST(SelectionTest, SetAlgebraIdentities) {
   SelectionVector a({1, 4, 9});
   EXPECT_EQ(a.Intersect(a), a);
-  EXPECT_EQ(a.Union(a), a);
-  EXPECT_EQ(a.Difference(a).size(), 0u);
 }
 
 }  // namespace

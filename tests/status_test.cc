@@ -19,7 +19,6 @@ TEST(StatusTest, FactoriesSetCodeAndMessage) {
   EXPECT_EQ(Status::TypeError("x").code(), StatusCode::kTypeError);
   EXPECT_EQ(Status::IndexError("x").code(), StatusCode::kIndexError);
   EXPECT_EQ(Status::IOError("x").code(), StatusCode::kIOError);
-  EXPECT_EQ(Status::NotImplemented("x").code(), StatusCode::kNotImplemented);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   Status s = Status::Invalid("bad input");
   EXPECT_FALSE(s.ok());
