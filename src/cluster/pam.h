@@ -38,13 +38,12 @@ std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
 ///
 /// Repeatedly applies the single best (medoid, candidate) exchange until
 /// none lowers the objective, for at most 50 passes, using the FastPAM1
-/// delta computation
-/// (Schubert & Rousseeuw 2019): each candidate's swap deltas for all k
-/// medoids come from one shared gain plus one correction per medoid, so a
-/// SWAP pass costs O(n^2) instead of O(k n^2) while choosing exactly the
-/// same swaps. A pass reads the triangle once, like a BUILD step, with
-/// the same ascending point order per candidate sum; the accumulators
-/// hold n × (k+1) doubles.
+/// delta computation (Schubert & Rousseeuw 2019): each candidate's swap
+/// deltas for all k medoids come from one shared gain plus one correction
+/// per medoid, so a SWAP pass costs O(n^2) instead of O(k n^2) while
+/// choosing exactly the same swaps. A pass reads the triangle once, like a
+/// BUILD step, with the same ascending point order per candidate sum; the
+/// accumulators hold n × (k+1) doubles.
 ClusteringResult PamSwap(const stats::DistanceMatrix& dist,
                          std::vector<size_t> medoids);
 

@@ -296,14 +296,18 @@ TEST(PamTest, MedoidSilhouetteByHand) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const DistanceMatrix dist = OnALine(c.xs);
+    auto at = [&](size_t i, size_t j) { return dist.At(i, j); };
     const ClusteringResult assigned =
-        AssignToMedoids(c.xs.size(), c.medoids,
-                        [&](size_t i, size_t j) { return dist.At(i, j); });
+        AssignToMedoids(c.xs.size(), c.medoids, at);
     EXPECT_DOUBLE_EQ(assigned.medoid_silhouette, c.want);
     if (c.medoids.size() == 2) {
       // The tied point goes to the first medoid.
       EXPECT_EQ(assigned.labels, (std::vector<int>{0, 0, 0, 1, 1}));
     }
+    // PamSwap returns the assignment of its final medoids over its matrix.
+    const ClusteringResult swapped = PamSwap(dist, c.medoids);
+    ExpectSameClustering(swapped,
+                         AssignToMedoids(c.xs.size(), swapped.medoids, at));
   }
 }
 
