@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "common/parallel.h"
 
@@ -22,14 +21,20 @@ constexpr size_t kParallelSplitMinRows = 256;
 /// A split must reduce weighted impurity by more than this.
 constexpr double kMinImpurityDecrease = 1e-7;
 
-/// Gini impurity of a class histogram.
-double Impurity(const std::vector<size_t>& counts, size_t total) {
-  if (total == 0) return 0.0;
-  const double dt = static_cast<double>(total);
+/// A string or bool column with more categories than this at a node does
+/// not split it.
+constexpr size_t kMaxCategories = 64;
+
+/// Gini impurity of `n` rows, `count(c)` of them in class c.
+template <typename Count>
+double Gini(size_t n, size_t num_classes, Count count) {
+  if (n == 0) return 0.0;
+  const double dn = static_cast<double>(n);
   double v = 1.0;
-  for (size_t c : counts) {
-    if (c == 0) continue;
-    double p = static_cast<double>(c) / dt;
+  for (size_t c = 0; c < num_classes; ++c) {
+    const size_t k = count(c);
+    if (k == 0) continue;
+    const double p = static_cast<double>(k) / dn;
     v -= p * p;
   }
   return v;
@@ -41,43 +46,91 @@ struct SplitSpec {
   bool categorical = false;
   double threshold = 0.0;
   std::vector<std::string> categories;
+  std::vector<int32_t> codes;  ///< the category codes of `categories`
   bool null_goes_left = false;
   double impurity_decrease = 0.0;
 };
 
 struct TrainContext {
   const Table* table;
-  const std::vector<int>* labels;  // parallel to the *original* rows vector
+  const std::vector<uint32_t>* rows;  // the training rows
+  const std::vector<int>* labels;     // parallel to rows
   size_t num_classes;
   CartOptions options;
   size_t num_threads = 0;
 };
 
-/// Class histogram of a row subset. `idx` indexes into ctx.labels.
-std::vector<size_t> CountClasses(const TrainContext& ctx,
-                                 const std::vector<size_t>& idx) {
-  std::vector<size_t> counts(ctx.num_classes, 0);
-  for (size_t i : idx) ++counts[(*ctx.labels)[i]];
-  return counts;
+/// The node being split, as all its candidate splits see it: its rows (as
+/// positions into ctx.rows), their class counts and their Gini impurity.
+struct Node {
+  const std::vector<size_t>& idx;
+  const std::vector<size_t>& counts;
+  double impurity;
+};
+
+/// One column's NULL rows at a node, by class.
+struct Nulls {
+  explicit Nulls(size_t num_classes) : counts(num_classes, 0) {}
+  void Add(int label) {
+    ++counts[label];
+    ++n;
+  }
+  std::vector<size_t> counts;
+  size_t n = 0;
+};
+
+struct Score {
+  double decrease;  ///< -1 when a side is below min_samples_leaf
+  bool null_left;
+};
+
+/// Scores the split of `node` that sends left the `left_n` non-NULL rows
+/// whose classes `left` counts, and right the column's other non-NULL rows.
+/// The column's NULL rows join the larger side (the left on a tie).
+///
+/// A left side counts its NULLs in its classes, but a right side counts
+/// them only in its size: its classes are total - left - NULLs. So NULLs
+/// sent right read as a class of their own, and such a split scores worse
+/// than it is. That arithmetic is kept because the maps depend on it.
+Score ScoreSplit(const TrainContext& ctx, const Node& node,
+                 const Nulls& nulls, const std::vector<size_t>& left,
+                 size_t left_n) {
+  const size_t total = node.idx.size();
+  size_t right_n = total - nulls.n - left_n;
+  const bool null_left = left_n >= right_n;
+  (null_left ? left_n : right_n) += nulls.n;
+  if (left_n < ctx.options.min_samples_leaf ||
+      right_n < ctx.options.min_samples_leaf) {
+    return {-1.0, null_left};
+  }
+  const size_t k = ctx.num_classes;
+  const double wl = static_cast<double>(left_n) / static_cast<double>(total);
+  const double wr = static_cast<double>(right_n) / static_cast<double>(total);
+  const double child =
+      wl * Gini(left_n, k,
+                [&](size_t c) {
+                  return left[c] + (null_left ? nulls.counts[c] : 0);
+                }) +
+      wr * Gini(right_n, k, [&](size_t c) {
+        return node.counts[c] - left[c] - nulls.counts[c];
+      });
+  return {node.impurity - child, null_left};
 }
 
-/// Best numeric split of `col` over the subset.
-void BestNumericSplit(const TrainContext& ctx,
-                      const std::vector<uint32_t>& rows,
-                      const std::vector<size_t>& idx, size_t col_idx,
-                      double parent_impurity, SplitSpec* best) {
+/// Best numeric split of `col` at `node`: a threshold midway between two
+/// consecutive distinct values, thinned to options.max_thresholds
+/// quantiles.
+void BestNumericSplit(const TrainContext& ctx, const Node& node,
+                      size_t col_idx, SplitSpec* best) {
   const Column& col = *ctx.table->column(col_idx);
-  // Collect (value, label) pairs; count nulls per class.
-  std::vector<std::pair<double, int>> pairs;
-  pairs.reserve(idx.size());
-  std::vector<size_t> null_counts(ctx.num_classes, 0);
-  size_t nulls = 0;
-  for (size_t i : idx) {
-    uint32_t r = rows[i];
-    int label = (*ctx.labels)[i];
+  std::vector<std::pair<double, int>> pairs;  // (value, label), non-NULL
+  pairs.reserve(node.idx.size());
+  Nulls nulls(ctx.num_classes);
+  for (size_t i : node.idx) {
+    const uint32_t r = (*ctx.rows)[i];
+    const int label = (*ctx.labels)[i];
     if (col.IsNull(r)) {
-      ++null_counts[label];
-      ++nulls;
+      nulls.Add(label);
     } else {
       pairs.emplace_back(col.GetNumeric(r), label);
     }
@@ -86,224 +139,145 @@ void BestNumericSplit(const TrainContext& ctx,
   std::sort(pairs.begin(), pairs.end());
   if (pairs.front().first == pairs.back().first) return;  // constant
 
-  const size_t total = idx.size();
-  // Candidate thresholds: midpoints between distinct consecutive values,
-  // optionally thinned to quantiles.
   std::vector<size_t> boundaries;  // index i: split between i-1 and i
   for (size_t i = 1; i < pairs.size(); ++i) {
     if (pairs[i].first != pairs[i - 1].first) boundaries.push_back(i);
   }
-  if (ctx.options.max_thresholds > 0 &&
-      boundaries.size() > ctx.options.max_thresholds) {
+  const size_t cap = ctx.options.max_thresholds;
+  if (cap > 0 && boundaries.size() > cap) {
     std::vector<size_t> thinned;
-    for (size_t t = 0; t < ctx.options.max_thresholds; ++t) {
-      size_t pick = (t * boundaries.size()) / ctx.options.max_thresholds;
-      thinned.push_back(boundaries[pick]);
+    for (size_t t = 0; t < cap; ++t) {
+      thinned.push_back(boundaries[(t * boundaries.size()) / cap]);
     }
     thinned.erase(std::unique(thinned.begin(), thinned.end()), thinned.end());
     boundaries = std::move(thinned);
   }
 
-  // Prefix class counts for O(1) impurity at each boundary.
-  std::vector<size_t> total_counts = CountClasses(ctx, idx);
-  std::vector<size_t> left_counts(ctx.num_classes, 0);
-  size_t next_boundary = 0;
-  for (size_t i = 0; i < pairs.size() && next_boundary < boundaries.size();
-       ++i) {
-    if (i == boundaries[next_boundary]) {
-      // Evaluate split "value <= midpoint" with left = pairs[0..i).
-      // Nulls join the larger side.
-      size_t left_n = i;
-      size_t right_n = pairs.size() - i;
-      bool null_left = left_n >= right_n;
-      std::vector<size_t> lc = left_counts;
-      std::vector<size_t> rc(ctx.num_classes);
-      for (size_t c = 0; c < ctx.num_classes; ++c) {
-        rc[c] = total_counts[c] - lc[c] - null_counts[c];
+  // Prefix class counts: at boundary i the left side is pairs[0, i).
+  std::vector<size_t> left(ctx.num_classes, 0);
+  size_t next = 0;
+  for (size_t i = 0; i < pairs.size() && next < boundaries.size(); ++i) {
+    if (i == boundaries[next]) {
+      const Score s = ScoreSplit(ctx, node, nulls, left, i);
+      if (s.decrease > best->impurity_decrease) {
+        best->found = true;
+        best->column = col_idx;
+        best->categorical = false;
+        best->threshold = (pairs[i - 1].first + pairs[i].first) / 2.0;
+        best->null_goes_left = s.null_left;
+        best->impurity_decrease = s.decrease;
       }
-      if (null_left) {
-        for (size_t c = 0; c < ctx.num_classes; ++c) lc[c] += null_counts[c];
-        left_n += nulls;
-      } else {
-        right_n += nulls;
-      }
-      if (left_n >= ctx.options.min_samples_leaf &&
-          right_n >= ctx.options.min_samples_leaf) {
-        double wl = static_cast<double>(left_n) / static_cast<double>(total);
-        double wr = static_cast<double>(right_n) / static_cast<double>(total);
-        double child = wl * Impurity(lc, left_n) + wr * Impurity(rc, right_n);
-        double decrease = parent_impurity - child;
-        if (decrease > best->impurity_decrease) {
-          best->found = true;
-          best->column = col_idx;
-          best->categorical = false;
-          best->threshold =
-              (pairs[i - 1].first + pairs[i].first) / 2.0;
-          best->null_goes_left = null_left;
-          best->impurity_decrease = decrease;
-        }
-      }
-      ++next_boundary;
+      ++next;
     }
-    ++left_counts[pairs[i].second];
+    ++left[pairs[i].second];
   }
 }
 
-/// Best categorical split of a string or bool column: greedy set growing
-/// over categories ordered by their class profile (start from the best
-/// single category, keep adding while impurity improves).
-void BestCategoricalSplit(const TrainContext& ctx,
-                          const std::vector<uint32_t>& rows,
-                          const std::vector<size_t>& idx, size_t col_idx,
-                          double parent_impurity, SplitSpec* best) {
+/// The category code of a string or bool cell: the dictionary code of a
+/// string, 0 or 1 for a bool, Dictionary::kNullCode for NULL.
+int32_t CategoryCode(const Column& col, uint32_t row) {
+  if (col.IsNull(row)) return monet::Dictionary::kNullCode;
+  return col.type() == DataType::kString ? col.codes()[row]
+                                         : (col.bools()[row] != 0 ? 1 : 0);
+}
+
+/// Best categorical split of a string or bool column at `node`: greedy set
+/// growing over the node's categories in string order, from the best
+/// single category, adding the best one while the decrease improves.
+void BestCategoricalSplit(const TrainContext& ctx, const Node& node,
+                          size_t col_idx, SplitSpec* best) {
   const Column& col = *ctx.table->column(col_idx);
-  std::unordered_map<std::string, std::vector<size_t>> per_category;
-  std::vector<size_t> null_counts(ctx.num_classes, 0);
-  size_t nulls = 0;
-  if (col.type() == DataType::kString) {
-    // Count class profiles per dictionary code; category strings are
-    // rendered once per distinct value when the map is assembled below.
-    const std::vector<int32_t>& cell_codes = col.codes();
-    std::unordered_map<int32_t, std::vector<size_t>> per_code;
-    for (size_t i : idx) {
-      const int32_t c = cell_codes[rows[i]];
-      if (c == monet::Dictionary::kNullCode) {
-        ++null_counts[(*ctx.labels)[i]];
-        ++nulls;
-        continue;
-      }
-      auto [it, _] = per_code.try_emplace(c);
-      it->second.resize(ctx.num_classes, 0);
-      ++it->second[(*ctx.labels)[i]];
+  const size_t k = ctx.num_classes;
+  std::vector<int32_t> codes;  // the node's categories, in order of first row
+  std::vector<size_t> counts;  // codes.size() x k class counts
+  Nulls nulls(k);
+  for (size_t i : node.idx) {
+    const int32_t code = CategoryCode(col, (*ctx.rows)[i]);
+    const int label = (*ctx.labels)[i];
+    if (code == monet::Dictionary::kNullCode) {
+      nulls.Add(label);
+      continue;
     }
-    const monet::Dictionary& dict = *col.dictionary();
-    for (auto& [code, counts] : per_code) {
-      per_category.emplace(dict.value(code), std::move(counts));
+    const size_t slot =
+        std::find(codes.begin(), codes.end(), code) - codes.begin();
+    if (slot == codes.size()) {
+      if (slot == kMaxCategories) return;
+      codes.push_back(code);
+      counts.resize(counts.size() + k, 0);
     }
-  } else {  // kBool
-    std::vector<size_t> counts[2];
-    for (size_t i : idx) {
-      uint32_t r = rows[i];
-      if (col.IsNull(r)) {
-        ++null_counts[(*ctx.labels)[i]];
-        ++nulls;
-        continue;
-      }
-      std::vector<size_t>& slot = counts[col.bools()[r] ? 1 : 0];
-      slot.resize(ctx.num_classes, 0);
-      ++slot[(*ctx.labels)[i]];
-    }
-    if (!counts[1].empty()) per_category.emplace("true", std::move(counts[1]));
-    if (!counts[0].empty()) per_category.emplace("false", std::move(counts[0]));
+    ++counts[slot * k + label];
   }
-  if (per_category.size() < 2 || per_category.size() > 64) return;
+  const size_t m = codes.size();
+  if (m < 2) return;
 
-  std::vector<size_t> total_counts = CountClasses(ctx, idx);
-  const size_t total = idx.size();
+  // Each category is rendered once, by reference.
+  static const std::string kBoolNames[2] = {"false", "true"};
+  std::vector<const std::string*> names(m);
+  for (size_t s = 0; s < m; ++s) {
+    names[s] = col.type() == DataType::kString
+                   ? &col.dictionary()->value(codes[s])
+                   : &kBoolNames[codes[s]];
+  }
+  auto by_name = [&](size_t a, size_t b) { return *names[a] < *names[b]; };
+  std::vector<size_t> remaining(m);
+  for (size_t s = 0; s < m; ++s) remaining[s] = s;
+  std::sort(remaining.begin(), remaining.end(), by_name);
 
-  // Evaluate a candidate left-set given its class counts.
-  auto evaluate = [&](const std::vector<size_t>& lc_base, size_t left_base) {
-    size_t left_n = left_base;
-    size_t right_n = total - nulls - left_base;
-    bool null_left = left_n >= right_n;
-    std::vector<size_t> lc = lc_base;
-    std::vector<size_t> rc(ctx.num_classes);
-    for (size_t c = 0; c < ctx.num_classes; ++c) {
-      rc[c] = total_counts[c] - lc[c] - null_counts[c];
-    }
-    if (null_left) {
-      for (size_t c = 0; c < ctx.num_classes; ++c) lc[c] += null_counts[c];
-      left_n += nulls;
-    } else {
-      right_n += nulls;
-    }
-    if (left_n < ctx.options.min_samples_leaf ||
-        right_n < ctx.options.min_samples_leaf) {
-      return std::make_pair(-1.0, false);
-    }
-    double wl = static_cast<double>(left_n) / static_cast<double>(total);
-    double wr = static_cast<double>(right_n) / static_cast<double>(total);
-    double child = wl * Impurity(lc, left_n) + wr * Impurity(rc, right_n);
-    return std::make_pair(parent_impurity - child, null_left);
-  };
-
-  // Greedy growth.
-  std::vector<std::string> remaining;
-  remaining.reserve(per_category.size());
-  for (const auto& [cat, _] : per_category) remaining.push_back(cat);
-  std::sort(remaining.begin(), remaining.end());  // determinism
-
-  std::vector<std::string> chosen;
-  std::vector<size_t> chosen_counts(ctx.num_classes, 0);
+  std::vector<size_t> chosen;
+  std::vector<size_t> chosen_counts(k, 0), left(k);
   size_t chosen_n = 0;
-  double chosen_decrease = 0.0;
-  bool chosen_null_left = false;
-
-  while (!remaining.empty() && chosen.size() + 1 < per_category.size()) {
-    double round_best = chosen_decrease;
-    size_t round_pick = remaining.size();
-    bool round_null_left = false;
+  Score chosen_score{0.0, false};
+  while (chosen.size() + 1 < m) {
+    Score round = chosen_score;
+    size_t pick = remaining.size();
     for (size_t r = 0; r < remaining.size(); ++r) {
-      const auto& counts = per_category[remaining[r]];
-      std::vector<size_t> lc = chosen_counts;
-      size_t ln = chosen_n;
-      for (size_t c = 0; c < ctx.num_classes; ++c) {
-        lc[c] += counts[c];
-        ln += counts[c];
+      const size_t* cat = &counts[remaining[r] * k];
+      size_t left_n = chosen_n;
+      for (size_t c = 0; c < k; ++c) {
+        left[c] = chosen_counts[c] + cat[c];
+        left_n += cat[c];
       }
-      auto [decrease, null_left] = evaluate(lc, ln);
-      if (decrease > round_best) {
-        round_best = decrease;
-        round_pick = r;
-        round_null_left = null_left;
+      const Score s = ScoreSplit(ctx, node, nulls, left, left_n);
+      if (s.decrease > round.decrease) {
+        round = s;
+        pick = r;
       }
     }
-    if (round_pick == remaining.size()) break;  // no improvement
-    const auto& counts = per_category[remaining[round_pick]];
-    for (size_t c = 0; c < ctx.num_classes; ++c) {
-      chosen_counts[c] += counts[c];
-      chosen_n += counts[c];
+    if (pick == remaining.size()) break;  // no improvement
+    const size_t* cat = &counts[remaining[pick] * k];
+    for (size_t c = 0; c < k; ++c) {
+      chosen_counts[c] += cat[c];
+      chosen_n += cat[c];
     }
-    chosen.push_back(remaining[round_pick]);
-    remaining.erase(remaining.begin() + round_pick);
-    chosen_decrease = round_best;
-    chosen_null_left = round_null_left;
+    chosen.push_back(remaining[pick]);
+    remaining.erase(remaining.begin() + pick);
+    chosen_score = round;
   }
 
-  if (!chosen.empty() && chosen_decrease > best->impurity_decrease) {
+  if (!chosen.empty() && chosen_score.decrease > best->impurity_decrease) {
     best->found = true;
     best->column = col_idx;
     best->categorical = true;
-    std::sort(chosen.begin(), chosen.end());
-    best->categories = std::move(chosen);
-    best->null_goes_left = chosen_null_left;
-    best->impurity_decrease = chosen_decrease;
+    std::sort(chosen.begin(), chosen.end(), by_name);
+    best->categories.clear();
+    best->codes.clear();
+    for (size_t s : chosen) {
+      best->categories.push_back(*names[s]);
+      best->codes.push_back(codes[s]);
+    }
+    best->null_goes_left = chosen_score.null_left;
+    best->impurity_decrease = chosen_score.decrease;
   }
-}
-
-bool RowGoesLeft(const CartNode& node, const Column& col, uint32_t row) {
-  if (col.IsNull(row)) return node.null_goes_left;
-  if (node.categorical_split) {
-    // Categorical splits only exist on string/bool columns; both sides of
-    // the comparison are referenced, not materialized.
-    static const std::string kTrue = "true", kFalse = "false";
-    const std::string& v = col.type() == DataType::kString
-                               ? col.StringAt(row)
-                               : (col.bools()[row] ? kTrue : kFalse);
-    return std::binary_search(node.categories.begin(), node.categories.end(),
-                              v);
-  }
-  return col.GetNumeric(row) <= node.threshold;
 }
 
 /// Grows the subtree of the rows `idx` and adds the majority-class count of
 /// each of its leaves to `*majority`.
 std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
-                               const std::vector<uint32_t>& rows,
                                const std::vector<size_t>& idx, size_t depth,
                                size_t* majority) {
   auto node = std::make_unique<CartNode>();
-  std::vector<size_t> counts = CountClasses(ctx, idx);
+  std::vector<size_t> counts(ctx.num_classes, 0);
+  for (size_t i : idx) ++counts[(*ctx.labels)[i]];
   node->count = idx.size();
   size_t best_count = 0;
   for (size_t c = 0; c < ctx.num_classes; ++c) {
@@ -312,13 +286,15 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
       node->label = static_cast<int>(c);
     }
   }
-  double parent_impurity = Impurity(counts, idx.size());
   bool pure = best_count == idx.size();
   if (depth >= ctx.options.max_depth || pure ||
       idx.size() < ctx.options.min_samples_split) {
     *majority += best_count;
     return node;
   }
+  const Node split_node{
+      idx, counts,
+      Gini(idx.size(), ctx.num_classes, [&](size_t c) { return counts[c]; })};
 
   // Search each column on its own, then merge in ascending column order
   // with a strict improvement test: the winner is the lowest column
@@ -332,10 +308,9 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
           specs[c].impurity_decrease = kMinImpurityDecrease;
           DataType type = ctx.table->schema().field(c).type;
           if (type == DataType::kString || type == DataType::kBool) {
-            BestCategoricalSplit(ctx, rows, idx, c, parent_impurity,
-                                 &specs[c]);
+            BestCategoricalSplit(ctx, split_node, c, &specs[c]);
           } else {
-            BestNumericSplit(ctx, rows, idx, c, parent_impurity, &specs[c]);
+            BestNumericSplit(ctx, split_node, c, &specs[c]);
           }
         }
       },
@@ -356,17 +331,19 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   node->column = best.column;
   node->categorical_split = best.categorical;
   node->threshold = best.threshold;
-  node->categories = best.categories;
+  node->categories = std::move(best.categories);
   node->null_goes_left = best.null_goes_left;
 
   const Column& col = *ctx.table->column(best.column);
+  auto goes_left = [&](uint32_t r) {
+    if (col.IsNull(r)) return best.null_goes_left;
+    if (!best.categorical) return col.GetNumeric(r) <= best.threshold;
+    return std::find(best.codes.begin(), best.codes.end(),
+                     CategoryCode(col, r)) != best.codes.end();
+  };
   std::vector<size_t> left_idx, right_idx;
   for (size_t i : idx) {
-    if (RowGoesLeft(*node, col, rows[i])) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
-    }
+    (goes_left((*ctx.rows)[i]) ? left_idx : right_idx).push_back(i);
   }
   // Guard against degenerate partitions (should not happen given the
   // min_samples_leaf checks, but a NULL-routing corner could).
@@ -375,8 +352,8 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
     *majority += best_count;
     return node;
   }
-  node->left = Grow(ctx, rows, left_idx, depth + 1, majority);
-  node->right = Grow(ctx, rows, right_idx, depth + 1, majority);
+  node->left = Grow(ctx, left_idx, depth + 1, majority);
+  node->right = Grow(ctx, right_idx, depth + 1, majority);
   return node;
 }
 
@@ -398,6 +375,7 @@ Result<CartModel> CartModel::Train(const Table& table,
   }
   TrainContext ctx;
   ctx.table = &table;
+  ctx.rows = &rows;
   ctx.labels = &labels;
   ctx.num_classes = static_cast<size_t>(max_label) + 1;
   ctx.options = options;
@@ -406,7 +384,7 @@ Result<CartModel> CartModel::Train(const Table& table,
   std::vector<size_t> idx(rows.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   size_t majority = 0;
-  std::unique_ptr<CartNode> root = Grow(ctx, rows, idx, 0, &majority);
+  std::unique_ptr<CartNode> root = Grow(ctx, idx, 0, &majority);
 
   std::vector<std::string> names;
   names.reserve(table.num_columns());
