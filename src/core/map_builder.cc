@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "monet/sampling.h"
 #include "stats/distance.h"
+#include "tree/cart.h"
 
 namespace blaeu::core {
 
@@ -18,6 +19,11 @@ using monet::Table;
 using monet::TablePtr;
 
 namespace {
+
+/// The description tree: depth 4 keeps a map readable, and each leaf holds
+/// at least 8 sampled rows.
+constexpr tree::CartOptions kTreeOptions{/*max_depth=*/4,
+                                         /*min_samples_leaf=*/8};
 
 /// The map's clustering (paper §3): a CLARA k sweep over k in
 /// [max(2, k_min), min(k_max, n - 1)], or over [fixed_k, fixed_k], with
@@ -233,7 +239,7 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     BLAEU_ASSIGN_OR_RETURN(
         tree::CartModel model,
         tree::CartModel::Train(*view, pre.rows, clustering.labels,
-                               options.tree, options.num_threads));
+                               kTreeOptions, options.num_threads));
     map.tree_fidelity = model.fidelity();
     span.SetAttr("fidelity", map.tree_fidelity);
     return model;

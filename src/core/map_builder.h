@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tree/cart.h"
 
 namespace blaeu::core {
 
@@ -34,7 +33,6 @@ struct MapOptions {
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).
   size_t fixed_k = 0;
-  tree::CartOptions tree;
   uint64_t seed = 42;
   /// Thread budget for the whole build: preprocessing, the k sweep, CART
   /// split search and region counting all draw from the process-wide pool
@@ -52,11 +50,6 @@ struct MapOptions {
   /// process-global recorder). Like the sinks above, never part of the
   /// cache key.
   obs::FlightRecorder* flight = nullptr;
-
-  MapOptions() {
-    tree.max_depth = 4;
-    tree.min_samples_leaf = 8;
-  }
 };
 
 /// Builds the data map of `sel` over the `columns` of `table` (the active

@@ -45,10 +45,6 @@ uint64_t FingerprintMapOptions(const MapOptions& o) {
   h = HashMix(h, o.k_min);
   h = HashMix(h, o.k_max);
   h = HashMix(h, o.fixed_k);
-  h = HashMix(h, o.tree.max_depth);
-  h = HashMix(h, o.tree.min_samples_leaf);
-  h = HashMix(h, o.tree.min_samples_split);
-  h = HashMix(h, o.tree.max_thresholds);
   return h;
 }
 

@@ -13,7 +13,7 @@
 //     two distinct tables sharing a name/version (standalone sessions);
 //   - selection_fp: SelectionVector::Fingerprint() over the row ids;
 //   - columns_fp: FNV over the projected column names, order-sensitive;
-//   - options_fp: every knob of MapOptions and its CartOptions that can
+//   - options_fp: every knob of MapOptions that can
 //     change the output. Thread budgets and observability sinks are
 //     deliberately excluded — the map is bit-identical at any thread count
 //     (the PR 7 contract), so entries are shared across them;
@@ -66,8 +66,8 @@ uint64_t FingerprintStrings(const std::vector<std::string>& strings);
 /// Explorer's job via table_version.
 uint64_t FingerprintTable(const monet::Table& table);
 
-/// Fingerprint of every output-affecting knob of MapOptions (including the
-/// nested CartOptions). Excludes num_threads and the tracer/metrics sinks,
+/// Fingerprint of every output-affecting knob of MapOptions. Excludes
+/// num_threads and the tracer/metrics sinks,
 /// which never change the map, and the seed, which is a separate key
 /// component.
 uint64_t FingerprintMapOptions(const MapOptions& options);

@@ -7,30 +7,13 @@
 
 namespace blaeu::monet {
 
-const char* CompareOpSymbol(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return "<";
-    case CompareOp::kLe:
-      return "<=";
-    case CompareOp::kGt:
-      return ">";
-    case CompareOp::kGe:
-      return ">=";
-    case CompareOp::kEq:
-      return "=";
-    case CompareOp::kNe:
-      return "<>";
-  }
-  return "?";
-}
-
-Condition Condition::Compare(std::string column, CompareOp op, Value value) {
+Condition Condition::Threshold(std::string column, double threshold,
+                               bool negated) {
   Condition c;
   c.column = std::move(column);
-  c.kind = Kind::kCompare;
-  c.op = op;
-  c.value = std::move(value);
+  c.kind = Kind::kThreshold;
+  c.threshold = threshold;
+  c.negated = negated;
   return c;
 }
 
@@ -51,8 +34,8 @@ namespace {
 /// may be `in`, which then compacts in place.
 ///
 /// Everything but the per-row test is resolved once, when the condition is
-/// prepared: the column's typed payload, the literal as a double, and set
-/// membership as a byte table over the codes.
+/// prepared: the column's typed payload and set membership as a byte table
+/// over the codes.
 using Kernel =
     std::function<size_t(const uint32_t* in, size_t n, uint32_t* out)>;
 
@@ -77,45 +60,28 @@ Kernel KeepNone() {
   return [](const uint32_t*, size_t, uint32_t*) -> size_t { return 0; };
 }
 
-/// Numeric compare on a typed payload. The cell is widened to double as
-/// Column::GetNumeric does, so NaN fails every op but <>.
+/// `<=`, or `>` when negated, on a typed payload. The cell is widened to
+/// double as Column::GetNumeric does, so NaN fails both.
 template <typename T>
-Kernel CompareKernel(const Column& col, const std::vector<T>& payload,
-                     CompareOp op, double rhs) {
+Kernel ThresholdKernel(const Column& col, const std::vector<T>& payload,
+                       double threshold, bool negated) {
   const uint8_t* valid = col.validity().data();
   const T* data = payload.data();
   auto with = [&](auto cmp) {
     return Filter([=](uint32_t row) {
-      return (valid[row] != 0) & cmp(static_cast<double>(data[row]), rhs);
+      return (valid[row] != 0) & cmp(static_cast<double>(data[row]), threshold);
     });
   };
-  switch (op) {
-    case CompareOp::kLt:
-      return with(std::less<double>());
-    case CompareOp::kLe:
-      return with(std::less_equal<double>());
-    case CompareOp::kGt:
-      return with(std::greater<double>());
-    case CompareOp::kGe:
-      return with(std::greater_equal<double>());
-    case CompareOp::kEq:
-      return with(std::equal_to<double>());
-    case CompareOp::kNe:
-      return with(std::not_equal_to<double>());
-  }
-  return KeepNone();
+  return negated ? with(std::greater<double>())
+                 : with(std::less_equal<double>());
 }
 
-Kernel PrepareCompare(const Condition& c, const Column& col) {
-  if (c.value.is_null() || c.value.type() == DataType::kString) {
-    return KeepNone();
-  }
-  const double rhs = c.value.AsDouble();
+Kernel PrepareThreshold(const Condition& c, const Column& col) {
   switch (col.type()) {
     case DataType::kDouble:
-      return CompareKernel(col, col.doubles(), c.op, rhs);
+      return ThresholdKernel(col, col.doubles(), c.threshold, c.negated);
     case DataType::kInt64:
-      return CompareKernel(col, col.ints(), c.op, rhs);
+      return ThresholdKernel(col, col.ints(), c.threshold, c.negated);
     case DataType::kBool:
     case DataType::kString:
       break;
@@ -162,16 +128,16 @@ Kernel PrepareInSet(const Condition& c, const Column& col) {
 }
 
 Kernel PrepareCondition(const Condition& c, const Column& col) {
-  return c.kind == Condition::Kind::kCompare ? PrepareCompare(c, col)
-                                             : PrepareInSet(c, col);
+  return c.kind == Condition::Kind::kThreshold ? PrepareThreshold(c, col)
+                                               : PrepareInSet(c, col);
 }
 
 }  // namespace
 
 std::string Condition::ToSql() const {
   std::string quoted = "\"" + column + "\"";
-  if (kind == Kind::kCompare) {
-    return quoted + " " + CompareOpSymbol(op) + " " + value.ToString();
+  if (kind == Kind::kThreshold) {
+    return quoted + (negated ? " > " : " <= ") + FormatDouble(threshold);
   }
   std::string body;
   for (size_t i = 0; i < set.size(); ++i) {

@@ -5,7 +5,7 @@
 // Evaluation is column-at-a-time, as in MonetDB: the conditions of a
 // conjunction apply one at a time, each to the rows that survived the ones
 // before it, in one tight loop over its column's typed payload. A NULL cell
-// fails every condition, and a NaN cell every comparison but <>. Results
+// fails every condition, and a NaN cell fails both comparisons. Results
 // are ascending and exactly sized (no spare capacity).
 #pragma once
 
@@ -18,38 +18,32 @@
 
 namespace blaeu::monet {
 
-/// Comparison operators for scalar conditions.
-enum class CompareOp { kLt, kLe, kGt, kGe, kEq, kNe };
-
-/// SQL spelling ("<", "<=", ...).
-const char* CompareOpSymbol(CompareOp op);
-
 /// \brief One atomic condition on a single column.
 ///
 /// Two shapes, the ones a map's tree spells (tree::CartModel::
-/// BranchCondition): a comparison of a double or int64 column with a
-/// numeric literal, and set membership (`col IN {...}`, possibly negated)
-/// of a string or bool column, whose members match the cells they spell
-/// (`true`/`false` for bools). Any other condition matches no row: a
-/// comparison with a NULL or string literal or on a string or bool column,
-/// and a set on a numeric column.
+/// BranchCondition): a threshold on a double or int64 column (`col <= t`,
+/// or `col > t` when negated), and set membership (`col IN (...)`, or `NOT
+/// IN` when negated) of a string or bool column, whose members match the
+/// cells they spell (`true`/`false` for bools). A threshold on a string or
+/// bool column and a set on a numeric column match no row.
 struct Condition {
-  enum class Kind { kCompare, kInSet };
+  enum class Kind { kThreshold, kInSet };
 
   std::string column;
-  Kind kind = Kind::kCompare;
-  CompareOp op = CompareOp::kLt;   ///< for kCompare
-  Value value;                     ///< for kCompare
-  std::vector<std::string> set;    ///< for kInSet
-  bool negated = false;            ///< kInSet: NOT IN
+  Kind kind = Kind::kThreshold;
+  double threshold = 0.0;        ///< for kThreshold
+  std::vector<std::string> set;  ///< for kInSet
+  bool negated = false;          ///< `>` instead of `<=`, NOT IN instead of IN
 
-  /// Scalar comparison factory.
-  static Condition Compare(std::string column, CompareOp op, Value value);
-  /// Set-membership factory.
+  /// `column <= threshold`, or `column > threshold` when negated.
+  static Condition Threshold(std::string column, double threshold,
+                             bool negated = false);
+  /// `column IN (set)`, or NOT IN when negated.
   static Condition InSet(std::string column, std::vector<std::string> set,
                          bool negated = false);
 
-  /// SQL rendering, e.g. `"income" >= 22` or `"genre" IN ('Drama','Comedy')`.
+  /// SQL rendering, e.g. `"income" <= 22.5` or `"genre" IN ('Drama',
+  /// 'Comedy')`. A threshold renders as FormatDouble does.
   std::string ToSql() const;
 };
 

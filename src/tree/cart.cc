@@ -417,12 +417,7 @@ Condition CartModel::BranchCondition(const CartNode& node, bool branch) const {
   if (node.categorical_split) {
     return Condition::InSet(name, node.categories, /*negated=*/!branch);
   }
-  if (branch) {
-    return Condition::Compare(name, monet::CompareOp::kLe,
-                              monet::Value::Double(node.threshold));
-  }
-  return Condition::Compare(name, monet::CompareOp::kGt,
-                            monet::Value::Double(node.threshold));
+  return Condition::Threshold(name, node.threshold, /*negated=*/!branch);
 }
 
 }  // namespace blaeu::tree

@@ -167,8 +167,9 @@ TEST(CartTest, BranchConditionsMatchSplit) {
   ASSERT_FALSE(model.root().is_leaf);
   monet::Condition left = model.BranchCondition(model.root(), true);
   monet::Condition right = model.BranchCondition(model.root(), false);
-  EXPECT_EQ(left.op, monet::CompareOp::kLe);
-  EXPECT_EQ(right.op, monet::CompareOp::kGt);
+  EXPECT_EQ(left.kind, monet::Condition::Kind::kThreshold);
+  EXPECT_FALSE(left.negated);  // <=
+  EXPECT_TRUE(right.negated);  // >
   EXPECT_EQ(left.column, "x");
   // Every row satisfies exactly one branch (no nulls here).
   for (uint32_t r = 0; r < 50; ++r) {

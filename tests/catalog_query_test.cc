@@ -36,11 +36,10 @@ TEST(QueryTest, SqlRendering) {
   SelectProjectQuery q;
   q.table_name = "movies";
   q.columns = {"budget", "gross"};
-  q.where.Add(Condition::Compare("budget", CompareOp::kGe,
-                                 Value::Double(100)));
+  q.where.Add(Condition::Threshold("budget", 100, /*negated=*/true));
   EXPECT_EQ(q.ToSql(),
             "SELECT \"budget\", \"gross\" FROM \"movies\" WHERE "
-            "\"budget\" >= 100;");
+            "\"budget\" > 100;");
   SelectProjectQuery star;
   star.table_name = "t";
   EXPECT_EQ(star.ToSql(), "SELECT * FROM \"t\";");
@@ -52,7 +51,7 @@ TEST(QueryTest, ExecutesAgainstCatalog) {
   SelectProjectQuery q;
   q.table_name = "t";
   q.columns = {"name"};
-  q.where.Add(Condition::Compare("x", CompareOp::kGt, Value::Int(2)));
+  q.where.Add(Condition::Threshold("x", 2, /*negated=*/true));
   auto result = q.Execute(cat);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->num_rows(), 2u);

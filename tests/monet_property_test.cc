@@ -122,10 +122,8 @@ TEST_P(PredicatePropertyTest, EvaluateOnEqualsEvaluateIntersect) {
   size_t rows = GetParam();
   TablePtr t = RandomTable(rows, 3, 0.1, rows + 77);
   monet::Conjunction conj;
-  conj.Add(monet::Condition::Compare("x", monet::CompareOp::kGt,
-                                     Value::Double(0.0)));
-  conj.Add(monet::Condition::Compare("n", monet::CompareOp::kLe,
-                                     Value::Int(20)));
+  conj.Add(monet::Condition::Threshold("x", 0.0, /*negated=*/true));
+  conj.Add(monet::Condition::Threshold("n", 20));
   // Base: every third row.
   std::vector<uint32_t> base_rows;
   for (uint32_t r = 0; r < rows; r += 3) base_rows.push_back(r);

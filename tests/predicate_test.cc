@@ -37,33 +37,28 @@ bool Keeps(const Table& t, const Condition& c, uint32_t row) {
 
 TEST(ConditionTest, NumericComparisons) {
   auto t = TestTable();
-  Condition lt = Condition::Compare("x", CompareOp::kLt, Value::Double(2.5));
-  EXPECT_TRUE(Keeps(*t, lt, 0));
-  EXPECT_TRUE(Keeps(*t, lt, 1));
-  EXPECT_FALSE(Keeps(*t, lt, 2));
-  Condition ge = Condition::Compare("x", CompareOp::kGe, Value::Double(3.0));
-  EXPECT_TRUE(Keeps(*t, ge, 2));
-  EXPECT_FALSE(Keeps(*t, ge, 1));
+  Condition le = Condition::Threshold("x", 2.0);
+  EXPECT_TRUE(Keeps(*t, le, 0));
+  EXPECT_TRUE(Keeps(*t, le, 1));
+  EXPECT_FALSE(Keeps(*t, le, 2));
+  Condition gt = Condition::Threshold("x", 2.0, /*negated=*/true);
+  EXPECT_TRUE(Keeps(*t, gt, 2));
+  EXPECT_FALSE(Keeps(*t, gt, 1));
+  EXPECT_TRUE(Keeps(*t, Condition::Threshold("n", 10), 0));  // int64 column
 }
 
 TEST(ConditionTest, NullsFailComparisons) {
   auto t = TestTable();
-  Condition c = Condition::Compare("x", CompareOp::kLt, Value::Double(100));
-  EXPECT_FALSE(Keeps(*t, c, 3));  // NULL row
+  EXPECT_FALSE(Keeps(*t, Condition::Threshold("x", 100), 3));  // NULL row
+  EXPECT_FALSE(Keeps(*t, Condition::Threshold("x", -100, true), 3));
 }
 
 // Maps compare numeric columns and test sets of strings or bools; any other
 // shape keeps no row, even one its SQL would keep.
 TEST(ConditionTest, ShapesNoMapBuildsKeepNoRow) {
   auto t = TestTable();
-  EXPECT_FALSE(Keeps(
-      *t, Condition::Compare("genre", CompareOp::kEq, Value::Str("Drama")),
-      0));
-  EXPECT_FALSE(Keeps(
-      *t, Condition::Compare("genre", CompareOp::kEq, Value::Double(1.0)),
-      0));
-  EXPECT_FALSE(Keeps(
-      *t, Condition::Compare("x", CompareOp::kNe, Value::Str("Drama")), 0));
+  EXPECT_FALSE(Keeps(*t, Condition::Threshold("genre", 1.0), 0));
+  EXPECT_FALSE(Keeps(*t, Condition::Threshold("genre", 1.0, true), 0));
   EXPECT_FALSE(Keeps(*t, Condition::InSet("n", {"10"}), 0));
   EXPECT_FALSE(Keeps(*t, Condition::InSet("x", {"1"}), 0));
 }
@@ -81,9 +76,9 @@ TEST(ConditionTest, InSetAndNegation) {
 }
 
 TEST(ConditionTest, SqlRendering) {
-  EXPECT_EQ(
-      Condition::Compare("x", CompareOp::kGe, Value::Double(22)).ToSql(),
-      "\"x\" >= 22");
+  EXPECT_EQ(Condition::Threshold("x", 22).ToSql(), "\"x\" <= 22");
+  EXPECT_EQ(Condition::Threshold("x", 0.1 + 0.2, true).ToSql(),
+            "\"x\" > 0.3");
   EXPECT_EQ(Condition::InSet("g", {"a", "b"}).ToSql(),
             "\"g\" IN ('a', 'b')");
   EXPECT_EQ(Condition::InSet("g", {"a"}, true).ToSql(),
@@ -93,7 +88,7 @@ TEST(ConditionTest, SqlRendering) {
 TEST(ConjunctionTest, EvaluateAll) {
   auto t = TestTable();
   Conjunction conj;
-  conj.Add(Condition::Compare("x", CompareOp::kGt, Value::Double(1.5)));
+  conj.Add(Condition::Threshold("x", 1.5, /*negated=*/true));
   conj.Add(Condition::InSet("genre", {"Drama"}));
   auto sel = *conj.Evaluate(*t);
   ASSERT_EQ(sel.size(), 1u);
@@ -111,7 +106,7 @@ TEST(ConjunctionTest, EmptyConjunctionKeepsEverything) {
 TEST(ConjunctionTest, EvaluateOnRestrictsToBase) {
   auto t = TestTable();
   Conjunction conj;
-  conj.Add(Condition::Compare("n", CompareOp::kGe, Value::Int(20)));
+  conj.Add(Condition::Threshold("n", 10, /*negated=*/true));
   SelectionVector base({0, 1, 2});
   auto sel = *conj.EvaluateOn(*t, base);
   EXPECT_EQ(sel.rows(), (std::vector<uint32_t>{1, 2}));
@@ -120,59 +115,34 @@ TEST(ConjunctionTest, EvaluateOnRestrictsToBase) {
 TEST(ConjunctionTest, UnknownColumnIsKeyError) {
   auto t = TestTable();
   Conjunction conj;
-  conj.Add(Condition::Compare("zz", CompareOp::kLt, Value::Double(1)));
+  conj.Add(Condition::Threshold("zz", 1));
   EXPECT_EQ(conj.Evaluate(*t).status().code(), StatusCode::kKeyError);
 }
 
 TEST(ConjunctionTest, AndConcatenates) {
   Conjunction a, b;
-  a.Add(Condition::Compare("x", CompareOp::kLt, Value::Double(1)));
+  a.Add(Condition::Threshold("x", 1));
   b.Add(Condition::InSet("g", {"a"}));
   Conjunction c = a.And(b);
   EXPECT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.ToSql(), "\"x\" < 1 AND \"g\" IN ('a')");
-}
-
-TEST(CompareOpTest, Symbols) {
-  EXPECT_STREQ(CompareOpSymbol(CompareOp::kLe), "<=");
-  EXPECT_STREQ(CompareOpSymbol(CompareOp::kNe), "<>");
+  EXPECT_EQ(c.ToSql(), "\"x\" <= 1 AND \"g\" IN ('a')");
 }
 
 // ---------------------------------------------------------------------------
 // The kernels against the per-row oracle.
 
-bool OracleCompare(double lhs, CompareOp op, double rhs) {
-  switch (op) {
-    case CompareOp::kLt:
-      return lhs < rhs;
-    case CompareOp::kLe:
-      return lhs <= rhs;
-    case CompareOp::kGt:
-      return lhs > rhs;
-    case CompareOp::kGe:
-      return lhs >= rhs;
-    case CompareOp::kEq:
-      return lhs == rhs;
-    case CompareOp::kNe:
-      return lhs != rhs;
-  }
-  return false;
-}
-
 // The per-row matcher the kernels replaced: true if `row` of `col`
 // satisfies `c`. A set member matches the cells it spells as ToString does.
-// A comparison applies to double and int64 columns and a set to string and
+// A threshold applies to double and int64 columns and a set to string and
 // bool columns; any other shape matches no row.
 bool OracleMatches(const Condition& c, const Column& col, uint32_t row) {
   if (col.IsNull(row)) return false;
   const bool numeric_col =
       col.type() == DataType::kDouble || col.type() == DataType::kInt64;
-  if (c.kind == Condition::Kind::kCompare) {
-    if (!numeric_col || c.value.is_null() ||
-        c.value.type() == DataType::kString) {
-      return false;
-    }
-    return OracleCompare(col.GetNumeric(row), c.op, c.value.AsDouble());
+  if (c.kind == Condition::Kind::kThreshold) {
+    if (!numeric_col) return false;
+    const double v = col.GetNumeric(row);
+    return c.negated ? v > c.threshold : v <= c.threshold;
   }
   if (numeric_col) return false;
   const std::string cell = col.GetValue(row).ToString();
@@ -217,22 +187,23 @@ TablePtr RandomTable(size_t rows, uint64_t seed) {
   return *b.Finish();
 }
 
-// Every condition on every column: each CompareOp against double, int,
-// bool, string and NULL literals; IN and NOT IN with empty, absent,
-// duplicate and non-canonical members. "absent" is in no dictionary.
+// Every condition on every column: <= and > against thresholds that
+// include -0, NaN, +-Inf and integers the double rounds; IN and NOT IN with
+// empty, absent, duplicate and non-canonical members. "absent" is in no
+// dictionary.
 std::vector<Condition> ConditionPool() {
-  const std::vector<Value> literals = {
-      Value::Double(0.5),      Value::Double(-0.0),
-      Value::Double(-2.5),     Value::Double(std::nan("")),
-      Value::Double(kInf),     Value::Double(-kInf),
-      Value::Double(9007199254740993.0),  // 2^53 + 1, rounds to 2^53
-      Value::Int(7),           Value::Int(0),
-      Value::Int(k2To53 + 1),  Value::Int(std::numeric_limits<int64_t>::min()),
-      Value::Int(std::numeric_limits<int64_t>::max()),
-      Value::Boolean(true),    Value::Boolean(false),
-      Value::Str("Drama"),     Value::Str("absent"),
-      Value::Str("07"),        Value::Str(""),
-      Value::Null()};
+  const std::vector<double> thresholds = {
+      0.5,
+      -0.0,
+      -2.5,
+      std::nan(""),
+      kInf,
+      -kInf,
+      9007199254740993.0,  // 2^53 + 1, rounds to 2^53
+      7,
+      0,
+      static_cast<double>(std::numeric_limits<int64_t>::min()),
+      static_cast<double>(std::numeric_limits<int64_t>::max())};
   const std::vector<std::vector<std::string>> sets = {
       {},
       {"absent"},
@@ -246,14 +217,11 @@ std::vector<Condition> ConditionPool() {
       {"1", "-7", "0"},
       {"0.5", "-0", "nan", "inf", "-inf", "1e+300"},
       {"9223372036854775807", "-9223372036854775808", "9007199254740993"}};
-  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
-                           CompareOp::kGe, CompareOp::kEq, CompareOp::kNe};
   std::vector<Condition> pool;
   for (const char* column : {"d", "i", "b", "s"}) {
-    for (CompareOp op : ops) {
-      for (const Value& v : literals) {
-        pool.push_back(Condition::Compare(column, op, v));
-      }
+    for (double t : thresholds) {
+      pool.push_back(Condition::Threshold(column, t, /*negated=*/false));
+      pool.push_back(Condition::Threshold(column, t, /*negated=*/true));
     }
     for (const auto& set : sets) {
       pool.push_back(Condition::InSet(column, set, /*negated=*/false));
