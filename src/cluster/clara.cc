@@ -23,20 +23,23 @@ Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
   }
   // Kaufman and Rousseeuw's sub-sample size; k <= n, so it holds k points.
   const size_t sample_size = std::min(40 + 2 * k, n);
+  // A sub-sample of all n points is the same sorted set every time, so its
+  // PAM run and assignment would repeat exactly and the first would win.
+  const size_t samples = sample_size == n ? 1 : kNumSamples;
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("cluster.clara.runs")->Increment();
   registry.counter("cluster.clara.samples")
-      ->Add(static_cast<int64_t>(kNumSamples));
+      ->Add(static_cast<int64_t>(samples));
   registry.counter("cluster.clara.rows_assigned")
-      ->Add(static_cast<int64_t>(n * kNumSamples));
+      ->Add(static_cast<int64_t>(n * samples));
   obs::Span span("cluster.clara.run");
 
   Rng rng(seed);
   ClusteringResult best;
   best.total_cost = std::numeric_limits<double>::infinity();
 
-  for (size_t s = 0; s < kNumSamples; ++s) {
+  for (size_t s = 0; s < samples; ++s) {
     std::vector<size_t> sample = rng.SampleWithoutReplacement(n, sample_size);
     std::sort(sample.begin(), sample.end());
     // Distance matrix restricted to the sample.

@@ -258,6 +258,21 @@ TEST(MapBuilderTest, ScoringEachKCostsNoDistance) {
   EXPECT_EQ(lofar.resources.distance_evaluations, 228300);
 }
 
+TEST(MapBuilderTest, ClaraRunsAWholeSetSampleOnce) {
+  // A sub-sample of min(40 + 2k, n) rows that is all n rows runs once, not
+  // five times. At 40 rows that holds for every k in 2..6, so each k costs
+  // one C(40, 2) triangle and a 40 x k assignment: 5 x 780 + 40 x 20 =
+  // 4,700. At 50 rows it holds for k = 5 and 6 only: k = 2..4 still draw 5
+  // samples of 44, 46 and 48 rows, 5 x (946 + 100 + 1,035 + 150 + 1,128 +
+  // 200) = 17,795, and k = 5, 6 add 1,225 + 250 + 1,225 + 300 = 3,000.
+  const DataMap forty = *BuildMap(*Mixture(40, 3, 26).table);
+  EXPECT_EQ(forty.sample_size, 40u);
+  EXPECT_EQ(forty.resources.distance_evaluations, 4700);
+  const DataMap fifty = *BuildMap(*Mixture(50, 3, 27).table);
+  EXPECT_EQ(fifty.sample_size, 50u);
+  EXPECT_EQ(fifty.resources.distance_evaluations, 20795);
+}
+
 TEST(MapBuilderTest, SixteenRowsRarelyChooseTheLargestK) {
   // On 16 rows every k up to 6 clusters all of them. A medoid's own
   // silhouette term is 1 whatever the partition, so a mean that counted
