@@ -106,15 +106,13 @@ Score ScoreSplit(const TrainContext& ctx, const Node& node,
   const size_t k = ctx.num_classes;
   const double wl = static_cast<double>(left_n) / static_cast<double>(total);
   const double wr = static_cast<double>(right_n) / static_cast<double>(total);
-  const double child =
-      wl * Gini(left_n, k,
-                [&](size_t c) {
-                  return left[c] + (null_left ? nulls.counts[c] : 0);
-                }) +
-      wr * Gini(right_n, k, [&](size_t c) {
-        return node.counts[c] - left[c] - nulls.counts[c];
-      });
-  return {node.impurity - child, null_left};
+  const double left_gini = Gini(left_n, k, [&](size_t c) {
+    return left[c] + (null_left ? nulls.counts[c] : 0);
+  });
+  const double right_gini = Gini(right_n, k, [&](size_t c) {
+    return node.counts[c] - left[c] - nulls.counts[c];
+  });
+  return {node.impurity - (wl * left_gini + wr * right_gini), null_left};
 }
 
 /// Best numeric split of `col` at `node`: a threshold midway between two
@@ -210,7 +208,8 @@ void BestCategoricalSplit(const TrainContext& ctx, const Node& node,
   const size_t m = codes.size();
   if (m < 2) return;
 
-  // Each category is rendered once, by reference.
+  // Each category's name, rendered once: its dictionary string, by
+  // reference, or a bool's false/true.
   static const std::string kBoolNames[2] = {"false", "true"};
   std::vector<const std::string*> names(m);
   for (size_t s = 0; s < m; ++s) {
@@ -259,8 +258,6 @@ void BestCategoricalSplit(const TrainContext& ctx, const Node& node,
     best->column = col_idx;
     best->categorical = true;
     std::sort(chosen.begin(), chosen.end(), by_name);
-    best->categories.clear();
-    best->codes.clear();
     for (size_t s : chosen) {
       best->categories.push_back(*names[s]);
       best->codes.push_back(codes[s]);
