@@ -11,21 +11,37 @@
 
 namespace blaeu::cluster {
 
+namespace {
+
 /// Kaufman and Rousseeuw's number of sub-samples.
 constexpr size_t kNumSamples = 5;
 
-Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
-                               size_t k, uint64_t seed) {
+/// Kaufman and Rousseeuw's sub-sample size; for k <= n it holds k points.
+size_t SampleSize(size_t n, size_t k) { return std::min(40 + 2 * k, n); }
+
+/// A sub-sample of all n points is the same sorted set every time, so its
+/// PAM run and assignment would repeat exactly and the first would win.
+size_t NumSamples(size_t n, size_t k) {
+  return SampleSize(n, k) == n ? 1 : kNumSamples;
+}
+
+}  // namespace
+
+int64_t ClaraDistanceCount(size_t n, size_t k) {
+  const size_t m = SampleSize(n, k);
+  return static_cast<int64_t>(NumSamples(n, k) * (m * (m - 1) / 2 + n * k));
+}
+
+Result<ClusteringResult> Clara(const stats::Matrix& features, size_t k,
+                               uint64_t seed) {
+  const size_t n = features.rows();
   if (k == 0) return Status::Invalid("k must be >= 1");
   if (k > n) {
     return Status::Invalid("k = " + std::to_string(k) + " exceeds n = " +
                            std::to_string(n));
   }
-  // Kaufman and Rousseeuw's sub-sample size; k <= n, so it holds k points.
-  const size_t sample_size = std::min(40 + 2 * k, n);
-  // A sub-sample of all n points is the same sorted set every time, so its
-  // PAM run and assignment would repeat exactly and the first would win.
-  const size_t samples = sample_size == n ? 1 : kNumSamples;
+  const size_t sample_size = SampleSize(n, k);
+  const size_t samples = NumSamples(n, k);
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.counter("cluster.clara.runs")->Increment();
@@ -42,19 +58,18 @@ Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
   for (size_t s = 0; s < samples; ++s) {
     std::vector<size_t> sample = rng.SampleWithoutReplacement(n, sample_size);
     std::sort(sample.begin(), sample.end());
-    // Distance matrix restricted to the sample.
-    stats::DistanceMatrix dist(sample.size());
-    for (size_t i = 0; i < sample.size(); ++i) {
-      for (size_t j = i + 1; j < sample.size(); ++j) {
-        dist.Set(i, j, dist_fn(sample[i], sample[j]));
-      }
-    }
-    BLAEU_ASSIGN_OR_RETURN(ClusteringResult local, Pam(dist, k));
+    // The sample's own distance matrix, on this thread: Clara runs inside
+    // a k task of the sweep.
+    BLAEU_ASSIGN_OR_RETURN(
+        ClusteringResult local,
+        Pam(stats::DistanceMatrix::Euclidean(features.TakeRows(sample),
+                                             /*num_threads=*/1),
+            k));
     // Lift sample-local medoids to global indices and extend to all points.
     std::vector<size_t> medoids;
     medoids.reserve(k);
     for (size_t m : local.medoids) medoids.push_back(sample[m]);
-    ClusteringResult extended = AssignToMedoids(n, medoids, dist_fn);
+    ClusteringResult extended = AssignToMedoids(features, medoids);
     if (extended.total_cost < best.total_cost) best = std::move(extended);
   }
   return best;

@@ -10,16 +10,22 @@
 
 #include "common/status.h"
 #include "cluster/clustering.h"
+#include "stats/matrix.h"
 
 namespace blaeu::cluster {
 
-/// Clusters `n` points into k groups under `dist_fn`, drawing the
-/// sub-samples from `seed`.
+/// Clusters the rows of `features` into k groups by Euclidean distance,
+/// drawing the sub-samples from `seed`.
 ///
 /// Cost: 5 * (PAM on 40 + 2k points + O(n * k) extension), or one PAM on
 /// all n points and its extension when n <= 40 + 2k, against the O(n^2)
 /// distance matrix of PAM on all n points.
-Result<ClusteringResult> Clara(size_t n, const RowDistanceFn& dist_fn,
-                               size_t k, uint64_t seed);
+Result<ClusteringResult> Clara(const stats::Matrix& features, size_t k,
+                               uint64_t seed);
+
+/// The distances Clara computes on n rows for a valid k: C(m, 2) for each
+/// sub-sample's matrix of m rows plus n * k for its assignment, over the
+/// sub-samples it runs.
+int64_t ClaraDistanceCount(size_t n, size_t k);
 
 }  // namespace blaeu::cluster

@@ -1,14 +1,10 @@
-// Shared clustering result type and distance-oracle aliases.
+// Shared clustering result type.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace blaeu::cluster {
-
-/// Distance between two points identified by index.
-using RowDistanceFn = std::function<double(size_t, size_t)>;
 
 /// \brief Output of a partitional clustering run.
 struct ClusteringResult {

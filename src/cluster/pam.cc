@@ -9,6 +9,10 @@
 namespace blaeu::cluster {
 
 using stats::DistanceMatrix;
+using stats::ForEachCandidate;
+using stats::Load;
+using stats::Matrix;
+using stats::Store;
 
 namespace {
 
@@ -19,20 +23,19 @@ constexpr size_t kMaxSwapPasses = 50;
 
 /// Calls `visit(i, m1, d1, d2)` for every point i, with d1 and d2 its
 /// distances to its nearest and second-nearest medoid and m1 the nearest
-/// one's index into `medoids` (the first, on a tie); `dist(i, j)` is the
-/// distance between points i and j.
-template <typename Dist, typename Visit>
-void ForEachNearestTwo(size_t n, const std::vector<size_t>& medoids,
-                       const Dist& dist, const Visit& visit) {
-  const size_t k = medoids.size();
-  const size_t* med = medoids.data();
+/// one's index into the medoids (the first, on a tie); `to_medoids(i)`
+/// returns point i's k distances to the medoids, in medoid order.
+template <typename ToMedoids, typename Visit>
+void ForEachNearestTwo(size_t n, size_t k, const ToMedoids& to_medoids,
+                       const Visit& visit) {
   for (size_t i = 0; i < n; ++i) {
+    const double* dist = to_medoids(i);
     // Selects instead of branches: which medoid is nearest depends on the
     // data, and a mispredicted branch costs more than a cheap distance.
     double d1 = kInf, d2 = kInf;
     int best_m = 0;
     for (size_t m = 0; m < k; ++m) {
-      const double d = dist(i, med[m]);
+      const double d = dist[m];
       best_m = d < d1 ? static_cast<int>(m) : best_m;
       d2 = std::min(d2, std::max(d1, d));
       d1 = std::min(d1, d);
@@ -41,12 +44,12 @@ void ForEachNearestTwo(size_t n, const std::vector<size_t>& medoids,
   }
 }
 
-/// Labels, cost and medoid silhouette for a fixed medoid set, with
-/// `dist(i, j)` the distance between points i and j. A point tied between
-/// medoids takes the first.
-template <typename Dist>
+/// Labels, cost and medoid silhouette of n points for a fixed medoid set,
+/// with `to_medoids` as in ForEachNearestTwo. A point tied between medoids
+/// takes the first.
+template <typename ToMedoids>
 ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
-                        const Dist& dist) {
+                        const ToMedoids& to_medoids) {
   ClusteringResult out;
   out.medoids = medoids;
   out.labels.assign(n, 0);
@@ -54,7 +57,7 @@ ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
   const size_t* med = medoids.data();
   double cost = 0.0, silhouette = 0.0;
   size_t scored = 0;
-  ForEachNearestTwo(n, medoids, dist,
+  ForEachNearestTwo(n, k, to_medoids,
                     [&](size_t i, int best_m, double d1, double d2) {
     out.labels[i] = best_m;
     cost += d1;
@@ -71,24 +74,16 @@ ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
   return out;
 }
 
-/// sums[c] = term(0, At(0, c)) + term(1, At(1, c)) + … + term(n-1,
-/// At(n-1, c)) for every point c, added in that order, from one
-/// front-to-back pass over the triangle (see PamBuild in pam.h).
-template <typename Term>
-std::vector<double> StreamedSums(const DistanceMatrix& dist,
-                                 const Term& term) {
-  const size_t n = dist.size();
-  std::vector<double> sums(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
+/// Assign over a distance matrix: point i's distances to the medoids are
+/// entries of its row.
+ClusteringResult AssignFromMatrix(const DistanceMatrix& dist,
+                                  const std::vector<size_t>& medoids) {
+  std::vector<double> to(medoids.size());
+  return Assign(dist.size(), medoids, [&](size_t i) {
     const double* row = dist.RowPtr(i);
-    const size_t len = n - 1 - i;
-    double* later = sums.data() + i + 1;
-    for (size_t t = 0; t < len; ++t) later[t] += term(i, row[t]);
-    double sum = sums[i] + term(i, 0.0);
-    for (size_t t = 0; t < len; ++t) sum += term(i + 1 + t, row[t]);
-    sums[i] = sum;
-  }
-  return sums;
+    for (size_t m = 0; m < medoids.size(); ++m) to[m] = row[medoids[m]];
+    return to.data();
+  });
 }
 
 }  // namespace
@@ -101,13 +96,20 @@ std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
   std::vector<bool> is_medoid(n, false);
 
   // First medoid: minimal total distance to all points.
-  std::vector<double> total =
-      StreamedSums(dist, [](size_t, double d) { return d; });
+  std::vector<double> sums(n, 0.0);
+  double* sum = sums.data();
+  for (size_t o = 0; o < n; ++o) {
+    const double* row = dist.RowPtr(o);
+    ForEachCandidate(n, [=](size_t c, auto zero) {
+      using T = decltype(zero);
+      Store(sum + c, Load<T>(sum + c) + Load<T>(row + c));
+    });
+  }
   size_t best_first = 0;
   double best_total = kInf;
   for (size_t c = 0; c < n; ++c) {
-    if (total[c] < best_total) {
-      best_total = total[c];
+    if (sums[c] < best_total) {
+      best_total = sums[c];
       best_first = c;
     }
   }
@@ -115,36 +117,50 @@ std::vector<size_t> PamBuild(const DistanceMatrix& dist, size_t k) {
   is_medoid[best_first] = true;
 
   // nearest[i]: distance from i to its closest chosen medoid.
-  std::vector<double> nearest(n);
-  for (size_t i = 0; i < n; ++i) nearest[i] = dist.At(i, best_first);
+  const double* first_row = dist.RowPtr(best_first);
+  std::vector<double> nearest(first_row, first_row + n);
 
   while (medoids.size() < k) {
-    // A point that would not improve adds +0.0, which leaves the
+    // Gains: a point that would not improve adds +0.0, which leaves the
     // (never negative) sum's bits as skipping it would.
-    std::vector<double> gain = StreamedSums(dist, [&](size_t o, double d) {
-      const double improvement = nearest[o] - d;
-      return improvement > 0 ? improvement : 0.0;
-    });
+    std::fill(sums.begin(), sums.end(), 0.0);
+    for (size_t o = 0; o < n; ++o) {
+      const double* row = dist.RowPtr(o);
+      const double near = nearest[o];
+      ForEachCandidate(n, [=](size_t c, auto zero) {
+        using T = decltype(zero);
+        const T improvement = near - Load<T>(row + c);
+        Store(sum + c, Load<T>(sum + c) +
+                           (improvement > 0 ? improvement : zero));
+      });
+    }
     size_t best_c = 0;
     double best_gain = -kInf;
     for (size_t c = 0; c < n; ++c) {
-      if (!is_medoid[c] && gain[c] > best_gain) {
-        best_gain = gain[c];
+      if (!is_medoid[c] && sums[c] > best_gain) {
+        best_gain = sums[c];
         best_c = c;
       }
     }
     medoids.push_back(best_c);
     is_medoid[best_c] = true;
-    for (size_t i = 0; i < n; ++i) {
-      nearest[i] = std::min(nearest[i], dist.At(i, best_c));
-    }
+    const double* row = dist.RowPtr(best_c);
+    for (size_t i = 0; i < n; ++i) nearest[i] = std::min(nearest[i], row[i]);
   }
   return medoids;
 }
 
-ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
-                                 const RowDistanceFn& dist_fn) {
-  return Assign(n, medoids, dist_fn);
+ClusteringResult AssignToMedoids(const Matrix& features,
+                                 const std::vector<size_t>& medoids) {
+  const size_t k = medoids.size();
+  const size_t dims = features.cols();
+  const Matrix block = features.TakeRows(medoids);
+  std::vector<double> to(k);
+  return Assign(features.rows(), medoids, [&](size_t i) {
+    stats::EuclideanDistancesTo(features.RowPtr(i), block.RowPtr(0), k, dims,
+                                to.data());
+    return to.data();
+  });
 }
 
 ClusteringResult PamSwap(const DistanceMatrix& dist,
@@ -158,67 +174,61 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
   // nearest/second: distances from each point to its closest and
   // second-closest medoid; nearest_idx: the closest one's index into
   // medoids.
-  std::vector<double> nearest(n), second(n);
+  std::vector<double> nearest(n), second(n), to(k);
   std::vector<size_t> nearest_idx(n);
-  auto at = [&](size_t i, size_t j) { return dist.At(i, j); };
   auto recompute_neighbors = [&]() {
-    ForEachNearestTwo(n, medoids, at,
-                      [&](size_t i, int m1, double d1, double d2) {
-      nearest[i] = d1;
-      second[i] = d2;
-      nearest_idx[i] = static_cast<size_t>(m1);
-    });
-  };
-  // FastPAM1 terms of point o for a candidate at distance d. Removing a
-  // medoid other than o's: o moves to the candidate only if it is closer
-  // (gain g). Removing o's own medoid: o goes to the candidate or to its
-  // second choice, so the correction replaces g with that exact change.
-  auto gain = [&](size_t o, double d) {
-    return d < nearest[o] ? d - nearest[o] : 0.0;
-  };
-  auto correction = [&](size_t o, double d, double g) {
-    return (std::min(d, second[o]) - nearest[o]) - g;
+    ForEachNearestTwo(
+        n, k,
+        [&](size_t i) {
+          const double* row = dist.RowPtr(i);
+          for (size_t m = 0; m < k; ++m) to[m] = row[medoids[m]];
+          return to.data();
+        },
+        [&](size_t i, int m1, double d1, double d2) {
+          nearest[i] = d1;
+          second[i] = d2;
+          nearest_idx[i] = static_cast<size_t>(m1);
+        });
   };
   // Per candidate c: shared[c] sums every point's gain, and
   // removal[m * n + c] the corrections of the points whose medoid is m;
   // swapping medoid m for c changes the cost by shared[c] + that sum.
-  std::vector<double> shared(n), removal(k * n), own(k);
+  std::vector<double> shared(n), removal(k * n);
 
   size_t swaps = 0;
   for (size_t iter = 0; iter < kMaxSwapPasses; ++iter) {
     recompute_neighbors();
     std::fill(shared.begin(), shared.end(), 0.0);
     std::fill(removal.begin(), removal.end(), 0.0);
+    double* gains = shared.data();
+    for (size_t o = 0; o < n; ++o) {
+      const double* row = dist.RowPtr(o);
+      double* corrections = removal.data() + nearest_idx[o] * n;
+      const double near = nearest[o], next = second[o];
+      // FastPAM1 terms of point o for a candidate at distance d. Removing
+      // a medoid other than o's: o moves to the candidate only if it is
+      // closer (gain g). Removing o's own medoid: o goes to the candidate
+      // or to its second choice, so the correction replaces g with that
+      // exact change.
+      ForEachCandidate(n, [=](size_t c, auto zero) {
+        using T = decltype(zero);
+        const T d = Load<T>(row + c);
+        const T g = d < near ? d - near : zero;
+        Store(gains + c, Load<T>(gains + c) + g);
+        Store(corrections + c, Load<T>(corrections + c) +
+                                   (((next < d ? next : d) - near) - g));
+      });
+    }
     double best_delta = -1e-12;  // strictly improving swaps only
     size_t best_m = 0, best_c = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = dist.RowPtr(i);
-      const size_t len = n - 1 - i;
-      // Candidates j > i take point i's terms.
-      double* shared_later = shared.data() + i + 1;
-      double* removal_later = removal.data() + nearest_idx[i] * n + i + 1;
-      for (size_t t = 0; t < len; ++t) {
-        const double g = gain(i, row[t]);
-        shared_later[t] += g;
-        removal_later[t] += correction(i, row[t], g);
-      }
-      if (is_medoid[i]) continue;
-      // Candidate i takes its diagonal term, then points j > i. Its sums
-      // are then complete, and candidates complete in ascending order.
-      double sum = shared[i];
-      for (size_t m = 0; m < k; ++m) own[m] = removal[m * n + i];
-      auto add = [&](size_t o, double d) {
-        const double g = gain(o, d);
-        sum += g;
-        own[nearest_idx[o]] += correction(o, d, g);
-      };
-      add(i, 0.0);
-      for (size_t t = 0; t < len; ++t) add(i + 1 + t, row[t]);
+    for (size_t c = 0; c < n; ++c) {
+      if (is_medoid[c]) continue;
       for (size_t m = 0; m < k; ++m) {
-        if (sum + own[m] < best_delta) {
-          best_delta = sum + own[m];
+        const double delta = shared[c] + removal[m * n + c];
+        if (delta < best_delta) {
+          best_delta = delta;
           best_m = m;
-          best_c = i;
+          best_c = c;
         }
       }
     }
@@ -235,7 +245,7 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
 
   // Canonical order: medoids sorted by index so labels are deterministic.
   std::sort(medoids.begin(), medoids.end());
-  return Assign(n, medoids, at);
+  return AssignFromMatrix(dist, medoids);
 }
 
 Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k) {

@@ -24,13 +24,11 @@ Result<ClusteringResult> Pam(const stats::DistanceMatrix& dist, size_t k);
 /// BUILD(k_max): a k sweep (SelectKWithPam) runs it once and seeds every
 /// candidate k from a prefix.
 ///
-/// Each step is one front-to-back pass over the distance triangle
-/// (DistanceMatrix::RowPtr) that fills every candidate's sum at once:
-/// pair (i, j) adds point i's term to candidate j and point j's term to
-/// candidate i. Candidate c thus receives points 0 … c-1 from the rows
-/// before its own, then its zero-distance diagonal term, then points
-/// c+1 … n-1 from its row: ascending point order, the order in which a
-/// column scan adds them, so every sum is the same double.
+/// Each step is one pass over the dense matrix's rows: for each point o in
+/// ascending order, every candidate c adds o's term from row o's entry c,
+/// two candidates per step (stats::ForEachCandidate). So every candidate's
+/// sum adds its terms in ascending point order, the order of a scan of its
+/// own row, and is the same double.
 std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
 
 /// \brief PAM's SWAP phase from `medoids` (1 ≤ size ≤ n distinct points,
@@ -41,17 +39,18 @@ std::vector<size_t> PamBuild(const stats::DistanceMatrix& dist, size_t k);
 /// delta computation (Schubert & Rousseeuw 2019): each candidate's swap
 /// deltas for all k medoids come from one shared gain plus one correction
 /// per medoid, so a SWAP pass costs O(n^2) instead of O(k n^2) while
-/// choosing exactly the same swaps. A pass reads the triangle once, like a
-/// BUILD step, with the same ascending point order per candidate sum; the
-/// accumulators hold n × (k+1) doubles.
+/// choosing exactly the same swaps. A pass reads each row once, like a
+/// BUILD step, with the same ascending point order per candidate sum and
+/// the same two-candidate step; the accumulators hold n × (k+1) doubles.
 ClusteringResult PamSwap(const stats::DistanceMatrix& dist,
                          std::vector<size_t> medoids);
 
-/// Assigns each of `n` points to its nearest medoid under `dist_fn`;
-/// returns labels (index into `medoids`), the summed cost and the medoid
-/// silhouette, all from the same n x k distances. PamSwap's result is this
-/// assignment over its matrix.
-ClusteringResult AssignToMedoids(size_t n, const std::vector<size_t>& medoids,
-                                 const RowDistanceFn& dist_fn);
+/// Assigns every row of `features` to its nearest medoid (row indices) by
+/// Euclidean distance, computed against the medoid rows gathered into one
+/// block; returns labels (index into `medoids`), the summed cost and the
+/// medoid silhouette, all from the same n x k distances. PamSwap's result
+/// is this assignment over its matrix.
+ClusteringResult AssignToMedoids(const stats::Matrix& features,
+                                 const std::vector<size_t>& medoids);
 
 }  // namespace blaeu::cluster

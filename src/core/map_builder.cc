@@ -1,7 +1,6 @@
 #include "core/map_builder.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "cluster/clara.h"
 #include "cluster/clustering.h"
@@ -9,7 +8,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "monet/sampling.h"
-#include "stats/distance.h"
 #include "tree/cart.h"
 
 namespace blaeu::core {
@@ -34,30 +32,16 @@ constexpr tree::CartOptions kTreeOptions{/*max_depth=*/4,
 /// trivial map).
 Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
                                              const MapOptions& options,
-                                             std::atomic<int64_t>* evals) {
+                                             int64_t* evals) {
   const size_t n = features.rows();
   const size_t k_min = std::max<size_t>(2, options.k_min);
   const size_t k_max = std::min(options.k_max, n - 1);
   const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
   const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
+  for (size_t k = lo; k <= hi; ++k) *evals += cluster::ClaraDistanceCount(n, k);
   return cluster::SweepK(
       lo, hi,
-      [&](size_t k) {
-        // Every k task runs on a pool thread: each counts its distances in
-        // a local and adds them to `evals` once, as one shared atomic
-        // increment per distance would make them contend.
-        int64_t count = 0;
-        auto result = cluster::Clara(
-            n,
-            [&](size_t i, size_t j) {
-              ++count;
-              return stats::EuclideanDistance(
-                  features.RowPtr(i), features.RowPtr(j), features.cols());
-            },
-            k, options.seed);
-        evals->fetch_add(count, std::memory_order_relaxed);
-        return result;
-      },
+      [&](size_t k) { return cluster::Clara(features, k, options.seed); },
       [](size_t, const cluster::ClusteringResult& r) {
         return r.medoid_silhouette;
       },
@@ -128,10 +112,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
 
   // Resource accounting for this one build (obs/resource.h): the profile
   // travels with the map and aggregates into the registry at the end.
-  std::atomic<int64_t> dist_evals{0};
   obs::ResourceProfile res;
   auto finalize = [&](DataMap* m) {
-    res.distance_evaluations = dist_evals.load(std::memory_order_relaxed);
     res.cart_nodes = static_cast<int64_t>(m->regions.size());
     m->build_seconds = build_span.ElapsedSeconds();
     m->resources = res;
@@ -222,7 +204,8 @@ Result<DataMap> BuildMapImpl(const Table& table, const SelectionVector& sel,
     obs::Span span(tracer, "core.map.cluster", metrics);
     span.SetAttr("threads", threads);
     BLAEU_ASSIGN_OR_RETURN(swept,
-                           RunClustering(pre.features, options, &dist_evals));
+                           RunClustering(pre.features, options,
+                                         &res.distance_evaluations));
     span.SetAttr("k", swept.best.num_clusters());
     span.SetAttr("silhouette", swept.best_score);
   }

@@ -20,20 +20,52 @@ double EuclideanDistance(const double* a, const double* b, size_t dims) {
   return std::sqrt(SquaredEuclideanDistance(a, b, dims));
 }
 
-DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data) {
-  const size_t n = data.rows();
-  DistanceMatrix out(n);
-  // Row-blocked: each (i, j) entry is written exactly once by the chunk
-  // owning row i, so the matrix is identical at any thread count.
-  ParallelFor(0, n, 16, [&](size_t row_lo, size_t row_hi) {
-    for (size_t i = row_lo; i < row_hi; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        out.Set(i, j,
-                EuclideanDistance(data.RowPtr(i), data.RowPtr(j),
-                                  data.cols()));
-      }
+void EuclideanDistancesTo(const double* x, const double* rows, size_t count,
+                          size_t dims, double* out) {
+  size_t r = 0;
+  // Four independent sums: one pass over x feeds four rows.
+  for (; r + 4 <= count; r += 4) {
+    const double* a = rows + r * dims;
+    const double* b = a + dims;
+    const double* c = b + dims;
+    const double* e = c + dims;
+    double sa = 0.0, sb = 0.0, sc = 0.0, se = 0.0;
+    for (size_t f = 0; f < dims; ++f) {
+      const double da = x[f] - a[f], db = x[f] - b[f];
+      const double dc = x[f] - c[f], de = x[f] - e[f];
+      sa += da * da;
+      sb += db * db;
+      sc += dc * dc;
+      se += de * de;
     }
-  });
+    out[r] = std::sqrt(sa);
+    out[r + 1] = std::sqrt(sb);
+    out[r + 2] = std::sqrt(sc);
+    out[r + 3] = std::sqrt(se);
+  }
+  for (; r < count; ++r) out[r] = EuclideanDistance(x, rows + r * dims, dims);
+}
+
+DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data,
+                                         size_t num_threads) {
+  const size_t n = data.rows();
+  const size_t dims = data.cols();
+  DistanceMatrix out(n);
+  double* d = out.d_.data();
+  // Row-blocked: the chunk owning row i writes pairs (i, j > i) to row i
+  // and to column i of the later rows, so every entry is written once, by
+  // one chunk, and the matrix is identical at any thread count.
+  ParallelFor(
+      0, n, 16,
+      [&](size_t row_lo, size_t row_hi) {
+        for (size_t i = row_lo; i < row_hi; ++i) {
+          double* row = d + i * n;
+          EuclideanDistancesTo(data.RowPtr(i), data.RowPtr(i) + dims,
+                               n - 1 - i, dims, row + i + 1);
+          for (size_t j = i + 1; j < n; ++j) d[j * n + i] = row[j];
+        }
+      },
+      num_threads);
   return out;
 }
 

@@ -16,26 +16,29 @@ std::vector<double> SilhouetteValues(const DistanceMatrix& dist,
   std::vector<size_t> cluster_size(k, 0);
   for (int l : labels) ++cluster_size[l];
 
-  // sums[c * n + i]: distance from i to the members of cluster c, from one
-  // front-to-back pass over the triangle. Pair (i, j) adds to j's sum for
-  // i's cluster and to i's sum for j's, so each sum adds its terms in
-  // ascending order of the other point, as a scan of row i would.
+  // sums[c * n + i]: distance from i to the members of cluster c. Row o
+  // adds to the sums of o's cluster, one pass in ascending o, so each sum
+  // adds its terms in ascending order of the other point, as a scan of row
+  // i would (o = i adds the diagonal's +0.0, which changes no sum).
   std::vector<double> out(n, 0.0);
-  std::vector<double> sums(static_cast<size_t>(k) * n, 0.0), own(k);
+  std::vector<double> sums(static_cast<size_t>(k) * n, 0.0);
+  for (size_t o = 0; o < n; ++o) {
+    const double* row = dist.RowPtr(o);
+    double* own = sums.data() + labels[o] * n;
+    ForEachCandidate(n, [=](size_t i, auto zero) {
+      using T = decltype(zero);
+      Store(own + i, Load<T>(own + i) + Load<T>(row + i));
+    });
+  }
   for (size_t i = 0; i < n; ++i) {
-    const double* row = dist.RowPtr(i);
-    const size_t len = n - 1 - i;
     const int li = labels[i];
-    double* later = sums.data() + li * n + i + 1;
-    for (size_t t = 0; t < len; ++t) later[t] += row[t];
     if (cluster_size[li] <= 1) continue;  // singleton convention: s = 0
-    for (int c = 0; c < k; ++c) own[c] = sums[c * n + i];
-    for (size_t t = 0; t < len; ++t) own[labels[i + 1 + t]] += row[t];
-    double a = own[li] / static_cast<double>(cluster_size[li] - 1);
+    auto sum_to = [&](int c) { return sums[c * n + i]; };
+    double a = sum_to(li) / static_cast<double>(cluster_size[li] - 1);
     double b = std::numeric_limits<double>::infinity();
     for (int c = 0; c < k; ++c) {
       if (c == li || cluster_size[c] == 0) continue;
-      b = std::min(b, own[c] / static_cast<double>(cluster_size[c]));
+      b = std::min(b, sum_to(c) / static_cast<double>(cluster_size[c]));
     }
     if (!std::isfinite(b)) continue;  // only one non-empty cluster: s = 0
     double denom = std::max(a, b);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "cluster/pam.h"
 #include "common/rng.h"
 #include "stats/distance.h"
@@ -29,17 +33,16 @@ Matrix Blobs(size_t k, size_t per, double gap, uint64_t seed,
   return data;
 }
 
-RowDistanceFn Euclid(const Matrix& data) {
-  return [&data](size_t i, size_t j) {
-    return stats::EuclideanDistance(data.RowPtr(i), data.RowPtr(j),
-                                    data.cols());
-  };
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
 }
 
 TEST(ClaraTest, RecoversPlantedClustersAtScale) {
   std::vector<int> truth;
   Matrix data = Blobs(4, 2500, 12.0, 1, &truth);  // 10k points
-  auto result = *Clara(data.rows(), Euclid(data), 4, 3);
+  auto result = *Clara(data, 4, 3);
   EXPECT_EQ(result.num_clusters(), 4u);
   EXPECT_GT(stats::AdjustedRandIndex(result.labels, truth), 0.97);
 }
@@ -49,19 +52,22 @@ TEST(ClaraTest, CostCloseToExactPamOnModerateInput) {
   Matrix data = Blobs(3, 80, 8.0, 2, &truth);  // 240 points: PAM feasible
   stats::DistanceMatrix dist = stats::DistanceMatrix::Euclidean(data);
   auto exact = *Pam(dist, 3);
-  auto approx = *Clara(data.rows(), Euclid(data), 3, 42);
+  auto approx = *Clara(data, 3, 42);
   EXPECT_LE(approx.total_cost, exact.total_cost * 1.10);  // within 10%
 }
 
 TEST(ClaraTest, EveryPointAssignedToNearestMedoid) {
   std::vector<int> truth;
   Matrix data = Blobs(2, 500, 9.0, 4, &truth);
-  auto dist_fn = Euclid(data);
-  auto result = *Clara(data.rows(), dist_fn, 2, 42);
+  auto dist = [&](size_t i, size_t j) {
+    return stats::EuclideanDistance(data.RowPtr(i), data.RowPtr(j),
+                                    data.cols());
+  };
+  auto result = *Clara(data, 2, 42);
   for (size_t i = 0; i < data.rows(); i += 37) {
-    double assigned = dist_fn(i, result.medoids[result.labels[i]]);
+    double assigned = dist(i, result.medoids[result.labels[i]]);
     for (size_t m : result.medoids) {
-      EXPECT_LE(assigned, dist_fn(i, m) + 1e-12);
+      EXPECT_LE(assigned, dist(i, m) + 1e-12);
     }
   }
 }
@@ -69,8 +75,8 @@ TEST(ClaraTest, EveryPointAssignedToNearestMedoid) {
 TEST(ClaraTest, DeterministicGivenSeed) {
   std::vector<int> truth;
   Matrix data = Blobs(3, 300, 7.0, 5, &truth);
-  auto a = *Clara(data.rows(), Euclid(data), 3, 77);
-  auto b = *Clara(data.rows(), Euclid(data), 3, 77);
+  auto a = *Clara(data, 3, 77);
+  auto b = *Clara(data, 3, 77);
   EXPECT_EQ(a.labels, b.labels);
 }
 
@@ -78,15 +84,35 @@ TEST(ClaraTest, SampleSizeDefaultsToKaufmanRousseeuw) {
   // With n smaller than 40+2k CLARA degenerates into exact PAM: still valid.
   std::vector<int> truth;
   Matrix data = Blobs(2, 15, 10.0, 6, &truth);
-  auto result = *Clara(data.rows(), Euclid(data), 2, 42);
+  auto result = *Clara(data, 2, 42);
   EXPECT_GT(stats::AdjustedRandIndex(result.labels, truth), 0.95);
+}
+
+TEST(ClaraTest, WholeSetRunIsPamOnTheDistanceMatrix) {
+  // n <= 40 + 2k: the one sub-sample is every row, so Clara is PAM on the
+  // rows' distance matrix, its assignment computed from the rows instead
+  // of read from the matrix. Both must give the same bits.
+  std::vector<int> truth;
+  for (size_t n : {5, 17, 41, 44, 45, 52}) {
+    Matrix data = Blobs(1, n, 0.0, n, &truth);
+    for (size_t k = 1; k <= std::min<size_t>(6, n); ++k) {
+      if (40 + 2 * k < n) continue;  // five sub-samples, not the whole set
+      SCOPED_TRACE("n " + std::to_string(n) + " k " + std::to_string(k));
+      auto clara = *Clara(data, k, 42);
+      auto pam = *Pam(stats::DistanceMatrix::Euclidean(data), k);
+      EXPECT_EQ(clara.medoids, pam.medoids);
+      EXPECT_EQ(clara.labels, pam.labels);
+      EXPECT_EQ(Bits(clara.total_cost), Bits(pam.total_cost));
+      EXPECT_EQ(Bits(clara.medoid_silhouette), Bits(pam.medoid_silhouette));
+    }
+  }
 }
 
 TEST(ClaraTest, InvalidKRejected) {
   std::vector<int> truth;
   Matrix data = Blobs(1, 5, 1.0, 7, &truth);
-  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 0, 42).ok());
-  EXPECT_FALSE(Clara(data.rows(), Euclid(data), 6, 42).ok());
+  EXPECT_FALSE(Clara(data, 0, 42).ok());
+  EXPECT_FALSE(Clara(data, 6, 42).ok());
 }
 
 }  // namespace

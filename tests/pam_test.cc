@@ -36,11 +36,14 @@ Matrix Blobs(size_t k, size_t per, double gap, uint64_t seed,
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Textbook PAM, the oracle for Pam(): every distance comes from At(), the
-/// BUILD reruns for each k, and each SWAP pass scores every (candidate,
-/// medoid) pair with its own O(n) scan, O(k (n-k)^2) per pass. Pairs are
-/// tried candidate-major like Pam(), so exact ties resolve alike.
-ClusteringResult NaivePam(const DistanceMatrix& dist, size_t k) {
+/// Textbook PAM on the rows of `data`, the oracle for Pam(): every
+/// distance comes from At(), the BUILD reruns for each k, each SWAP pass
+/// scores every (candidate, medoid) pair with its own O(n) scan,
+/// O(k (n-k)^2) per pass, and the final assignment computes its distances
+/// from the rows. Pairs are tried candidate-major like Pam(), so exact ties
+/// resolve alike.
+ClusteringResult NaivePam(const Matrix& data, size_t k) {
+  const DistanceMatrix dist = DistanceMatrix::Euclidean(data);
   const size_t n = dist.size();
   std::vector<size_t> medoids;
   std::vector<bool> is_medoid(n, false);
@@ -116,8 +119,7 @@ ClusteringResult NaivePam(const DistanceMatrix& dist, size_t k) {
     is_medoid[best_c] = true;
   }
   std::sort(medoids.begin(), medoids.end());
-  return AssignToMedoids(n, medoids,
-                         [&](size_t i, size_t j) { return dist.At(i, j); });
+  return AssignToMedoids(data, medoids);
 }
 
 uint64_t Bits(double v) {
@@ -134,11 +136,11 @@ void ExpectSameClustering(const ClusteringResult& got,
   EXPECT_EQ(Bits(got.medoid_silhouette), Bits(want.medoid_silhouette));
 }
 
-/// Points on one axis, as a distance matrix.
-DistanceMatrix OnALine(const std::vector<double>& xs) {
+/// Points on one axis.
+Matrix OnALine(const std::vector<double>& xs) {
   Matrix data(xs.size(), 1);
   for (size_t i = 0; i < xs.size(); ++i) data.At(i, 0) = xs[i];
-  return DistanceMatrix::Euclidean(data);
+  return data;
 }
 
 TEST(PamTest, RecoversPlantedClusters) {
@@ -195,8 +197,7 @@ TEST(PamTest, SwapImprovesOnBuildForHardInput) {
   }
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
   auto result = *Pam(dist, 4);
-  ClusteringResult random = AssignToMedoids(
-      60, {0, 1, 2, 3}, [&](size_t i, size_t j) { return dist.At(i, j); });
+  ClusteringResult random = AssignToMedoids(data, {0, 1, 2, 3});
   EXPECT_LE(result.total_cost, random.total_cost + 1e-9);
 }
 
@@ -236,10 +237,12 @@ TEST(PamTest, DeterministicOnSameInput) {
 }
 
 TEST(PamTest, FastSwapMatchesNaiveSwap) {
-  // Pam streams the triangle and computes FastPAM1 deltas; the textbook
-  // oracle does neither. They must agree exactly: medoids, labels and the
-  // bits of the cost.
-  for (size_t n : {5, 40, 301}) {
+  // Pam sums each candidate's terms over the matrix rows, two candidates
+  // per step, and computes FastPAM1 deltas; the textbook oracle does
+  // neither. They must agree exactly: medoids, labels and the bits of the
+  // cost and silhouette. CLARA's sub-samples hold 44-52 rows, and an odd n
+  // leaves a last candidate to the scalar step.
+  for (size_t n : {1, 2, 3, 5, 40, 44, 45, 52, 301}) {
     Rng rng(n);
     Matrix data(n, 3);
     for (size_t i = 0; i < n; ++i) {
@@ -252,7 +255,7 @@ TEST(PamTest, FastSwapMatchesNaiveSwap) {
         EXPECT_FALSE(Pam(dist, k).ok());
         continue;
       }
-      ExpectSameClustering(*Pam(dist, k), NaivePam(dist, k));
+      ExpectSameClustering(*Pam(dist, k), NaivePam(data, k));
     }
   }
 }
@@ -269,7 +272,7 @@ TEST(PamTest, FastSwapMatchesNaiveSwapOnDuplicateRows) {
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
   for (size_t k = 1; k <= 6; ++k) {
     SCOPED_TRACE("k " + std::to_string(k));
-    ExpectSameClustering(*Pam(dist, k), NaivePam(dist, k));
+    ExpectSameClustering(*Pam(dist, k), NaivePam(data, k));
   }
 }
 
@@ -295,19 +298,17 @@ TEST(PamTest, MedoidSilhouetteByHand) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const DistanceMatrix dist = OnALine(c.xs);
-    auto at = [&](size_t i, size_t j) { return dist.At(i, j); };
-    const ClusteringResult assigned =
-        AssignToMedoids(c.xs.size(), c.medoids, at);
+    const Matrix line = OnALine(c.xs);
+    const ClusteringResult assigned = AssignToMedoids(line, c.medoids);
     EXPECT_DOUBLE_EQ(assigned.medoid_silhouette, c.want);
     if (c.medoids.size() == 2) {
       // The tied point goes to the first medoid.
       EXPECT_EQ(assigned.labels, (std::vector<int>{0, 0, 0, 1, 1}));
     }
     // PamSwap returns the assignment of its final medoids over its matrix.
-    const ClusteringResult swapped = PamSwap(dist, c.medoids);
-    ExpectSameClustering(swapped,
-                         AssignToMedoids(c.xs.size(), swapped.medoids, at));
+    const ClusteringResult swapped =
+        PamSwap(DistanceMatrix::Euclidean(line), c.medoids);
+    ExpectSameClustering(swapped, AssignToMedoids(line, swapped.medoids));
   }
 }
 

@@ -134,11 +134,7 @@ TEST_P(ClaraPropertyTest, RecoversWellSeparatedMixtures) {
       features.At(r, c) = data.table->column(c)->doubles()[r];
     }
   }
-  auto dist_fn = [&](size_t i, size_t j) {
-    return stats::EuclideanDistance(features.RowPtr(i), features.RowPtr(j),
-                                    4);
-  };
-  auto result = *cluster::Clara(1500, dist_fn, 3, 42);
+  auto result = *cluster::Clara(features, 3, 42);
   double ari =
       stats::AdjustedRandIndex(result.labels, data.truth.row_clusters);
   EXPECT_GT(ari, 0.9) << "separation " << separation;
