@@ -13,17 +13,13 @@ namespace blaeu::cluster {
 
 namespace {
 
-/// Kaufman and Rousseeuw's number of sub-samples.
-constexpr size_t kNumSamples = 5;
-
 /// Kaufman and Rousseeuw's sub-sample size; for k <= n it holds k points.
 size_t SampleSize(size_t n, size_t k) { return std::min(40 + 2 * k, n); }
 
-/// A sub-sample of all n points is the same sorted set every time, so its
-/// PAM run and assignment would repeat exactly and the first would win.
-size_t NumSamples(size_t n, size_t k) {
-  return SampleSize(n, k) == n ? 1 : kNumSamples;
-}
+/// Kaufman and Rousseeuw's 5 sub-samples, or 1 when it holds all n points:
+/// that sub-sample is the same sorted set every time, so its PAM run and
+/// assignment would repeat exactly and the first would win.
+size_t NumSamples(size_t n, size_t k) { return SampleSize(n, k) == n ? 1 : 5; }
 
 }  // namespace
 

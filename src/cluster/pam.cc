@@ -74,16 +74,15 @@ ClusteringResult Assign(size_t n, const std::vector<size_t>& medoids,
   return out;
 }
 
-/// Assign over a distance matrix: point i's distances to the medoids are
-/// entries of its row.
-ClusteringResult AssignFromMatrix(const DistanceMatrix& dist,
-                                  const std::vector<size_t>& medoids) {
-  std::vector<double> to(medoids.size());
-  return Assign(dist.size(), medoids, [&](size_t i) {
+/// ForEachNearestTwo's `to_medoids` over a distance matrix: point i's
+/// distances to the medoids are entries of its row, gathered into `to`.
+auto FromRows(const DistanceMatrix& dist, const std::vector<size_t>& medoids,
+              std::vector<double>* to) {
+  return [&dist, &medoids, to](size_t i) {
     const double* row = dist.RowPtr(i);
-    for (size_t m = 0; m < medoids.size(); ++m) to[m] = row[medoids[m]];
-    return to.data();
-  });
+    for (size_t m = 0; m < medoids.size(); ++m) (*to)[m] = row[medoids[m]];
+    return to->data();
+  };
 }
 
 }  // namespace
@@ -177,18 +176,12 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
   std::vector<double> nearest(n), second(n), to(k);
   std::vector<size_t> nearest_idx(n);
   auto recompute_neighbors = [&]() {
-    ForEachNearestTwo(
-        n, k,
-        [&](size_t i) {
-          const double* row = dist.RowPtr(i);
-          for (size_t m = 0; m < k; ++m) to[m] = row[medoids[m]];
-          return to.data();
-        },
-        [&](size_t i, int m1, double d1, double d2) {
-          nearest[i] = d1;
-          second[i] = d2;
-          nearest_idx[i] = static_cast<size_t>(m1);
-        });
+    ForEachNearestTwo(n, k, FromRows(dist, medoids, &to),
+                      [&](size_t i, int m1, double d1, double d2) {
+      nearest[i] = d1;
+      second[i] = d2;
+      nearest_idx[i] = static_cast<size_t>(m1);
+    });
   };
   // Per candidate c: shared[c] sums every point's gain, and
   // removal[m * n + c] the corrections of the points whose medoid is m;
@@ -245,7 +238,7 @@ ClusteringResult PamSwap(const DistanceMatrix& dist,
 
   // Canonical order: medoids sorted by index so labels are deterministic.
   std::sort(medoids.begin(), medoids.end());
-  return AssignFromMatrix(dist, medoids);
+  return Assign(n, medoids, FromRows(dist, medoids, &to));
 }
 
 Result<ClusteringResult> Pam(const DistanceMatrix& dist, size_t k) {

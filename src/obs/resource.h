@@ -30,8 +30,9 @@ struct ResourceProfile {
   /// Cells of the preprocessed feature matrix (rows x features).
   int64_t cells_materialized = 0;
   /// Metric-space distance evaluations: CLARA's sample matrices and
-  /// assignments, which also score each k. Zero for a trivial map, which
-  /// never clusters.
+  /// assignments, which also score each k, counted by arithmetic as
+  /// C(m, 2) + n * k per sub-sample of m rows (cluster::ClaraDistanceCount).
+  /// Zero for a trivial map, which never clusters.
   int64_t distance_evaluations = 0;
   /// Nodes of the trained CART description tree (= map regions).
   int64_t cart_nodes = 0;

@@ -111,8 +111,9 @@ TEST(SilhouetteTest, SingleClusterScoresZero) {
 }
 
 TEST(SilhouetteTest, ValuesMatchRowScanBitForBit) {
-  // SilhouetteValues reads the triangle once, front to back; every value
-  // must still be the double a scan of its own row gives.
+  // SilhouetteValues adds every row to its cluster's sums in one pass, two
+  // points per step; every value must still be the double a scan of its
+  // own row gives.
   Rng rng(9);
   Matrix data(97, 3);
   for (size_t i = 0; i < data.rows(); ++i) {
