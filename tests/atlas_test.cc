@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/theme.h"
 #include "workloads/gaussian.h"
 
@@ -79,6 +81,58 @@ TEST(AtlasTest, StabilityDisabledReturnsZero) {
   EXPECT_DOUBLE_EQ(*MapStability(*data.table, SelectionVector::All(200),
                                  cols, {}, 1),
                    0.0);
+}
+
+TEST(AtlasTest, StabilityValuesArePinned) {
+  // MapStability's values on the tables above, bit for bit: the separated
+  // mixture over all rows, the noise over every third row, and a mixture
+  // with NULL cells, where rows that no leaf claims take label -1.
+  auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  auto columns = [](const monet::Table& table) {
+    std::vector<std::string> cols;
+    for (const auto& f : table.schema().fields()) cols.push_back(f.name);
+    return cols;
+  };
+  MapOptions fixed;
+  fixed.sample_size = 300;
+  fixed.fixed_k = 3;
+
+  workloads::MixtureSpec separated;
+  separated.rows = 1200;
+  separated.num_clusters = 3;
+  separated.dims = 4;
+  separated.separation = 10.0;
+  auto a = workloads::MakeGaussianMixture(separated);
+  EXPECT_EQ(bits(*MapStability(*a.table, SelectionVector::All(1200),
+                               columns(*a.table), fixed, 3)),
+            0x3fed43afca4a95fbull);  // 0.9145...
+
+  workloads::MixtureSpec noise;
+  noise.rows = 1200;
+  noise.num_clusters = 1;
+  noise.dims = 4;
+  auto b = workloads::MakeGaussianMixture(noise);
+  SelectionVector thirds;
+  for (uint32_t r = 0; r < 1200; r += 3) thirds.push_back(r);
+  EXPECT_EQ(
+      bits(*MapStability(*b.table, thirds, columns(*b.table), fixed, 3)),
+      0x3fc22d8657f372f4ull);  // 0.1420...
+
+  workloads::MixtureSpec nulls;
+  nulls.rows = 600;
+  nulls.dims = 4;
+  nulls.null_rate = 0.1;
+  nulls.with_categorical = true;
+  auto c = workloads::MakeGaussianMixture(nulls);
+  MapOptions sweep;
+  sweep.sample_size = 200;
+  EXPECT_EQ(bits(*MapStability(*c.table, SelectionVector::All(600),
+                               columns(*c.table), sweep, 4)),
+            0x3fe43f5a1af3ae25ull);  // 0.6327...
 }
 
 TEST(AtlasTest, RenderMentionsEveryTheme) {
