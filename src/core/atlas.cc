@@ -1,7 +1,6 @@
 #include "core/atlas.h"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "stats/metrics.h"
@@ -13,23 +12,22 @@ using monet::Table;
 
 namespace {
 
-/// Leaf partition of `sel` induced by a map (-1 for rows no leaf claims,
-/// possible under NULL routing).
+/// The leaf partition of `sel` a map induces: the index, in LeafIds order,
+/// of the leaf holding each row of `sel`, or -1 for a row that no leaf
+/// holds (possible under NULL routing).
 Result<std::vector<int>> LeafPartition(const DataMap& map, const Table& table,
                                        const SelectionVector& sel) {
-  BLAEU_ASSIGN_OR_RETURN(monet::TablePtr view,
-                         table.ProjectNames(map.active_columns));
+  BLAEU_ASSIGN_OR_RETURN(std::vector<SelectionVector> region_rows,
+                         RegionRows(table, map, sel));
   std::vector<int> labels(sel.size(), -1);
-  // Map row id -> position in sel.
-  std::unordered_map<uint32_t, size_t> position;
-  position.reserve(sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) position[sel[i]] = i;
   int next = 0;
   for (int leaf : map.LeafIds()) {
-    BLAEU_ASSIGN_OR_RETURN(
-        SelectionVector rows,
-        map.region(leaf).predicate.EvaluateOn(*view, sel));
-    for (uint32_t r : rows.rows()) labels[position[r]] = next;
+    // Both row lists ascend, and the leaf's rows are a subset of sel's.
+    size_t pos = 0;
+    for (uint32_t r : region_rows[leaf].rows()) {
+      while (sel[pos] != r) ++pos;
+      labels[pos] = next;
+    }
     ++next;
   }
   return labels;
