@@ -1,6 +1,7 @@
 #include "monet/column.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace blaeu::monet {
 
@@ -28,6 +29,10 @@ void Column::Reserve(size_t n) {
 
 void Column::AppendDouble(double v) {
   assert(type_ == DataType::kDouble);
+  if (!std::isfinite(v)) {
+    AppendNull();
+    return;
+  }
   doubles_.push_back(v);
   validity_.push_back(1);
 }

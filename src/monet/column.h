@@ -37,7 +37,9 @@ class Column {
   size_t null_count() const { return null_count_; }
   bool IsNull(size_t row) const { return validity_[row] == 0; }
 
-  /// Appends a typed non-null value. The overload must match type().
+  /// Appends a typed value. The overload must match type(). A non-finite
+  /// double (NaN or ±Inf) is stored as NULL, as CSV input stores `nan`, so
+  /// every stored double is finite.
   void AppendDouble(double v);
   void AppendInt(int64_t v);
   void AppendString(std::string_view v);

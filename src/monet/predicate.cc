@@ -61,7 +61,7 @@ Kernel KeepNone() {
 }
 
 /// `<=`, or `>` when negated, on a typed payload. The cell is widened to
-/// double as Column::GetNumeric does, so NaN fails both.
+/// double as Column::GetNumeric does.
 template <typename T>
 Kernel ThresholdKernel(const Column& col, const std::vector<T>& payload,
                        double threshold, bool negated) {

@@ -5,8 +5,9 @@
 // Evaluation is column-at-a-time, as in MonetDB: the conditions of a
 // conjunction apply one at a time, each to the rows that survived the ones
 // before it, in one tight loop over its column's typed payload. A NULL cell
-// fails every condition, and a NaN cell fails both comparisons. Results
-// are ascending and exactly sized (no spare capacity).
+// fails every condition; a column stores no NaN (Column::AppendDouble
+// stores it as NULL). Results are ascending and exactly sized (no spare
+// capacity).
 #pragma once
 
 #include <string>

@@ -136,9 +136,9 @@ TEST(DependencyMatrixTest, SamplingApproximatesFull) {
 
 TEST(DependencyMatrixTest, NaNCellsCountAsNull) {
   // x, x^2 and a category, with 30% of the numeric cells missing: as NaN in
-  // one table and as NULL in the other. NaN has no order, so it must not
-  // reach the cut points; both tables must give the same matrix, bit for
-  // bit.
+  // one table and as NULL in the other. The column stores a NaN cell as
+  // NULL (Column::AppendDouble), so no NaN reaches the cut points and both
+  // tables give the same matrix, bit for bit.
   Schema schema({{"x", DataType::kDouble},
                  {"x2", DataType::kDouble},
                  {"cat", DataType::kString}});
@@ -164,7 +164,7 @@ TEST(DependencyMatrixTest, NaNCellsCountAsNull) {
   auto dep_nan = *DependencyMatrix(**with_nan.Finish());
   auto dep_null = *DependencyMatrix(**with_null.Finish());
   EXPECT_EQ(dep_nan, dep_null);
-  EXPECT_GT(dep_nan[0][1], 0.2);  // NaN among the cuts can read 0 here
+  EXPECT_GT(dep_nan[0][1], 0.2);
 }
 
 TEST(DependencyMatrixTest, EmptyTableFails) {

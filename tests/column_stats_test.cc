@@ -220,9 +220,10 @@ TEST(CountValuesTest, SeededColumnsOfEveryTypeMatchTheOracle) {
 TEST(CountValuesTest, SpecialDoublesMatchTheOracle) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  // Distinct bit patterns, several rendering alike under %.6g: both NaNs
-  // render by sign, 1.0000001 and 1.0000002 both render "1", and -0.0 and
-  // 0.0 render apart.
+  // Distinct bit patterns, several rendering alike under %.6g: 1.0000001
+  // and 1.0000002 both render "1", and -0.0 and 0.0 render apart. The
+  // column stores both NaNs and both infinities as NULL
+  // (Column::AppendDouble).
   const std::vector<double> specials = {nan,  -nan, inf,       -inf,
                                         0.0,  -0.0, 1.0000001, 1.0000002,
                                         1.0,  2.5,  1e300,     -1e-300};

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace blaeu::monet {
 namespace {
 
@@ -48,6 +50,24 @@ TEST(ColumnTest, AppendAndGet) {
   EXPECT_TRUE(col.IsNull(1));
   EXPECT_DOUBLE_EQ(col.GetValue(0).AsDouble(), 1.0);
   EXPECT_TRUE(col.GetValue(1).is_null());
+}
+
+TEST(ColumnTest, NonFiniteDoublesAreStoredAsNull) {
+  // The ingest rule: NaN and ±Inf become NULL, through AppendDouble and
+  // AppendValue alike, so every stored double is finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Column col(DataType::kDouble);
+  col.AppendDouble(nan);
+  col.AppendDouble(inf);
+  ASSERT_TRUE(col.AppendValue(Value::Double(-inf)).ok());
+  col.AppendDouble(-0.0);
+  col.AppendDouble(std::numeric_limits<double>::max());
+  EXPECT_EQ(col.size(), 5u);
+  EXPECT_EQ(col.null_count(), 3u);
+  for (size_t row = 0; row < 3; ++row) EXPECT_TRUE(col.IsNull(row));
+  EXPECT_FALSE(col.IsNull(3));
+  EXPECT_EQ(col.GetValue(4).AsDouble(), std::numeric_limits<double>::max());
 }
 
 TEST(ColumnTest, StringColumn) {

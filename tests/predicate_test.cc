@@ -155,7 +155,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int64_t k2To53 = int64_t{1} << 53;
 
 // `rows` rows over a double, an int64, a bool and a string column, each
-// about 10% NULL, drawing from small pools so that values repeat.
+// about 10% NULL, drawing from small pools so that values repeat. The
+// double pool's NaN and ±Inf cells are stored as NULL, as every
+// non-finite double is (Column::AppendDouble).
 TablePtr RandomTable(size_t rows, uint64_t seed) {
   const std::vector<double> doubles = {
       -kInf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e300, kInf, std::nan("")};

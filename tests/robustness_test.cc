@@ -3,6 +3,8 @@
 // clustering inputs.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "core/map_builder.h"
 #include "core/navigation.h"
@@ -106,6 +108,43 @@ TEST(MapRobustnessTest, HeavilyNullTableDegradesGracefully) {
   auto t = *b.Finish();
   auto map = core::BuildMap(*t);
   ASSERT_TRUE(map.ok());  // must not crash or error
+}
+
+// 3,000 rows of three Gaussian columns with `special` in row 1234. The
+// column stores that cell as NULL, so the z-scores stay finite and every
+// seed maps. A stored NaN or +Inf made every distance NaN, CLARA kept no
+// sub-sample, and CART rejected its empty labels.
+void ExpectEverySeedMaps(double special) {
+  TableBuilder b(Schema({{"a", DataType::kDouble},
+                         {"b", DataType::kDouble},
+                         {"c", DataType::kDouble}}));
+  Rng rng(11);
+  for (int i = 0; i < 3000; ++i) {
+    const double a = rng.NextGaussian();
+    ASSERT_TRUE(b.AppendRow({Value::Double(i == 1234 ? special : a),
+                             Value::Double(rng.NextGaussian()),
+                             Value::Double(rng.NextGaussian())})
+                    .ok());
+  }
+  auto t = *b.Finish();
+  EXPECT_EQ(t->column(0)->null_count(), 1u);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    core::MapOptions opt;
+    opt.seed = seed;
+    auto map = core::BuildMap(*t, opt);
+    ASSERT_TRUE(map.ok()) << map.status().ToString();
+    EXPECT_EQ(map->algorithm, "clara");
+    EXPECT_EQ(map->total_tuples, 3000u);
+  }
+}
+
+TEST(MapRobustnessTest, OneNaNCellStillMaps) {
+  ExpectEverySeedMaps(std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(MapRobustnessTest, OneInfCellStillMaps) {
+  ExpectEverySeedMaps(std::numeric_limits<double>::infinity());
 }
 
 TEST(ThemeRobustnessTest, AllKeyColumnsRejectedCleanly) {
