@@ -235,9 +235,8 @@ int main(int argc, char** argv) {
       }
       std::printf("noted.\n");
     } else if (cmd == "atlas") {
-      core::AtlasOptions opt;
-      opt.map.sample_size = 1000;
-      opt.min_theme_columns = 2;
+      core::MapOptions opt;
+      opt.sample_size = 1000;
       auto atlas = core::BuildAtlas(session.table(),
                                     session.current().selection,
                                     session.themes(), opt);

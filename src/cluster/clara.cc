@@ -54,13 +54,9 @@ Result<ClusteringResult> Clara(const stats::Matrix& features, size_t k,
   for (size_t s = 0; s < samples; ++s) {
     std::vector<size_t> sample = rng.SampleWithoutReplacement(n, sample_size);
     std::sort(sample.begin(), sample.end());
-    // The sample's own distance matrix, on this thread: Clara runs inside
-    // a k task of the sweep.
     BLAEU_ASSIGN_OR_RETURN(
         ClusteringResult local,
-        Pam(stats::DistanceMatrix::Euclidean(features.TakeRows(sample),
-                                             /*num_threads=*/1),
-            k));
+        Pam(stats::DistanceMatrix::Euclidean(features.TakeRows(sample)), k));
     // Lift sample-local medoids to global indices and extend to all points.
     std::vector<size_t> medoids;
     medoids.reserve(k);

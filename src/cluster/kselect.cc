@@ -64,14 +64,20 @@ Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
   return out;
 }
 
-Result<KSelectResult> SelectK(const DistanceMatrix& dist,
-                              const ClusterFn& cluster_fn,
-                              const KSelectOptions& options) {
+Result<KSelectResult> SelectKWithPam(const DistanceMatrix& dist,
+                                     size_t k_max) {
   const size_t n = dist.size();
   if (n < 2) return Status::Invalid("need at least 2 points to select k");
+  k_max = std::min(k_max, n - 1);
+  // BUILD is greedy, so BUILD(k) is the first k medoids of BUILD(k_max):
+  // one BUILD before the sweep seeds every k.
+  const std::vector<size_t> build = PamBuild(dist, k_max);
   return SweepK(
-      std::max<size_t>(2, options.k_min), std::min(options.k_max, n - 1),
-      cluster_fn,
+      2, k_max,
+      [&](size_t k) -> Result<ClusteringResult> {
+        return PamSwap(dist,
+                       std::vector<size_t>(build.begin(), build.begin() + k));
+      },
       [&](size_t k, const ClusteringResult& result) {
         std::vector<size_t> sizes = ClusterSizes(result.labels);
         if (sizes.size() != k ||
@@ -82,22 +88,6 @@ Result<KSelectResult> SelectK(const DistanceMatrix& dist,
         return stats::MeanSilhouette(dist, result.labels);
       },
       /*num_threads=*/1);
-}
-
-Result<KSelectResult> SelectKWithPam(const DistanceMatrix& dist,
-                                     const KSelectOptions& options) {
-  // BUILD is greedy, so BUILD(k) is the first k medoids of BUILD(k_max):
-  // one BUILD before the k tasks seeds them all, shared read-only.
-  const size_t n = dist.size();
-  const std::vector<size_t> build =
-      PamBuild(dist, n < 2 ? 0 : std::min(options.k_max, n - 1));
-  return SelectK(
-      dist,
-      [&](size_t k) -> Result<ClusteringResult> {
-        return PamSwap(dist,
-                       std::vector<size_t>(build.begin(), build.begin() + k));
-      },
-      options);
 }
 
 }  // namespace blaeu::cluster

@@ -11,18 +11,12 @@
 
 namespace blaeu::cluster {
 
-/// Range of the k sweep of SelectK.
-struct KSelectOptions {
-  size_t k_min = 2;
-  size_t k_max = 8;
-};
-
 /// \brief Outcome of the sweep.
 struct KSelectResult {
   size_t best_k = 0;
   double best_score = 0.0;
   ClusteringResult best;
-  /// score[i] is the mean silhouette at k = k_min + i.
+  /// The score of each candidate k, lowest k first.
   std::vector<double> scores;
 };
 
@@ -52,19 +46,14 @@ Result<KSelectResult> SweepK(size_t k_min, size_t k_max,
                              const ClusterFn& cluster_fn,
                              const ScoreFn& score_fn, size_t num_threads);
 
-/// Serial SweepK over k in [max(2, k_min), min(k_max, n-1)], scoring each
-/// partition by its exact mean silhouette under `dist`. Candidates whose
-/// realized partition degenerates (fewer than k non-empty clusters) score
-/// -1. A caller that wants another score or threads calls SweepK with its
-/// own ScoreFn, as the map builder does with the medoid silhouette.
-Result<KSelectResult> SelectK(const stats::DistanceMatrix& dist,
-                              const ClusterFn& cluster_fn,
-                              const KSelectOptions& options = {});
-
-/// SelectK with PAM as the clusterer: the same result as passing
-/// `[&](size_t k) { return Pam(dist, k); }`, with one PamBuild for the
-/// whole sweep instead of one per k.
+/// Theme detection's k sweep: a serial SweepK of PAM over k in
+/// [2, min(k_max, n - 1)], each partition scored by its exact mean
+/// silhouette under `dist`, and -1 for a partition with fewer than k
+/// non-empty clusters. The result is that of one Pam(dist, k) per k, with
+/// one PamBuild for the whole sweep instead of one per k. Fewer than 2
+/// points, or k_max < 2, is InvalidArgument. The map builder sweeps CLARA
+/// through SweepK with its own ScoreFn, the medoid silhouette.
 Result<KSelectResult> SelectKWithPam(const stats::DistanceMatrix& dist,
-                                     const KSelectOptions& options = {});
+                                     size_t k_max);
 
 }  // namespace blaeu::cluster

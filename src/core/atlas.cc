@@ -61,21 +61,14 @@ Result<double> MapStability(const Table& table, const SelectionVector& sel,
 }
 
 Result<Atlas> BuildAtlas(const Table& table, const SelectionVector& sel,
-                         const ThemeSet& themes,
-                         const AtlasOptions& options) {
+                         const ThemeSet& themes, const MapOptions& options) {
   Atlas atlas;
   for (const Theme& theme : themes.themes) {
-    if (theme.columns.size() < options.min_theme_columns) continue;
+    if (theme.columns.size() < kMinThemeColumns) continue;
     AtlasEntry entry;
     entry.theme_id = theme.id;
     BLAEU_ASSIGN_OR_RETURN(entry.map,
-                           BuildMap(table, sel, theme.names, options.map));
-    if (options.stability_replicas >= 2) {
-      BLAEU_ASSIGN_OR_RETURN(
-          entry.stability,
-          MapStability(table, sel, theme.names, options.map,
-                       options.stability_replicas));
-    }
+                           BuildMap(table, sel, theme.names, options));
     atlas.entries.push_back(std::move(entry));
   }
   if (atlas.entries.empty()) {
@@ -92,9 +85,6 @@ std::string RenderAtlas(const Atlas& atlas, const ThemeSet& themes) {
     out << "  theme " << entry.theme_id << " [" << theme.Label() << "]: "
         << entry.map.num_clusters << " clusters, silhouette "
         << FormatDouble(entry.map.silhouette, 3);
-    if (entry.stability > 0) {
-      out << ", stability " << FormatDouble(entry.stability, 3);
-    }
     // Top-level split: the first child's edge, if any.
     if (entry.map.regions.size() > 1) {
       out << "\n      splits on " << entry.map.regions[1].EdgeLabel();

@@ -1,9 +1,8 @@
-// The atlas: one map per theme, built up front, with optional bootstrap
-// stability scores. The demo shows one map at a time; the journal version
-// of Blaeu pre-computes alternatives so the user can glance across every
-// "aspect" of the data at once. Stability quantifies how much a map is an
-// artifact of the sample: maps rebuilt from independent samples should
-// agree (high ARI) if the structure is real.
+// The atlas: one map per theme, built up front. The demo shows one map at a
+// time; the journal version of Blaeu pre-computes alternatives so the user
+// can glance across every "aspect" of the data at once. Map stability
+// quantifies how much a map is an artifact of the sample: maps rebuilt from
+// independent samples should agree (high ARI) if the structure is real.
 #pragma once
 
 #include <string>
@@ -19,18 +18,6 @@ namespace blaeu::core {
 struct AtlasEntry {
   int theme_id = 0;
   DataMap map;
-  /// Mean pairwise ARI between `stability_replicas` maps rebuilt from
-  /// independent samples (1.0 = perfectly stable; 0 when replicas < 2).
-  double stability = 0.0;
-};
-
-/// Atlas options.
-struct AtlasOptions {
-  MapOptions map;
-  /// Replicated builds per theme for the stability score (0/1 disables).
-  size_t stability_replicas = 0;
-  /// Skip themes with fewer columns than this.
-  size_t min_theme_columns = 1;
 };
 
 /// \brief All themes mapped over one selection.
@@ -38,19 +25,20 @@ struct Atlas {
   std::vector<AtlasEntry> entries;  ///< theme order of the ThemeSet
 };
 
-/// Builds one map per qualifying theme over `sel`.
+/// Builds one map per theme of at least kMinThemeColumns columns over
+/// `sel`, each with `options`. InvalidArgument when no theme qualifies.
 Result<Atlas> BuildAtlas(const monet::Table& table,
                          const monet::SelectionVector& sel,
-                         const ThemeSet& themes,
-                         const AtlasOptions& options = {});
+                         const ThemeSet& themes, const MapOptions& options);
 
 /// Compact text overview: one block per theme with cluster count,
-/// silhouette, stability and the top-level split.
+/// silhouette and the top-level split.
 std::string RenderAtlas(const Atlas& atlas, const ThemeSet& themes);
 
-/// Mean pairwise ARI between the leaf partitions of maps built with
-/// distinct seeds over the same selection — the stability primitive,
-/// exposed for tests and benches.
+/// Mean pairwise ARI between the leaf partitions of `replicas` maps built
+/// with distinct seeds over the same selection (0 when replicas < 2); rows
+/// that no leaf holds form one more part of each partition. No product path
+/// calls it: bench_stability and atlas_test do.
 Result<double> MapStability(const monet::Table& table,
                             const monet::SelectionVector& sel,
                             const std::vector<std::string>& columns,

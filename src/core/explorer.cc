@@ -10,7 +10,7 @@ namespace blaeu::core {
 Explorer::Explorer(SessionOptions options) : options_(std::move(options)) {
   if (options_.cache_enabled && options_.cache == nullptr) {
     options_.cache = std::make_shared<MapCache>(
-        MapCache::BudgetFromEnv(options_.cache_budget_bytes),
+        MapCache::BudgetFromEnv(),
         options_.map.metrics, options_.map.tracer, options_.map.flight);
   }
 }

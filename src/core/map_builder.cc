@@ -24,20 +24,19 @@ constexpr tree::CartOptions kTreeOptions{/*max_depth=*/4,
                                          /*min_samples_leaf=*/8};
 
 /// The map's clustering (paper §3): a CLARA k sweep over k in
-/// [max(2, k_min), min(k_max, n - 1)], or over [fixed_k, fixed_k], with
-/// each candidate scored by the medoid silhouette of its final assignment
-/// over the whole sample, which costs no distance beyond CLARA's own.
-/// Unlike SelectK, a degenerate partition is not forced to -1: that rule
+/// [2, min(k_max, n - 1)], or over [fixed_k, fixed_k], with each candidate
+/// scored by the medoid silhouette of its final assignment over the whole
+/// sample, which costs no distance beyond CLARA's own. Unlike
+/// SelectKWithPam, a degenerate partition is not forced to -1: that rule
 /// would change which k wins. `features` has at least 4 rows (fewer make a
 /// trivial map).
 Result<cluster::KSelectResult> RunClustering(const stats::Matrix& features,
                                              const MapOptions& options,
                                              int64_t* evals) {
   const size_t n = features.rows();
-  const size_t k_min = std::max<size_t>(2, options.k_min);
-  const size_t k_max = std::min(options.k_max, n - 1);
-  const size_t lo = options.fixed_k > 0 ? options.fixed_k : k_min;
-  const size_t hi = options.fixed_k > 0 ? options.fixed_k : k_max;
+  const size_t lo = options.fixed_k > 0 ? options.fixed_k : 2;
+  const size_t hi =
+      options.fixed_k > 0 ? options.fixed_k : std::min(options.k_max, n - 1);
   for (size_t k = lo; k <= hi; ++k) *evals += cluster::ClaraDistanceCount(n, k);
   return cluster::SweepK(
       lo, hi,

@@ -25,11 +25,10 @@ struct MapOptions {
   /// Tuples sampled from the selection before clustering (paper: "a few
   /// thousand samples"). 0 disables sampling.
   size_t sample_size = 2000;
-  /// Range of cluster counts swept with the silhouette criterion. Every
-  /// candidate is a CLARA run over the sample, scored by the medoid
-  /// silhouette of its assignment of the whole sample
-  /// (cluster::ClusteringResult::medoid_silhouette).
-  size_t k_min = 2;
+  /// Largest cluster count of the silhouette sweep, which runs k from 2 to
+  /// min(k_max, sampled rows - 1). Every candidate is a CLARA run over the
+  /// sample, scored by the medoid silhouette of its assignment of the whole
+  /// sample (cluster::ClusteringResult::medoid_silhouette).
   size_t k_max = 6;
   /// Fix k exactly (0 = sweep with silhouette).
   size_t fixed_k = 0;

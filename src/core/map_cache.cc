@@ -1,6 +1,7 @@
 #include "core/map_cache.h"
 
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 
 #include "common/json_writer.h"
@@ -42,7 +43,6 @@ uint64_t FingerprintTable(const monet::Table& table) {
 uint64_t FingerprintMapOptions(const MapOptions& o) {
   uint64_t h = kFnvOffset;
   h = HashMix(h, o.sample_size);
-  h = HashMix(h, o.k_min);
   h = HashMix(h, o.k_max);
   h = HashMix(h, o.fixed_k);
   return h;
@@ -85,13 +85,16 @@ MapCache::MapCache(size_t budget_bytes, obs::MetricsRegistry* metrics,
       tracer_(tracer != nullptr ? tracer : &obs::Tracer::Global()),
       flight_(flight != nullptr ? flight : &obs::FlightRecorder::Global()) {}
 
-size_t MapCache::BudgetFromEnv(size_t configured) {
+size_t MapCache::BudgetFromEnv() {
   const char* env = std::getenv("BLAEU_CACHE_BYTES");
-  if (env == nullptr || *env == '\0') return configured;
+  // The whole value must be digits: strtoull alone reads "64MB" as 64 and
+  // wraps "-1" to 2^64 - 1.
+  if (env == nullptr || !std::isdigit(static_cast<unsigned char>(*env))) {
+    return kDefaultBudgetBytes;
+  }
   char* end = nullptr;
-  unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env) return configured;
-  return static_cast<size_t>(parsed);
+  const unsigned long long parsed = std::strtoull(env, &end, 10);
+  return *end == '\0' ? static_cast<size_t>(parsed) : kDefaultBudgetBytes;
 }
 
 uint64_t MapCache::NextSessionId() {

@@ -13,10 +13,11 @@
 //     two distinct tables sharing a name/version (standalone sessions);
 //   - selection_fp: SelectionVector::Fingerprint() over the row ids;
 //   - columns_fp: FNV over the projected column names, order-sensitive;
-//   - options_fp: every knob of MapOptions that can
-//     change the output. Thread budgets and observability sinks are
-//     deliberately excluded — the map is bit-identical at any thread count
-//     (the PR 7 contract), so entries are shared across them;
+//   - options_fp: every knob of MapOptions that can change the output
+//     (sample_size, k_max, fixed_k). Thread budgets and observability sinks
+//     are deliberately excluded — the map is bit-identical at any thread
+//     count, so entries are shared across them — and so are the pipeline's
+//     constants, such as the k sweep's lower end 2, which no option sets;
 //   - seed: the per-map seed. Sessions derive it from (session seed,
 //     selection_fp, columns_fp), so rebuilding the same navigation state
 //     cold produces the same seed, sample and map as a cache hit.
@@ -66,8 +67,8 @@ uint64_t FingerprintStrings(const std::vector<std::string>& strings);
 /// Explorer's job via table_version.
 uint64_t FingerprintTable(const monet::Table& table);
 
-/// Fingerprint of every output-affecting knob of MapOptions. Excludes
-/// num_threads and the tracer/metrics sinks,
+/// Fingerprint of every output-affecting knob of MapOptions: sample_size,
+/// k_max and fixed_k. Excludes num_threads and the observability sinks,
 /// which never change the map, and the seed, which is a separate key
 /// component.
 uint64_t FingerprintMapOptions(const MapOptions& options);
@@ -123,8 +124,10 @@ class MapCache {
                     obs::Tracer* tracer = nullptr,
                     obs::FlightRecorder* flight = nullptr);
 
-  /// The configured budget, unless BLAEU_CACHE_BYTES overrides it.
-  static size_t BudgetFromEnv(size_t configured);
+  /// The budget of the cache a Session or Explorer creates:
+  /// BLAEU_CACHE_BYTES when its whole value is decimal digits (0 keeps no
+  /// map), else kDefaultBudgetBytes.
+  static size_t BudgetFromEnv();
 
   /// Process-unique id for a new session.
   static uint64_t NextSessionId();

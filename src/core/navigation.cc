@@ -49,7 +49,7 @@ Session::Session(TablePtr table, std::string table_name,
     cache_ = options_.cache != nullptr
                  ? options_.cache
                  : std::make_shared<MapCache>(
-                       MapCache::BudgetFromEnv(options_.cache_budget_bytes),
+                       MapCache::BudgetFromEnv(),
                        options_.map.metrics, options_.map.tracer,
                        options_.map.flight);
   }

@@ -29,11 +29,10 @@ struct SessionOptions {
 
   /// Navigation-aware map cache (core/map_cache.h). When enabled, every map
   /// the session builds is memoized, so rollback + re-visit of a navigation
-  /// state is O(1) and bit-identical to a cache-disabled session.
+  /// state is O(1) and bit-identical to a cache-disabled session. A cache
+  /// the session (or Explorer) creates has MapCache::BudgetFromEnv()'s
+  /// budget.
   bool cache_enabled = true;
-  /// LRU byte budget of the cache a session (or Explorer) creates when
-  /// `cache` is null. The BLAEU_CACHE_BYTES env var overrides it.
-  size_t cache_budget_bytes = MapCache::kDefaultBudgetBytes;
   /// Shared cache instance: the Explorer sets this so all its sessions
   /// share one budget; null makes each session create its own private one
   /// (when enabled). Callers sharing a cache across sessions must keep

@@ -9,6 +9,11 @@ namespace blaeu::core {
 
 namespace {
 
+/// Rows exported per leaf-region CSV.
+constexpr size_t kRegionCsvRows = 100;
+/// The DOT graph shows the edges of dependency above this.
+constexpr double kDotMinWeight = 0.2;
+
 Status WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out.is_open()) {
@@ -22,8 +27,7 @@ Status WriteFile(const std::string& path, const std::string& content) {
 }  // namespace
 
 Status ExportSessionReport(const Session& session,
-                           const std::string& directory,
-                           const ReportOptions& options) {
+                           const std::string& directory) {
   const std::string base = directory + "/";
 
   // Themes (Figure 1a) and the dependency graph (Figure 2).
@@ -33,7 +37,7 @@ Status ExportSessionReport(const Session& session,
       WriteFile(base + "themes.json", ThemesToJson(session.themes())));
   BLAEU_RETURN_NOT_OK(WriteFile(
       base + "dependency.dot",
-      DependencyGraphToDot(session.themes(), options.dot_min_weight)));
+      DependencyGraphToDot(session.themes(), kDotMinWeight)));
 
   // Every navigation state: map rendering, map JSON, implicit SQL.
   for (size_t i = 0; i < session.history_size(); ++i) {
@@ -54,13 +58,11 @@ Status ExportSessionReport(const Session& session,
   BLAEU_RETURN_NOT_OK(WriteFile(base + "session.json", session.ToJson()));
 
   // Current map's leaf contents.
-  if (options.region_csv_rows > 0) {
-    for (int leaf : session.current().map.LeafIds()) {
-      BLAEU_ASSIGN_OR_RETURN(monet::TablePtr rows,
-                             session.Inspect(leaf, options.region_csv_rows));
-      BLAEU_RETURN_NOT_OK(monet::WriteCsvFile(
-          *rows, base + "region_" + std::to_string(leaf) + ".csv"));
-    }
+  for (int leaf : session.current().map.LeafIds()) {
+    BLAEU_ASSIGN_OR_RETURN(monet::TablePtr rows,
+                           session.Inspect(leaf, kRegionCsvRows));
+    BLAEU_RETURN_NOT_OK(monet::WriteCsvFile(
+        *rows, base + "region_" + std::to_string(leaf) + ".csv"));
   }
   return Status::OK();
 }

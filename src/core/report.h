@@ -12,24 +12,17 @@
 
 namespace blaeu::core {
 
-/// Report options.
-struct ReportOptions {
-  /// Rows exported per leaf-region CSV (0 disables region CSVs).
-  size_t region_csv_rows = 100;
-  /// Edges below this dependency are omitted from the DOT graph.
-  double dot_min_weight = 0.2;
-};
-
 /// Writes into `directory` (which must exist):
 ///   themes.txt / themes.json     — the theme list (Figure 1a)
-///   dependency.dot               — the dependency graph (Figure 2)
+///   dependency.dot               — the dependency graph (Figure 2), its
+///                                  edges of dependency above 0.2
 ///   state_<i>_map.txt / .json    — every navigation state's map
 ///   state_<i>_query.sql          — the implicit query of each state
 ///   session.json                 — the full action log with annotations
-///   region_<id>.csv              — current map's leaf contents (capped)
+///   region_<id>.csv              — the first 100 rows of each leaf of the
+///                                  current map
 /// Returns IOError if any file cannot be written.
 Status ExportSessionReport(const Session& session,
-                           const std::string& directory,
-                           const ReportOptions& options = {});
+                           const std::string& directory);
 
 }  // namespace blaeu::core

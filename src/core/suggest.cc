@@ -9,23 +9,31 @@
 
 namespace blaeu::core {
 
+namespace {
+
+/// Rows sampled from the selection for dependency estimation, and the seed
+/// of the sample.
+constexpr size_t kSampleRows = 1000;
+constexpr uint64_t kSeed = 42;
+
+}  // namespace
+
 Result<std::vector<ProjectionSuggestion>> SuggestProjections(
-    const Session& session, const SuggestOptions& options) {
+    const Session& session) {
   const NavState& cur = session.current();
   const ThemeSet& themes = session.themes();
 
-  Rng rng(options.seed);
-  monet::SelectionVector sample = monet::SampleFromSelection(
-      cur.selection, options.sample_rows, &rng);
+  Rng rng(kSeed);
+  monet::SelectionVector sample =
+      monet::SampleFromSelection(cur.selection, kSampleRows, &rng);
 
   std::vector<ProjectionSuggestion> out;
   for (const Theme& theme : themes.themes) {
-    if (theme.columns.size() < options.min_theme_columns) continue;
+    if (theme.columns.size() < kMinThemeColumns) continue;
     // Dependency matrix of the theme's columns over the sampled selection.
     monet::TablePtr view = session.table().Project(theme.columns);
     stats::DependencyOptions dep;
     dep.sample_rows = 0;  // we already sampled
-    dep.seed = options.seed;
     monet::TablePtr sampled = view->Take(sample.rows());
     BLAEU_ASSIGN_OR_RETURN(auto matrix,
                            stats::DependencyMatrix(*sampled, dep));

@@ -24,20 +24,11 @@ struct ProjectionSuggestion {
   double lift = 0.0;
 };
 
-/// Options for suggestion scoring.
-struct SuggestOptions {
-  /// Rows sampled from the selection for dependency estimation.
-  size_t sample_rows = 1000;
-  /// Skip themes with fewer than this many columns (singletons carry no
-  /// dependency signal).
-  size_t min_theme_columns = 2;
-  uint64_t seed = 42;
-};
-
-/// Scores every theme (including the active one) against the session's
-/// current selection and returns suggestions sorted by lift, best first.
+/// Scores every theme of at least kMinThemeColumns columns (the active one
+/// included) on 1,000 rows sampled from the session's current selection
+/// with seed 42, and returns the suggestions sorted by lift, best first.
 Result<std::vector<ProjectionSuggestion>> SuggestProjections(
-    const Session& session, const SuggestOptions& options = {});
+    const Session& session);
 
 /// Renders suggestions as text ("theme 3 (+0.12 lift): unemployment, ...").
 std::string RenderSuggestions(

@@ -66,10 +66,9 @@ Result<ThemeSet> DetectThemes(const Table& table,
         dist.Set(i, j, 1.0 - dep[i][j]);
       }
     }
-    cluster::KSelectOptions ks;  // k_min = 2
-    ks.k_max = std::min(options.max_themes, m - 1);
-    BLAEU_ASSIGN_OR_RETURN(cluster::KSelectResult result,
-                           cluster::SelectKWithPam(dist, ks));
+    BLAEU_ASSIGN_OR_RETURN(
+        cluster::KSelectResult result,
+        cluster::SelectKWithPam(dist, std::min(options.max_themes, m - 1)));
     labels = result.best.labels;
     medoids = result.best.medoids;
     out.silhouette = result.best_score;

@@ -26,6 +26,10 @@ struct Theme {
   std::string Label(size_t max_names = 3) const;
 };
 
+/// Themes of fewer columns than this carry no dependency signal: the atlas
+/// and the projection suggester skip them.
+constexpr size_t kMinThemeColumns = 2;
+
 /// Theme-detection options.
 struct ThemeOptions {
   stats::DependencyOptions dependency;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/parallel.h"
-
 namespace blaeu::stats {
 
 double SquaredEuclideanDistance(const double* a, const double* b,
@@ -46,26 +44,18 @@ void EuclideanDistancesTo(const double* x, const double* rows, size_t count,
   for (; r < count; ++r) out[r] = EuclideanDistance(x, rows + r * dims, dims);
 }
 
-DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data,
-                                         size_t num_threads) {
+DistanceMatrix DistanceMatrix::Euclidean(const Matrix& data) {
   const size_t n = data.rows();
   const size_t dims = data.cols();
   DistanceMatrix out(n);
   double* d = out.d_.data();
-  // Row-blocked: the chunk owning row i writes pairs (i, j > i) to row i
-  // and to column i of the later rows, so every entry is written once, by
-  // one chunk, and the matrix is identical at any thread count.
-  ParallelFor(
-      0, n, 16,
-      [&](size_t row_lo, size_t row_hi) {
-        for (size_t i = row_lo; i < row_hi; ++i) {
-          double* row = d + i * n;
-          EuclideanDistancesTo(data.RowPtr(i), data.RowPtr(i) + dims,
-                               n - 1 - i, dims, row + i + 1);
-          for (size_t j = i + 1; j < n; ++j) d[j * n + i] = row[j];
-        }
-      },
-      num_threads);
+  // Row i's pairs (i, j > i), mirrored into column i of the later rows.
+  for (size_t i = 0; i < n; ++i) {
+    double* row = d + i * n;
+    EuclideanDistancesTo(data.RowPtr(i), data.RowPtr(i) + dims, n - 1 - i,
+                         dims, row + i + 1);
+    for (size_t j = i + 1; j < n; ++j) d[j * n + i] = row[j];
+  }
   return out;
 }
 

@@ -26,10 +26,9 @@ void EuclideanDistancesTo(const double* x, const double* rows, size_t count,
 /// \brief Dense symmetric distance matrix: n × n, row-major, zero diagonal.
 class DistanceMatrix {
  public:
-  /// Pairwise Euclidean distances between rows of `data`, computed on up to
-  /// `num_threads` threads (0 = the process default); the matrix is the
-  /// same at any thread count.
-  static DistanceMatrix Euclidean(const Matrix& data, size_t num_threads = 0);
+  /// Pairwise Euclidean distances between rows of `data`, on the calling
+  /// thread: CLARA builds one per sub-sample inside a k task of its sweep.
+  static DistanceMatrix Euclidean(const Matrix& data);
 
   explicit DistanceMatrix(size_t n) : n_(n), d_(n * n, 0.0) {}
 

@@ -25,6 +25,13 @@ constexpr double kMinImpurityDecrease = 1e-7;
 /// not split it.
 constexpr size_t kMaxCategories = 64;
 
+/// A node of fewer training rows than this is a leaf.
+constexpr size_t kMinSamplesSplit = 10;
+
+/// Candidate thresholds per numeric column at a node: more distinct-value
+/// boundaries than this are thinned to this many quantiles.
+constexpr size_t kMaxThresholds = 32;
+
 /// Gini impurity of `n` rows, `count(c)` of them in class c.
 template <typename Count>
 double Gini(size_t n, size_t num_classes, Count count) {
@@ -116,8 +123,7 @@ Score ScoreSplit(const TrainContext& ctx, const Node& node,
 }
 
 /// Best numeric split of `col` at `node`: a threshold midway between two
-/// consecutive distinct values, thinned to options.max_thresholds
-/// quantiles.
+/// consecutive distinct values, thinned to kMaxThresholds quantiles.
 void BestNumericSplit(const TrainContext& ctx, const Node& node,
                       size_t col_idx, SplitSpec* best) {
   const Column& col = *ctx.table->column(col_idx);
@@ -141,11 +147,10 @@ void BestNumericSplit(const TrainContext& ctx, const Node& node,
   for (size_t i = 1; i < pairs.size(); ++i) {
     if (pairs[i].first != pairs[i - 1].first) boundaries.push_back(i);
   }
-  const size_t cap = ctx.options.max_thresholds;
-  if (cap > 0 && boundaries.size() > cap) {
+  if (boundaries.size() > kMaxThresholds) {
     std::vector<size_t> thinned;
-    for (size_t t = 0; t < cap; ++t) {
-      thinned.push_back(boundaries[(t * boundaries.size()) / cap]);
+    for (size_t t = 0; t < kMaxThresholds; ++t) {
+      thinned.push_back(boundaries[(t * boundaries.size()) / kMaxThresholds]);
     }
     thinned.erase(std::unique(thinned.begin(), thinned.end()), thinned.end());
     boundaries = std::move(thinned);
@@ -285,7 +290,7 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
   }
   bool pure = best_count == idx.size();
   if (depth >= ctx.options.max_depth || pure ||
-      idx.size() < ctx.options.min_samples_split) {
+      idx.size() < kMinSamplesSplit) {
     *majority += best_count;
     return node;
   }

@@ -5,6 +5,9 @@
 // region descriptions shown on the map. Splits minimize Gini impurity (a
 // split must lower it by more than 1e-7), and the grown tree is used as is,
 // without pruning: max_depth and the sample-count floors bound its size.
+// A node of fewer than 10 rows is a leaf, a numeric column offers at most
+// 32 thresholds, and a string or bool column with more than 64 categories
+// at a node does not split it.
 #pragma once
 
 #include <memory>
@@ -21,10 +24,6 @@ namespace blaeu::tree {
 struct CartOptions {
   size_t max_depth = 4;        ///< shallow trees keep maps readable
   size_t min_samples_leaf = 5;
-  size_t min_samples_split = 10;
-  /// Candidate thresholds per numeric column (quantile-capped); 0 = all
-  /// midpoints.
-  size_t max_thresholds = 32;
 };
 
 /// \brief One node of a trained tree.

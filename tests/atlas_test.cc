@@ -16,8 +16,8 @@ using monet::SelectionVector;
 TEST(AtlasTest, OneEntryPerQualifyingTheme) {
   auto data = workloads::MakeTwoThemeMixture(600, 4, 3, 3, 1);
   auto themes = *DetectThemes(*data.table);
-  AtlasOptions opt;
-  opt.map.sample_size = 600;
+  MapOptions opt;
+  opt.sample_size = 600;
   auto atlas = *BuildAtlas(*data.table,
                            SelectionVector::All(600), themes, opt);
   EXPECT_EQ(atlas.entries.size(), themes.size());
@@ -28,12 +28,19 @@ TEST(AtlasTest, OneEntryPerQualifyingTheme) {
 }
 
 TEST(AtlasTest, MinColumnsFilters) {
+  // Themes of fewer than kMinThemeColumns columns get no map, so an atlas
+  // of single-column themes has nothing to show.
   auto data = workloads::MakeTwoThemeMixture(400, 3, 2, 2, 2);
-  auto themes = *DetectThemes(*data.table);
-  AtlasOptions opt;
-  opt.min_theme_columns = 100;  // nothing qualifies
+  ThemeSet themes;
+  for (size_t c = 0; c < data.table->num_columns(); ++c) {
+    Theme theme;
+    theme.id = static_cast<int>(c);
+    theme.columns = {c};
+    theme.names = {data.table->schema().field(c).name};
+    themes.themes.push_back(theme);
+  }
   auto atlas = BuildAtlas(*data.table, SelectionVector::All(400), themes,
-                          opt);
+                          MapOptions());
   EXPECT_FALSE(atlas.ok());
 }
 
@@ -138,9 +145,8 @@ TEST(AtlasTest, StabilityValuesArePinned) {
 TEST(AtlasTest, RenderMentionsEveryTheme) {
   auto data = workloads::MakeTwoThemeMixture(500, 4, 3, 2, 3);
   auto themes = *DetectThemes(*data.table);
-  AtlasOptions opt;
-  opt.map.sample_size = 500;
-  opt.stability_replicas = 2;
+  MapOptions opt;
+  opt.sample_size = 500;
   auto atlas = *BuildAtlas(*data.table, SelectionVector::All(500), themes,
                            opt);
   std::string text = RenderAtlas(atlas, themes);
@@ -150,7 +156,6 @@ TEST(AtlasTest, RenderMentionsEveryTheme) {
         text.find("theme " + std::to_string(entry.theme_id)),
         std::string::npos);
   }
-  EXPECT_NE(text.find("stability"), std::string::npos);
   EXPECT_NE(text.find("splits on"), std::string::npos);
 }
 

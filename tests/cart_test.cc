@@ -41,13 +41,8 @@ TablePtr ThresholdTable(size_t n, std::vector<int>* labels) {
 TEST(CartTest, LearnsSingleNumericThreshold) {
   std::vector<int> labels;
   TablePtr t = ThresholdTable(200, &labels);
-  CartOptions opt;
-  opt.max_thresholds = 0;  // consider every midpoint: exact split expected
-  auto model = *CartModel::Train(*t, AllRows(200), labels, opt);
-  EXPECT_EQ(model.Depth(), 1u);
-  EXPECT_EQ(model.NumLeaves(), 2u);
-  EXPECT_DOUBLE_EQ(model.fidelity(), 1.0);
-  // The learned threshold is near 10.
+  auto model = *CartModel::Train(*t, AllRows(200), labels);
+  // Of the 32 quantile boundaries, the root splits at one near 10.
   EXPECT_FALSE(model.root().is_leaf);
   EXPECT_NEAR(model.root().threshold, 10.0, 0.5);
 }
@@ -99,7 +94,6 @@ TEST(CartTest, MaxDepthRespected) {
   CartOptions opt;
   opt.max_depth = 2;
   opt.min_samples_leaf = 1;
-  opt.min_samples_split = 2;
   auto model = *CartModel::Train(*t, AllRows(300), labels, opt);
   EXPECT_LE(model.Depth(), 2u);
   EXPECT_LE(model.NumLeaves(), 4u);

@@ -368,9 +368,8 @@ std::vector<core::Theme> OracleThemes(const monet::Table& table) {
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = i + 1; j < m; ++j) dist.Set(i, j, 1.0 - dep[i][j]);
   }
-  cluster::KSelectOptions ks;
-  ks.k_max = std::min(opt.max_themes, m - 1);
-  auto result = cluster::SelectKWithPam(dist, ks);
+  auto result =
+      cluster::SelectKWithPam(dist, std::min(opt.max_themes, m - 1));
   EXPECT_TRUE(result.ok());
   const cluster::ClusteringResult& best = result->best;
 

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
 #include "stats/distance.h"
+#include "stats/silhouette.h"
 
 namespace blaeu::cluster {
 namespace {
@@ -42,6 +44,19 @@ double MedoidScore(size_t, const ClusteringResult& result) {
   return result.medoid_silhouette;
 }
 
+/// SelectKWithPam's score, restated: the exact mean silhouette, or -1 for a
+/// partition with fewer than k non-empty clusters.
+ScoreFn ExactScore(const DistanceMatrix& dist) {
+  return [&dist](size_t k, const ClusteringResult& result) {
+    const std::vector<size_t> sizes = ClusterSizes(result.labels);
+    if (sizes.size() != k ||
+        std::count(sizes.begin(), sizes.end(), size_t{0}) > 0) {
+      return -1.0;
+    }
+    return stats::MeanSilhouette(dist, result.labels);
+  };
+}
+
 /// Same k, labels and medoids, bit-equal scores.
 void ExpectSameSweep(const KSelectResult& a, const KSelectResult& b) {
   EXPECT_EQ(a.best_k, b.best_k);
@@ -57,10 +72,7 @@ void ExpectSameSweep(const KSelectResult& a, const KSelectResult& b) {
 TEST(KSelectTest, RecoversPlantedKThree) {
   Matrix data = PlantedBlobs(3, 40, 1);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 7;
-  auto result = *SelectKWithPam(dist, opt);
+  auto result = *SelectKWithPam(dist, 7);
   EXPECT_EQ(result.best_k, 3u);
   EXPECT_GT(result.best_score, 0.6);
   EXPECT_EQ(result.scores.size(), 6u);  // k = 2..7
@@ -69,35 +81,26 @@ TEST(KSelectTest, RecoversPlantedKThree) {
 TEST(KSelectTest, RecoversPlantedKFive) {
   Matrix data = PlantedBlobs(5, 30, 2);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 8;
-  auto result = *SelectKWithPam(dist, opt);
+  auto result = *SelectKWithPam(dist, 8);
   EXPECT_EQ(result.best_k, 5u);
 }
 
 TEST(KSelectTest, BestScoreMatchesScoresVector) {
   Matrix data = PlantedBlobs(3, 25, 3);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 6;
-  auto result = *SelectKWithPam(dist, opt);
+  auto result = *SelectKWithPam(dist, 6);
   double max_score = *std::max_element(result.scores.begin(),
                                        result.scores.end());
   EXPECT_DOUBLE_EQ(result.best_score, max_score);
-  EXPECT_EQ(result.best_k, opt.k_min + (std::max_element(result.scores.begin(),
-                                                         result.scores.end()) -
-                                        result.scores.begin()));
+  EXPECT_EQ(result.best_k, 2 + (std::max_element(result.scores.begin(),
+                                                 result.scores.end()) -
+                                result.scores.begin()));
 }
 
 TEST(KSelectTest, MedoidSilhouetteAgreesOnWellSeparatedData) {
   Matrix data = PlantedBlobs(4, 200, 4);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  KSelectOptions exact;
-  exact.k_min = 2;
-  exact.k_max = 6;
-  auto exact_result = *SelectKWithPam(dist, exact);
+  auto exact_result = *SelectKWithPam(dist, 6);
   auto medoid_result = *SweepK(
       2, 6, [&](size_t k) { return Pam(dist, k); }, MedoidScore, 1);
   EXPECT_EQ(exact_result.best_k, 4u);
@@ -108,37 +111,19 @@ TEST(KSelectTest, KRangeClampedToN) {
   Matrix data(5, 1);
   for (size_t i = 0; i < 5; ++i) data.At(i, 0) = static_cast<double>(i);
   DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 50;  // clamped to n-1 = 4
-  auto result = *SelectKWithPam(dist, opt);
+  auto result = *SelectKWithPam(dist, 50);  // clamped to n-1 = 4
   EXPECT_EQ(result.scores.size(), 3u);  // k = 2, 3, 4
 }
 
 TEST(KSelectTest, TooFewPointsRejected) {
   DistanceMatrix dist(1);
-  EXPECT_FALSE(SelectKWithPam(dist, {}).ok());
-}
-
-TEST(KSelectTest, CustomClusterFn) {
-  Matrix data = PlantedBlobs(2, 20, 5);
-  DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-  size_t calls = 0;
-  KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 4;
-  ClusterFn fn = [&](size_t k) -> Result<ClusteringResult> {
-    ++calls;
-    return Pam(dist, k);
-  };
-  auto result = *SelectK(dist, fn, opt);
-  EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(result.best_k, 2u);
+  EXPECT_FALSE(SelectKWithPam(dist, 8).ok());
 }
 
 TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
   // SelectKWithPam seeds every k from one BUILD. It must pick exactly what
-  // one Pam per k picks. A medoid-silhouette or threaded sweep is SweepK
+  // a sweep of one Pam per k under its score picks. A medoid-silhouette or
+  // threaded sweep is SweepK
   // with the caller's ScoreFn: seeded from one BUILD that its concurrent k
   // tasks share read-only, it must match the serial one-Pam-per-k sweep
   // too.
@@ -149,14 +134,12 @@ TEST(KSelectTest, SelectKWithPamMatchesOnePamPerK) {
   }
   for (const Matrix& data : {PlantedBlobs(4, 60, 9), noise}) {
     DistanceMatrix dist = DistanceMatrix::Euclidean(data);
-    KSelectOptions opt;
-    opt.k_min = 2;
-    opt.k_max = 6;
     const ClusterFn per_k = [&](size_t k) { return Pam(dist, k); };
-    ExpectSameSweep(*SelectKWithPam(dist, opt), *SelectK(dist, per_k, opt));
+    ExpectSameSweep(*SelectKWithPam(dist, 6),
+                    *SweepK(2, 6, per_k, ExactScore(dist), 1));
 
     const ScoreFn score = MedoidScore;
-    const std::vector<size_t> build = PamBuild(dist, opt.k_max);
+    const std::vector<size_t> build = PamBuild(dist, 6);
     const ClusterFn shared = [&](size_t k) -> Result<ClusteringResult> {
       return PamSwap(dist,
                      std::vector<size_t>(build.begin(), build.begin() + k));

@@ -189,33 +189,26 @@ TEST(MapBuilderTest, InvalidInputsRejected) {
 TEST(MapBuilderTest, KSweepPicksPlantedK) {
   auto data = Mixture(500, 3, 15);
   MapOptions opt;
-  opt.k_min = 2;
   opt.k_max = 6;
   auto map = *BuildMap(*data.table, opt);
   EXPECT_EQ(map.num_clusters, 3u);
 }
 
 TEST(MapBuilderTest, EmptyKRangeIsRejectedOnSmallAndLargeSelections) {
-  // After the n/k clamp the range [max(2, k_min), k_max] is empty; the
-  // build must say so instead of building from an empty sweep.
+  // With k_max = 1 the range [2, k_max] is empty; the build must say so
+  // instead of building from an empty sweep.
   auto small = Mixture(300, 3, 23);
   auto large = Mixture(2000, 3, 24);
   for (const workloads::Dataset* data : {&small, &large}) {
-    for (auto [k_min, k_max] : {std::pair<size_t, size_t>{7, 6},
-                                std::pair<size_t, size_t>{8, 6},
-                                std::pair<size_t, size_t>{2, 1}}) {
-      SCOPED_TRACE(std::to_string(data->table->num_rows()) + " rows, k " +
-                   std::to_string(k_min) + ".." + std::to_string(k_max));
-      MapOptions opt;
-      opt.k_min = k_min;
-      opt.k_max = k_max;
-      auto map = BuildMap(*data->table, opt);
-      ASSERT_FALSE(map.ok());
-      EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(map.status().message().find("empty k range"),
-                std::string::npos)
-          << map.status().ToString();
-    }
+    SCOPED_TRACE(std::to_string(data->table->num_rows()) + " rows");
+    MapOptions opt;
+    opt.k_max = 1;
+    auto map = BuildMap(*data->table, opt);
+    ASSERT_FALSE(map.ok());
+    EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(map.status().message().find("empty k range"),
+              std::string::npos)
+        << map.status().ToString();
   }
 }
 

@@ -54,12 +54,20 @@ TEST(MapCacheTest, FingerprintStringsIsOrderSensitive) {
 }
 
 TEST(MapCacheTest, BudgetFromEnvOverrides) {
+  constexpr size_t kDefault = MapCache::kDefaultBudgetBytes;
   unsetenv("BLAEU_CACHE_BYTES");
-  EXPECT_EQ(MapCache::BudgetFromEnv(999), 999u);
+  EXPECT_EQ(MapCache::BudgetFromEnv(), kDefault);
   setenv("BLAEU_CACHE_BYTES", "12345", 1);
-  EXPECT_EQ(MapCache::BudgetFromEnv(999), 12345u);
-  setenv("BLAEU_CACHE_BYTES", "not-a-number", 1);
-  EXPECT_EQ(MapCache::BudgetFromEnv(999), 999u);
+  EXPECT_EQ(MapCache::BudgetFromEnv(), 12345u);
+  setenv("BLAEU_CACHE_BYTES", "0", 1);
+  EXPECT_EQ(MapCache::BudgetFromEnv(), 0u);
+  // Anything but digits is the default: a unit suffix would otherwise read
+  // "64MB" as a 64-byte budget that keeps no map, and "-1" as 2^64 - 1.
+  for (const char* invalid : {"not-a-number", "64MB", "-1", "", " 5", "+5"}) {
+    SCOPED_TRACE(std::string("BLAEU_CACHE_BYTES=") + invalid);
+    setenv("BLAEU_CACHE_BYTES", invalid, 1);
+    EXPECT_EQ(MapCache::BudgetFromEnv(), kDefault);
+  }
   unsetenv("BLAEU_CACHE_BYTES");
 }
 

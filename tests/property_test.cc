@@ -259,10 +259,7 @@ TEST_P(KSelectPropertyTest, FindsPlantedK) {
     }
   }
   DistanceMatrix dist = DistanceMatrix::Euclidean(features);
-  cluster::KSelectOptions opt;
-  opt.k_min = 2;
-  opt.k_max = 7;
-  auto result = *cluster::SelectKWithPam(dist, opt);
+  auto result = *cluster::SelectKWithPam(dist, 7);
   EXPECT_EQ(result.best_k, planted_k);
 }
 
