@@ -7,7 +7,8 @@
 //   (F1c) zoom into the low-hours / high-income region + highlight the
 //         countries living there (expect Switzerland, Norway, Canada, ...);
 //   (F1d) project the zoomed selection onto the unemployment theme;
-//   (F2)  the dependency graph as Graphviz DOT (written to /tmp).
+//   (F2)  the dependency graph, the theme set's dependency matrix, as
+//         Graphviz DOT (written to /tmp), with its count of strong edges.
 //
 // Run:  ./countries_work [rows] [indicator_columns]
 
@@ -79,15 +80,21 @@ int main(int argc, char** argv) {
               core::RenderThemeList(session.themes()).c_str());
 
   // ----- Figure 2: dependency graph as DOT. --------------------------------
+  // The graph is the theme set's dependency matrix; its strong edges are the
+  // column pairs of dependency above 0.25, the ones the DOT file draws.
   {
     std::ofstream dot("/tmp/blaeu_oecd_dependency.dot");
     dot << core::DependencyGraphToDot(session.themes(), 0.25);
+    const auto& dep = session.themes().dependency;
+    size_t strong = 0;
+    for (size_t i = 0; i < dep.size(); ++i) {
+      for (size_t j = i + 1; j < dep.size(); ++j) strong += dep[i][j] > 0.25;
+    }
     std::printf(
         "=== Figure 2: dependency graph written to "
         "/tmp/blaeu_oecd_dependency.dot (%zu vertices, %zu strong edges) "
         "===\n\n",
-        session.themes().graph.num_vertices(),
-        session.themes().graph.CountEdges(0.25));
+        dep.size(), strong);
   }
 
   // ----- Figure 1b: map of the labor-conditions theme. ---------------------

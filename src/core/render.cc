@@ -198,16 +198,40 @@ std::string ThemesToJson(const ThemeSet& themes) {
 }
 
 std::string DependencyGraphToDot(const ThemeSet& themes, double min_weight) {
-  // Group vertices by theme for coloring.
-  std::vector<int> groups(themes.graph.num_vertices(), -1);
+  static const char* kPalette[] = {"lightblue",  "lightyellow", "lightpink",
+                                   "lightgreen", "lavender",    "wheat",
+                                   "lightcyan",  "mistyrose"};
+  // A vertex takes its name from the theme that holds its column, and its
+  // fill from that theme's id.
+  const std::vector<std::vector<double>>& dep = themes.dependency;
+  std::vector<std::string> names(dep.size());
+  std::vector<const char*> fills(dep.size(), "white");
   for (const Theme& t : themes.themes) {
-    for (size_t col : t.columns) {
-      for (size_t v = 0; v < themes.graph_columns.size(); ++v) {
-        if (themes.graph_columns[v] == col) groups[v] = t.id;
+    for (size_t c = 0; c < t.columns.size(); ++c) {
+      for (size_t v = 0; v < dep.size(); ++v) {
+        if (themes.graph_columns[v] != t.columns[c]) continue;
+        names[v] = t.names[c];
+        fills[v] = kPalette[t.id % 8];
       }
     }
   }
-  return themes.graph.ToDot(min_weight, &groups);
+  std::ostringstream out;
+  out << "graph dependency {\n  node [style=filled, shape=box];\n";
+  for (size_t v = 0; v < dep.size(); ++v) {
+    out << "  n" << v << " [label=\"" << names[v]
+        << "\", fillcolor=" << fills[v] << "];\n";
+  }
+  for (size_t u = 0; u < dep.size(); ++u) {
+    for (size_t v = u + 1; v < dep.size(); ++v) {
+      const double w = dep[u][v];
+      if (w <= min_weight) continue;
+      out << "  n" << u << " -- n" << v << " [penwidth="
+          << FormatDouble(0.5 + 4.0 * w, 3) << ", label=\""
+          << FormatDouble(w, 2) << "\"];\n";
+    }
+  }
+  out << "}\n";
+  return out.str();
 }
 
 }  // namespace blaeu::core

@@ -42,7 +42,10 @@ std::string CanonicalMapJson(const DataMap& map);
 /// JSON document for a theme set.
 std::string ThemesToJson(const ThemeSet& themes);
 
-/// Dependency graph in Graphviz DOT with theme coloring (Figure 2).
+/// The dependency graph (ThemeSet::dependency) in Graphviz DOT (Figure 2):
+/// one box per vertex, named and filled after its column's theme, and one
+/// edge per vertex pair whose dependency is above `min_weight`, its pen
+/// width and label scaled by that weight.
 std::string DependencyGraphToDot(const ThemeSet& themes, double min_weight);
 
 }  // namespace blaeu::core

@@ -35,23 +35,19 @@ Result<ThemeSet> DetectThemes(const Table& table,
   }
   if (columns.empty()) return Status::Invalid("no non-key columns");
 
-  // Dependency matrix over the candidate columns only.
+  // The dependency graph: the dependency matrix over the candidate columns
+  // only, one vertex per column.
   monet::TablePtr view = table.Project(columns);
-  BLAEU_ASSIGN_OR_RETURN(auto dep,
+  ThemeSet out;
+  BLAEU_ASSIGN_OR_RETURN(out.dependency,
                          stats::DependencyMatrix(*view, options.dependency));
+  const std::vector<std::vector<double>>& dep = out.dependency;
+  out.graph_columns = columns;
 
   const size_t m = columns.size();
-  ThemeSet out;
   std::vector<std::string> names;
   for (size_t i = 0; i < m; ++i) {
     names.push_back(table.schema().field(columns[i]).name);
-  }
-  out.graph = cluster::Graph(names);
-  out.graph_columns = columns;
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) {
-      out.graph.SetWeight(i, j, dep[i][j]);
-    }
   }
 
   // Partition the graph: PAM on distance = 1 - dependency.
@@ -85,26 +81,22 @@ Result<ThemeSet> DetectThemes(const Table& table,
     theme.columns.push_back(columns[i]);
     theme.names.push_back(names[i]);
   }
-  // Cohesion: mean pairwise dependency inside the theme.
-  for (size_t t = 0; t < out.themes.size(); ++t) {
-    Theme& theme = out.themes[t];
-    double total = 0.0;
-    size_t pairs = 0;
-    for (size_t a = 0; a < theme.columns.size(); ++a) {
-      for (size_t b = a + 1; b < theme.columns.size(); ++b) {
-        size_t ga = std::find(columns.begin(), columns.end(),
-                              theme.columns[a]) -
-                    columns.begin();
-        size_t gb = std::find(columns.begin(), columns.end(),
-                              theme.columns[b]) -
-                    columns.begin();
-        total += dep[ga][gb];
-        ++pairs;
-      }
+  // Cohesion: mean pairwise dependency inside the theme, summed over the
+  // vertex pairs i < j of one theme in order.
+  std::vector<double> total(out.themes.size(), 0.0);
+  std::vector<size_t> pairs(out.themes.size(), 0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      if (labels[i] != labels[j]) continue;
+      total[labels[i]] += dep[i][j];
+      ++pairs[labels[i]];
     }
+  }
+  for (size_t t = 0; t < out.themes.size(); ++t) {
     // Singleton themes carry no dependency signal; rank them last rather
     // than letting the vacuous "1.0" cohesion put them first.
-    theme.cohesion = pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
+    out.themes[t].cohesion =
+        pairs[t] > 0 ? total[t] / static_cast<double>(pairs[t]) : 0.0;
   }
   std::sort(out.themes.begin(), out.themes.end(),
             [](const Theme& a, const Theme& b) {

@@ -1,14 +1,14 @@
-// Vertical clustering (paper §3, "Creating Themes"): build the dependency
-// graph over columns, then partition it with PAM into themes — "groups of
-// mutually dependent columns" that each highlight one aspect of the data.
-// Primary-key columns are always excluded, and the number of themes is
-// swept by silhouette from 2 up to ThemeOptions::max_themes.
+// Vertical clustering (paper §3, "Creating Themes"): compute the dependency
+// graph over columns, the matrix of their pairwise dependencies, then
+// partition it with PAM into themes — "groups of mutually dependent
+// columns" that each highlight one aspect of the data. Primary-key columns
+// are always excluded, and the number of themes is swept by silhouette from
+// 2 up to ThemeOptions::max_themes.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "cluster/graph.h"
 #include "common/status.h"
 #include "stats/column_dependency.h"
 
@@ -40,8 +40,11 @@ struct ThemeOptions {
 
 /// \brief Theme detection output.
 struct ThemeSet {
-  std::vector<Theme> themes;          ///< sorted by cohesion, best first
-  cluster::Graph graph;               ///< the dependency graph (Figure 2)
+  std::vector<Theme> themes;  ///< sorted by cohesion, best first
+  /// The dependency graph (Figure 2) over the non-key columns, as
+  /// stats::DependencyMatrix returns it: entry (i, j) is the weight of the
+  /// edge between vertices i and j.
+  std::vector<std::vector<double>> dependency;
   std::vector<size_t> graph_columns;  ///< table column per graph vertex
   double silhouette = 0.0;            ///< score of the chosen partition
 
@@ -50,8 +53,8 @@ struct ThemeSet {
 };
 
 /// Detects themes on the non-key columns of `table`: dependency matrix ->
-/// graph -> PAM over the graph distances (1 - dependency), with the number
-/// of themes chosen by silhouette. Tables with fewer than 3 usable columns
+/// PAM over the graph distances (1 - dependency), with the number of themes
+/// chosen by silhouette. Tables with fewer than 3 usable columns
 /// yield one theme.
 Result<ThemeSet> DetectThemes(const monet::Table& table,
                               const ThemeOptions& options = {});

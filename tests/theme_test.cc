@@ -43,7 +43,7 @@ TEST(ThemeTest, CohesionSortedDescending) {
 TEST(ThemeTest, GraphHasOneVertexPerNonKeyColumn) {
   auto data = workloads::MakeTwoThemeMixture(400, 3, 2, 2, 3);
   auto themes = *DetectThemes(*data.table);
-  EXPECT_EQ(themes.graph.num_vertices(), 6u);
+  EXPECT_EQ(themes.dependency.size(), 6u);
   EXPECT_EQ(themes.graph_columns.size(), 6u);
 }
 
