@@ -68,22 +68,25 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+std::string Quote(std::string_view s, char quote) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back(quote);
+  for (char c : s) {
+    if (c == quote) out.push_back(quote);
+    out.push_back(c);
+  }
+  out.push_back(quote);
+  return out;
+}
+
 std::string CsvEscape(std::string_view field) {
   bool needs_quote =
       field.find(',') != std::string_view::npos ||
       field.find('"') != std::string_view::npos ||
       field.find('\n') != std::string_view::npos ||
       field.find('\r') != std::string_view::npos;
-  if (!needs_quote) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
+  return needs_quote ? Quote(field, '"') : std::string(field);
 }
 
 }  // namespace blaeu

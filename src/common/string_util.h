@@ -28,6 +28,10 @@ bool ParseInt(std::string_view s, int64_t* out);
 /// trailing zeros).
 std::string FormatDouble(double v, int precision = 6);
 
+/// Wraps `s` in `quote` and doubles each `quote` inside it: how CSV quotes a
+/// field, and SQL an identifier ('"') or a string literal ('\'').
+std::string Quote(std::string_view s, char quote);
+
 /// Escapes a CSV field (quotes it when it contains a comma, a quote, a CR
 /// or a newline).
 std::string CsvEscape(std::string_view field);

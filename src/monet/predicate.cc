@@ -135,14 +135,14 @@ Kernel PrepareCondition(const Condition& c, const Column& col) {
 }  // namespace
 
 std::string Condition::ToSql() const {
-  std::string quoted = "\"" + column + "\"";
+  std::string quoted = Quote(column, '"');
   if (kind == Kind::kThreshold) {
     return quoted + (negated ? " > " : " <= ") + FormatDouble(threshold);
   }
   std::string body;
   for (size_t i = 0; i < set.size(); ++i) {
     if (i > 0) body += ", ";
-    body += "'" + set[i] + "'";
+    body += Quote(set[i], '\'');
   }
   return quoted + (negated ? " NOT IN (" : " IN (") + body + ")";
 }

@@ -44,7 +44,8 @@ struct Condition {
                          bool negated = false);
 
   /// SQL rendering, e.g. `"income" <= 22.5` or `"genre" IN ('Drama',
-  /// 'Comedy')`. A threshold renders as FormatDouble does.
+  /// 'Comedy')`. A threshold renders as FormatDouble does, and a quote
+  /// inside the column name or a member is doubled (`'Children''s'`).
   std::string ToSql() const;
 };
 

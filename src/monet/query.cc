@@ -1,5 +1,6 @@
 #include "monet/query.h"
 
+#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,10 +14,10 @@ std::string SelectProjectQuery::ToSql() const {
   } else {
     for (size_t i = 0; i < columns.size(); ++i) {
       if (i > 0) cols += ", ";
-      cols += "\"" + columns[i] + "\"";
+      cols += Quote(columns[i], '"');
     }
   }
-  std::string sql = "SELECT " + cols + " FROM \"" + table_name + "\"";
+  std::string sql = "SELECT " + cols + " FROM " + Quote(table_name, '"');
   if (!where.empty()) sql += " WHERE " + where.ToSql();
   return sql + ";";
 }

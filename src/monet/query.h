@@ -19,7 +19,8 @@ struct SelectProjectQuery {
   std::vector<std::string> columns;
   Conjunction where;
 
-  /// Renders the query as SQL text.
+  /// Renders the query as SQL text, with each name in double quotes (a `"`
+  /// inside one is doubled).
   std::string ToSql() const;
 
   /// Executes against a catalog, materializing the result.

@@ -45,6 +45,16 @@ TEST(QueryTest, SqlRendering) {
   EXPECT_EQ(star.ToSql(), "SELECT * FROM \"t\";");
 }
 
+TEST(QueryTest, SqlDoublesEmbeddedQuotes) {
+  SelectProjectQuery q;
+  q.table_name = "my \"table\"";
+  q.columns = {"genre", "rate \"pct\""};
+  q.where.Add(Condition::InSet("genre", {"Children's"}));
+  EXPECT_EQ(q.ToSql(),
+            R"(SELECT "genre", "rate ""pct""" FROM "my ""table""")"
+            R"( WHERE "genre" IN ('Children''s');)");
+}
+
 TEST(QueryTest, ExecutesAgainstCatalog) {
   Catalog cat;
   cat.RegisterOrReplace("t", SmallTable());

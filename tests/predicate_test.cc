@@ -85,6 +85,15 @@ TEST(ConditionTest, SqlRendering) {
             "\"g\" NOT IN ('a')");
 }
 
+TEST(ConditionTest, SqlDoublesEmbeddedQuotes) {
+  // SQL escapes a quote inside its quotes by doubling it: '"' in an
+  // identifier, '\'' in a string literal.
+  EXPECT_EQ(Condition::Threshold("rate \"pct\"", 1.5).ToSql(),
+            R"("rate ""pct""" <= 1.5)");
+  EXPECT_EQ(Condition::InSet("genre", {"Children's", "Drama"}, true).ToSql(),
+            R"("genre" NOT IN ('Children''s', 'Drama'))");
+}
+
 TEST(ConjunctionTest, EvaluateAll) {
   auto t = TestTable();
   Conjunction conj;

@@ -276,6 +276,28 @@ TEST(RenderTest, DependencyGraphAndThemesArePinned) {
   }
 }
 
+TEST(RenderTest, DotEscapesQuotesAndBackslashesInLabels) {
+  // A '"' or '\' in a column name takes a backslash inside its DOT label.
+  using monet::DataType;
+  using monet::Value;
+  monet::TableBuilder b(monet::Schema({{"rate \"pct\"", DataType::kDouble},
+                                       {"a\\b", DataType::kDouble},
+                                       {"genre", DataType::kString}}));
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(b.AppendRow({Value::Double(i % 3),
+                             Value::Double(i % 3 + 0.5 * (i % 2)),
+                             Value::Str(i % 3 ? "Drama" : "Children's")})
+                    .ok());
+  }
+  auto themes = DetectThemes(**b.Finish());
+  ASSERT_TRUE(themes.ok()) << themes.status().ToString();
+  const std::string dot = DependencyGraphToDot(*themes, 0.0);
+  EXPECT_NE(dot.find(R"(n0 [label="rate \"pct\"", )"), std::string::npos)
+      << dot;
+  EXPECT_NE(dot.find(R"(n1 [label="a\\b", )"), std::string::npos) << dot;
+  EXPECT_NE(dot.find(R"(n2 [label="genre", )"), std::string::npos) << dot;
+}
+
 TEST(RenderTest, HighlightRendering) {
   workloads::MixtureSpec spec;
   spec.rows = 300;
