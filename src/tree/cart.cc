@@ -25,9 +25,6 @@ constexpr double kMinImpurityDecrease = 1e-7;
 /// not split it.
 constexpr size_t kMaxCategories = 64;
 
-/// A node of fewer training rows than this is a leaf.
-constexpr size_t kMinSamplesSplit = 10;
-
 /// Candidate thresholds per numeric column at a node: more distinct-value
 /// boundaries than this are thinned to this many quantiles.
 constexpr size_t kMaxThresholds = 32;
@@ -288,9 +285,11 @@ std::unique_ptr<CartNode> Grow(const TrainContext& ctx,
       node->label = static_cast<int>(c);
     }
   }
+  // A node of fewer than 2 * min_samples_leaf rows cannot give both sides
+  // min_samples_leaf rows, so no split search runs there.
   bool pure = best_count == idx.size();
   if (depth >= ctx.options.max_depth || pure ||
-      idx.size() < kMinSamplesSplit) {
+      idx.size() < 2 * ctx.options.min_samples_leaf) {
     *majority += best_count;
     return node;
   }

@@ -5,9 +5,10 @@
 // region descriptions shown on the map. Splits minimize Gini impurity (a
 // split must lower it by more than 1e-7), and the grown tree is used as is,
 // without pruning: max_depth and the sample-count floors bound its size.
-// A node of fewer than 10 rows is a leaf, a numeric column offers at most
-// 32 thresholds, and a string or bool column with more than 64 categories
-// at a node does not split it.
+// A node of fewer than 2 * min_samples_leaf rows is a leaf, since no split
+// could leave min_samples_leaf rows on both sides; a numeric column offers
+// at most 32 thresholds, and a string or bool column with more than 64
+// categories at a node does not split it.
 #pragma once
 
 #include <memory>
