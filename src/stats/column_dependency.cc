@@ -171,7 +171,7 @@ double NormalizedMillerMadow(const CodedColumn& x, const CodedColumn& y,
 Result<std::vector<std::vector<double>>> DependencyMatrix(
     const Table& table, const DependencyOptions& options) {
   const size_t m = table.num_columns();
-  Rng rng(options.seed);
+  Rng rng(kDependencySeed);
   std::vector<uint32_t> rows;
   if (options.sample_rows > 0 && table.num_rows() > options.sample_rows) {
     rows = monet::UniformSampleIndices(table.num_rows(), options.sample_rows,

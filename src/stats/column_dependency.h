@@ -24,11 +24,13 @@
 
 namespace blaeu::stats {
 
+/// Seed of the row sample DependencyMatrix draws.
+constexpr uint64_t kDependencySeed = 42;
+
 /// Options for dependency estimation.
 struct DependencyOptions {
-  /// Rows sampled for estimation (0 = use all rows).
+  /// Rows sampled for estimation, with kDependencySeed (0 = use all rows).
   size_t sample_rows = 4000;
-  uint64_t seed = 42;
 };
 
 /// Discrete encoding of one column over the given rows, in codes [0, k)

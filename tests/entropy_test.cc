@@ -115,7 +115,7 @@ std::vector<std::vector<double>> OracleMatrix(const monet::Table& table,
                                               const DependencyOptions& opt) {
   std::vector<uint32_t> rows;
   if (opt.sample_rows > 0 && table.num_rows() > opt.sample_rows) {
-    Rng rng(opt.seed);
+    Rng rng(kDependencySeed);
     rows = monet::UniformSampleIndices(table.num_rows(), opt.sample_rows,
                                        &rng)
                .rows();
@@ -308,14 +308,13 @@ TEST(DependencyOracleTest, RandomMixedTablesMatchTheOracle) {
     ExpectMatchesOracle(*t, DependencyOptions{});  // 4,000 sampled rows
     DependencyOptions sampled;
     sampled.sample_rows = 700;
-    sampled.seed = seed;
     ExpectMatchesOracle(*t, sampled);
   }
 }
 
 TEST(DependencyOracleTest, HighCardinalityStringsRunBothCountingPaths) {
   TablePtr t = MixedTable(5000, 4);
-  Rng rng(DependencyOptions{}.seed);
+  Rng rng(kDependencySeed);
   const std::vector<uint32_t> rows =
       monet::UniformSampleIndices(t->num_rows(), 4000, &rng).rows();
   // 1,000 to 1,332 codes, NULL included: paired with the 6 codes of x (5
