@@ -43,14 +43,12 @@ TEST(QueryTest, SqlRendering) {
   SelectProjectQuery star;
   star.table_name = "t";
   EXPECT_EQ(star.ToSql(), "SELECT * FROM \"t\";");
-}
-
-TEST(QueryTest, SqlDoublesEmbeddedQuotes) {
-  SelectProjectQuery q;
-  q.table_name = "my \"table\"";
-  q.columns = {"genre", "rate \"pct\""};
-  q.where.Add(Condition::InSet("genre", {"Children's"}));
-  EXPECT_EQ(q.ToSql(),
+  // A '"' inside a name is doubled, as is a '\'' inside a value.
+  SelectProjectQuery quoted;
+  quoted.table_name = "my \"table\"";
+  quoted.columns = {"genre", "rate \"pct\""};
+  quoted.where.Add(Condition::InSet("genre", {"Children's"}));
+  EXPECT_EQ(quoted.ToSql(),
             R"(SELECT "genre", "rate ""pct""" FROM "my ""table""")"
             R"( WHERE "genre" IN ('Children''s');)");
 }

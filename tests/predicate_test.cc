@@ -83,13 +83,11 @@ TEST(ConditionTest, SqlRendering) {
             "\"g\" IN ('a', 'b')");
   EXPECT_EQ(Condition::InSet("g", {"a"}, true).ToSql(),
             "\"g\" NOT IN ('a')");
-}
-
-TEST(ConditionTest, SqlDoublesEmbeddedQuotes) {
   // SQL escapes a quote inside its quotes by doubling it: '"' in an
   // identifier, '\'' in a string literal.
   EXPECT_EQ(Condition::Threshold("rate \"pct\"", 1.5).ToSql(),
             R"("rate ""pct""" <= 1.5)");
+  EXPECT_EQ(Condition::Threshold("it's", 1.5).ToSql(), R"("it's" <= 1.5)");
   EXPECT_EQ(Condition::InSet("genre", {"Children's", "Drama"}, true).ToSql(),
             R"("genre" NOT IN ('Children''s', 'Drama'))");
 }

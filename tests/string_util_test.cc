@@ -68,13 +68,6 @@ TEST(FormatDoubleTest, CompactRendering) {
   EXPECT_EQ(FormatDouble(0.125, 3), "0.125");
 }
 
-TEST(QuoteTest, DoublesTheQuoteInside) {
-  EXPECT_EQ(Quote("Children's", '\''), "'Children''s'");
-  EXPECT_EQ(Quote("rate \"pct\"", '"'), "\"rate \"\"pct\"\"\"");
-  EXPECT_EQ(Quote("it's", '"'), "\"it's\"");
-  EXPECT_EQ(Quote("", '\''), "''");
-}
-
 TEST(CsvEscapeTest, QuotesOnlyWhenNeeded) {
   EXPECT_EQ(CsvEscape("plain"), "plain");
   EXPECT_EQ(CsvEscape("a,b"), "\"a,b\"");
