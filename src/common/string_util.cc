@@ -80,6 +80,23 @@ std::string Quote(std::string_view s, char quote) {
   return out;
 }
 
+std::string BackslashEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 std::string CsvEscape(std::string_view field) {
   bool needs_quote =
       field.find(',') != std::string_view::npos ||

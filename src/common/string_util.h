@@ -32,6 +32,11 @@ std::string FormatDouble(double v, int precision = 6);
 /// field, and SQL an identifier ('"') or a string literal ('\'').
 std::string Quote(std::string_view s, char quote);
 
+/// Puts a backslash before each '\' and '"' in `s` and writes a newline as
+/// \n: how an OpenMetrics label value and a Graphviz DOT label escape text
+/// inside double quotes.
+std::string BackslashEscape(std::string_view s);
+
 /// Escapes a CSV field (quotes it when it contains a comma, a quote, a CR
 /// or a newline).
 std::string CsvEscape(std::string_view field);

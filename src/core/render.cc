@@ -197,20 +197,6 @@ std::string ThemesToJson(const ThemeSet& themes) {
   return w.str();
 }
 
-namespace {
-
-/// `s` inside a DOT string: '"' and '\' take a backslash.
-std::string DotEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string DependencyGraphToDot(const ThemeSet& themes, double min_weight) {
   static const char* kPalette[] = {"lightblue",  "lightyellow", "lightpink",
                                    "lightgreen", "lavender",    "wheat",
@@ -224,7 +210,7 @@ std::string DependencyGraphToDot(const ThemeSet& themes, double min_weight) {
     for (size_t c = 0; c < t.columns.size(); ++c) {
       for (size_t v = 0; v < dep.size(); ++v) {
         if (themes.graph_columns[v] != t.columns[c]) continue;
-        names[v] = DotEscape(t.names[c]);
+        names[v] = BackslashEscape(t.names[c]);
         fills[v] = kPalette[t.id % 8];
       }
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace blaeu::obs {
 
 namespace {
@@ -37,11 +39,11 @@ std::string RenderLabels(const MetricLabels& labels,
     if (!first) out += ",";
     first = false;
     out += SanitizeLabelName(k);
-    out += "=\"" + OpenMetricsEscape(v) + "\"";
+    out += "=\"" + BackslashEscape(v) + "\"";
   }
   if (!extra_key.empty()) {
     if (!first) out += ",";
-    out += extra_key + "=\"" + OpenMetricsEscape(extra_value) + "\"";
+    out += extra_key + "=\"" + BackslashEscape(extra_value) + "\"";
   }
   return out + "}";
 }
@@ -71,23 +73,6 @@ std::string OpenMetricsName(const std::string& name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string OpenMetricsEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
   }
   return out;
 }

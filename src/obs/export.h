@@ -22,10 +22,6 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 /// underscores; the blaeu_ prefix keeps the first character legal).
 std::string OpenMetricsName(const std::string& name);
 
-/// Escapes a label value per the OpenMetrics ABNF: backslash, double quote
-/// and newline become \\, \" and \n.
-std::string OpenMetricsEscape(const std::string& value);
-
 /// OpenMetrics text exposition of a snapshot. Counters export as `counter`
 /// with the `_total` sample suffix, gauges as `gauge`, histograms as
 /// `summary` (quantile-labelled p50/p95/p99 plus _sum/_count). Ends with

@@ -20,14 +20,6 @@ TEST(OpenMetricsNameTest, SanitizesDotsAndIllegalCharacters) {
             "blaeu_weird_name_with_spaces");
 }
 
-TEST(OpenMetricsEscapeTest, EscapesBackslashQuoteNewline)
-{
-  EXPECT_EQ(OpenMetricsEscape("plain"), "plain");
-  EXPECT_EQ(OpenMetricsEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(OpenMetricsEscape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(OpenMetricsEscape("line1\nline2"), "line1\\nline2");
-}
-
 TEST(ToOpenMetricsTest, CountersExportWithTypeAndTotalSuffix) {
   MetricsRegistry registry;
   registry.counter("core.map.builds")->Add(7);

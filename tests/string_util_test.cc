@@ -75,5 +75,12 @@ TEST(CsvEscapeTest, QuotesOnlyWhenNeeded) {
   EXPECT_EQ(CsvEscape("line\nbreak"), "\"line\nbreak\"");
 }
 
+TEST(BackslashEscapeTest, EscapesBackslashQuoteNewline) {
+  EXPECT_EQ(BackslashEscape("plain"), "plain");
+  EXPECT_EQ(BackslashEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(BackslashEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(BackslashEscape("line1\nline2"), "line1\\nline2");
+}
+
 }  // namespace
 }  // namespace blaeu
